@@ -85,7 +85,7 @@ def _envelope(command, payload, digest_src, t0, seed=None):
         "command": command,
         "input_digest": hashlib.sha256(digest_src).hexdigest() if digest_src else None,
         "seed": seed,
-        "timings": {"wall_s": round(time.time() - t0, 3)},
+        "timings": {"wall_s": round(time.perf_counter() - t0, 3)},
         "result": payload,
     }
 
@@ -117,7 +117,7 @@ def _split_labels(text):
 
 
 def cmd_catalog(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.action == "list":
         payload = {"rings": list(CATALOG_NAMES)}
         _emit(args, "catalog", payload, b"catalog", t0, text="\n".join(CATALOG_NAMES))
@@ -133,7 +133,7 @@ def cmd_catalog(args):
 
 
 def cmd_verify(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
     report = verify_axioms(ring)
     lines = [f"ring {ring.name}: rank {ring.rank}"]
@@ -147,7 +147,7 @@ def cmd_verify(args):
 
 
 def cmd_info(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
     report = verify_axioms(ring)
     fp = fpdim_data(ring)
@@ -182,7 +182,7 @@ def cmd_info(args):
 
 
 def cmd_chartab(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
     try:
         table = character_table(ring, tol=args.tol)
@@ -230,7 +230,7 @@ def cmd_chartab(args):
 
 
 def cmd_criteria(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
     kinds = ["zero", "one"] if args.kind == "both" else [args.kind]
     threads = _threads(args)
@@ -279,7 +279,7 @@ def _parse_field_arg(text):
 
 
 def cmd_localize(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
     try:
         if args.sprime:
@@ -314,7 +314,7 @@ def cmd_localize(args):
 
 
 def cmd_two_parallel(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
     field = _parse_field_arg(args.field)
     try:
@@ -358,7 +358,7 @@ def cmd_two_parallel(args):
 
 
 def cmd_tpe(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
     try:
         if args.family == "localization":
@@ -413,7 +413,7 @@ def cmd_tpe(args):
 
 
 def cmd_groebner(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         with open(args.system) as fh:
             text = fh.read()

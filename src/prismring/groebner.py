@@ -10,19 +10,29 @@ Exponent vectors are packed into single integers (16-bit digits, degree
 first for grevlex) so that monomial comparison is integer comparison and
 divisibility is one masked subtraction.
 
-Over GF(p) the algorithm runs directly. Over QQ a direct run is attempted
-first under a coefficient-growth guard; systems whose intermediates swell
-(the final reduced basis is typically tiny even when intermediates explode)
-switch to a modular pipeline: reduced bases are computed modulo a
-deterministic stream of 30-bit primes, the majority leading-term shape is
-kept, coefficients are combined by CRT and lifted by rational
-reconstruction, and the candidate is certified exactly over QQ: every
+One reducer and one S-polynomial routine serve every coefficient domain.
+A step subtracts a monic divisor ``c`` times, where ``c`` is the
+coefficient being cancelled: GF(p) runs keep their basis monic and reduce
+every touched coefficient mod p, and ``normal_form`` over QQ makes its
+divisors monic with Fraction coefficients. Over ZZ the step is
+fraction-free: it scales the remainder by lc/g and subtracts the divisor
+c/g times, with g = gcd(lc, c). The direct ZZ run also strips the content
+every few steps and gives up when a coefficient outgrows its swell guard.
+
+Over GF(p) the algorithm runs directly. Over QQ a direct ZZ run on the
+generators with denominators cleared is attempted first under the swell
+guard; systems whose intermediates swell (the final reduced basis is
+typically tiny even when intermediates explode) switch to a modular
+pipeline: reduced bases are computed modulo a deterministic stream of
+30-bit primes, the majority leading-term shape is kept, coefficients are
+combined by CRT and lifted by rational reconstruction, and the candidate
+is certified exactly, fraction-free on its integer multiples: every
 input generator must reduce to zero modulo the candidate, and the
-candidate must be closed under S-polynomial reduction. Those checks prove
-the candidate is the reduced basis of an ideal containing the input ideal;
-agreement of the leading-term shape across several independent primes pins
-it to the input ideal itself, the same assurance model as standard modular
-Groebner engines.
+candidate must be closed under S-polynomial reduction. Those checks
+prove the candidate is the reduced basis of an ideal containing the
+input ideal; agreement of the leading-term shape across several
+independent primes pins it to the input ideal itself, the same assurance
+model as standard modular Groebner engines.
 """
 
 from __future__ import annotations
@@ -171,104 +181,104 @@ class _Elt:
 
 
 # ---------------------------------------------------------------- reducers
+#
+# Engine dicts map packed monomials to coefficients: residues mod ``pmod``
+# in GF(p) runs, Fractions in ``normal_form`` over QQ (pmod 0), and
+# integers in the fraction-free ZZ runs (the direct rational run and
+# ``_certify_qq``, also pmod 0).
 
 
-def _content_strip(d):
+def _content_strip(*dicts):
+    """Divide the dicts, taken as one polynomial, by their integer content."""
     g = 0
-    for c in d.values():
-        g = gcd(g, c)
-        if g == 1:
-            return d
+    for d in dicts:
+        for c in d.values():
+            g = gcd(g, c)
+            if g == 1:
+                return
     if g > 1:
-        for e in d:
-            d[e] //= g
-    return d
+        for d in dicts:
+            for e in d:
+                d[e] //= g
 
 
-def _reduce_gf(r, basis, budget, pmod, ctx, full=False):
-    finished = set()
-    while r:
-        if full:
-            live = [e for e in r if e not in finished]
-            if not live:
-                break
-            lt = max(live)
-        else:
-            lt = max(r)
-        red = None
-        for b in basis:
-            if b is not None and ctx.divides(b.lm, lt):
-                red = b
-                break
-        if red is None:
-            if not full:
-                break
-            finished.add(lt)
-            continue
-        mult = r[lt]  # reducers are monic
-        delta = lt - red.lm + ctx.corr
-        corr = ctx.corr
+def _step(r, lt, red, pmod, aside=()):
+    """Cancel the term ``lt`` of r with ``red`` shifted onto it; returns term ops.
+
+    A monic divisor is subtracted ``r[lt]`` times. Over ZZ a non-monic
+    divisor first scales r, and the terms set ``aside`` with it, by
+    lc(red)/g with g = gcd(lc(red), r[lt]), so the step stays fraction-free.
+    """
+    c = r[lt]
+    ops = len(red.terms)
+    if red.lc == 1:
+        mult = c
+    else:
+        g = gcd(red.lc, c)
+        scale = red.lc // g
+        mult = c // g
+        if scale != 1:
+            for d in (r, aside):
+                for e in d:
+                    d[e] *= scale
+                ops += len(d)
+    shift = lt - red.lm
+    if pmod:
         for e, cg in red.terms:
-            ee = e + delta - corr
+            ee = e + shift
             v = (r.get(ee, 0) - mult * cg) % pmod
             if v:
                 r[ee] = v
             else:
                 r.pop(ee, None)
-        budget.charge_ops(len(red.terms))
-    return r
+    else:
+        for e, cg in red.terms:
+            ee = e + shift
+            v = r.get(ee, 0) - mult * cg
+            if v:
+                r[ee] = v
+            else:
+                r.pop(ee, None)
+    return ops
 
 
 _STRIP_EVERY = 8
 
 
-def _reduce_zz(r, basis, budget, ctx, full=False, swell_bits=None):
-    finished = set()
+def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
+    """Reduce the dict r by ``basis`` (first match in list order), in place.
+
+    Without ``full`` only leading terms are reduced; with it every term is,
+    and terms no divisor reaches are set aside (they all exceed the terms
+    still to be reduced). ``swell_bits`` marks the direct ZZ run: the
+    content is stripped every few steps, a coefficient longer than
+    ``swell_bits`` bits raises :class:`_Swell`, and the remainder comes back
+    primitive with a positive leading coefficient.
+    """
+    aside = {}
     steps = 0
     while r:
-        if full:
-            live = [e for e in r if e not in finished]
-            if not live:
+        lt = max(r)
+        for red in basis:
+            if ctx.divides(red.lm, lt):
                 break
-            lt = max(live)
         else:
-            lt = max(r)
-        red = None
-        for b in basis:
-            if b is not None and ctx.divides(b.lm, lt):
-                red = b
-                break
-        if red is None:
             if not full:
                 break
-            finished.add(lt)
+            aside[lt] = r.pop(lt)
             continue
-        c = r[lt]
-        g = gcd(red.lc, c)
-        mult_r = red.lc // g
-        mult_g = c // g
-        if mult_r != 1:
-            for e in r:
-                r[e] *= mult_r
-            budget.charge_ops(len(r))
-        delta = lt - red.lm + ctx.corr
-        corr = ctx.corr
-        for e, cg in red.terms:
-            ee = e + delta - corr
-            v = r.get(ee, 0) - mult_g * cg
-            if v:
-                r[ee] = v
-            else:
-                r.pop(ee, None)
-        budget.charge_ops(len(red.terms))
+        budget.charge_ops(_step(r, lt, red, pmod, aside))
         steps += 1
-        if steps % _STRIP_EVERY == 0 and r:
-            _content_strip(r)
-            if swell_bits is not None and any(
-                abs(c).bit_length() > swell_bits for c in r.values()
+        if swell_bits is not None and steps % _STRIP_EVERY == 0:
+            _content_strip(r, aside)
+            if any(
+                abs(c).bit_length() > swell_bits
+                for d in (r, aside)
+                for c in d.values()
             ):
                 raise _Swell
-    if r:
+    r.update(aside)
+    if swell_bits is not None and r:
         _content_strip(r)
         lt = max(r)
         if r[lt] < 0:
@@ -277,97 +287,18 @@ def _reduce_zz(r, basis, budget, ctx, full=False, swell_bits=None):
     return r
 
 
-def _reduce_qq(r, basis, budget, ctx, full=False):
-    finished = set()
-    while r:
-        if full:
-            live = [e for e in r if e not in finished]
-            if not live:
-                break
-            lt = max(live)
-        else:
-            lt = max(r)
-        red = None
-        for b in basis:
-            if b is not None and ctx.divides(b.lm, lt):
-                red = b
-                break
-        if red is None:
-            if not full:
-                break
-            finished.add(lt)
-            continue
-        mult = r[lt] / red.lc
-        delta = lt - red.lm + ctx.corr
-        corr = ctx.corr
-        for e, cg in red.terms:
-            ee = e + delta - corr
-            v = r.get(ee, 0) - mult * cg
-            if v:
-                r[ee] = v
-            else:
-                r.pop(ee, None)
-        budget.charge_ops(len(red.terms))
-    return r
-
-
-def _spoly_gf(f, g, ctx, pmod):
+def _spoly(f, g, ctx, pmod=0):
+    """S-polynomial of engine elements: f shifted to the lcm, one step by g."""
     big = ctx.lcm(f.lm, g.lm)
-    df = big - f.lm + ctx.corr
-    dg = big - g.lm + ctx.corr
-    corr = ctx.corr
-    s = {}
-    for e, cc in f.terms:
-        s[e + df - corr] = cc
-    for e, cc in g.terms:
-        ee = e + dg - corr
-        v = (s.get(ee, 0) - cc) % pmod
-        if v:
-            s[ee] = v
-        else:
-            s.pop(ee, None)
+    shift = big - f.lm
+    s = {e + shift: c for e, c in f.terms}
+    _step(s, big, g, pmod)
     return s
 
 
-def _spoly_zz(f, g, ctx):
-    big = ctx.lcm(f.lm, g.lm)
-    c = f.lc * g.lc // gcd(f.lc, g.lc)
-    mf = c // f.lc
-    mg = c // g.lc
-    df = big - f.lm + ctx.corr
-    dg = big - g.lm + ctx.corr
-    corr = ctx.corr
-    s = {}
-    for e, cc in f.terms:
-        s[e + df - corr] = mf * cc
-    for e, cc in g.terms:
-        ee = e + dg - corr
-        v = s.get(ee, 0) - mg * cc
-        if v:
-            s[ee] = v
-        else:
-            s.pop(ee, None)
-    return s
-
-
-def _spoly_qq(f, g, ctx):
-    big = ctx.lcm(f.lm, g.lm)
-    df = big - f.lm + ctx.corr
-    dg = big - g.lm + ctx.corr
-    corr = ctx.corr
-    inv_f = 1 / f.lc
-    inv_g = 1 / g.lc
-    s = {}
-    for e, cc in f.terms:
-        s[e + df - corr] = cc * inv_f
-    for e, cc in g.terms:
-        ee = e + dg - corr
-        v = s.get(ee, 0) - cc * inv_g
-        if v:
-            s[ee] = v
-        else:
-            s.pop(ee, None)
-    return s
+def _monic(d, pmod):
+    inv = pow(d[max(d)], -1, pmod)
+    return {e: (c * inv) % pmod for e, c in d.items()}
 
 
 # ------------------------------------------------------------- core driver
@@ -406,12 +337,13 @@ def _make_elt(d):
     return _Elt(lm, d[lm], terms)
 
 
-def _core(seeds, ctx, budget, mode, pmod=None, swell_bits=None, freeze=False):
+def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
     """Run Buchberger on engine dicts; returns (final_dicts, trivial_flag).
 
-    ``mode`` selects coefficient arithmetic: "gf", "zz", or "qq". With
-    ``freeze`` set, any surviving S-pair that does not reduce to zero raises
-    ValueError instead of growing the basis (used to certify candidates).
+    Coefficients are residues mod ``pmod`` (monic seeds), or integers for
+    the fraction-free ZZ run when ``pmod`` is 0. With ``freeze`` set, any
+    surviving S-pair that does not reduce to zero raises ValueError instead
+    of growing the basis (used to certify candidates).
     """
     engine = []
     lms = []
@@ -424,7 +356,7 @@ def _core(seeds, ctx, budget, mode, pmod=None, swell_bits=None, freeze=False):
         lms.append(elt.lm)
         pairs = _gm_update(pairs, lms, len(engine) - 1, ctx)
 
-    for d in seeds:
+    for d in sorted(seeds, key=lambda d: (max(d), len(d), sorted(d.items()))):
         if ctx.deg(max(d)) == 0:
             return None, True
         add(d)
@@ -436,26 +368,15 @@ def _core(seeds, ctx, budget, mode, pmod=None, swell_bits=None, freeze=False):
         pairs.discard(pick)
         budget.charge_pair()
         i, j = pick
-        if mode == "gf":
-            s = _spoly_gf(engine[i], engine[j], ctx, pmod)
-            r = _reduce_gf(s, engine, budget, pmod, ctx)
-        elif mode == "zz":
-            s = _spoly_zz(engine[i], engine[j], ctx)
-            r = _reduce_zz(s, engine, budget, ctx, swell_bits=swell_bits)
-        else:
-            s = _spoly_qq(engine[i], engine[j], ctx)
-            r = _reduce_qq(s, engine, budget, ctx)
+        s = _spoly(engine[i], engine[j], ctx, pmod)
+        r = _reduce(s, engine, budget, ctx, pmod, swell_bits=swell_bits)
         if not r:
             continue
         if freeze:
             raise ValueError("candidate basis is not closed under S-polynomials")
         if ctx.deg(max(r)) == 0:
             return None, True
-        if mode == "gf":
-            lt = max(r)
-            inv = pow(r[lt], -1, pmod)
-            r = {e: (c * inv) % pmod for e, c in r.items()}
-        add(r)
+        add(_monic(r, pmod) if pmod else r)
 
     if freeze:
         return [dict(e.terms) for e in engine], False
@@ -473,13 +394,7 @@ def _core(seeds, ctx, budget, mode, pmod=None, swell_bits=None, freeze=False):
     for pos in range(len(kept)):
         others = [kept[q] for q in range(len(kept)) if q != pos]
         d = dict(kept[pos].terms)
-        if mode == "gf":
-            d = _reduce_gf(d, others, budget, pmod, ctx, full=True)
-        elif mode == "zz":
-            d = _reduce_zz(d, others, budget, ctx, full=True, swell_bits=swell_bits)
-        else:
-            d = _reduce_qq(d, others, budget, ctx, full=True)
-        out.append(d)
+        out.append(_reduce(d, others, budget, ctx, pmod, True, swell_bits))
     out.sort(key=max)
     return out, False
 
@@ -544,6 +459,7 @@ def _crt_pair(r1, m1, r2, m2):
 
 
 def _int_dicts_from_frac(terms):
+    """Primitive integer multiple of a dict with Fraction coefficients."""
     den = 1
     for c in terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
@@ -557,10 +473,10 @@ def _modular_qq(system, order, budget, stats):
     vars = system[0].vars
     ctx = _PackCtx(len(vars), order)
 
-    gens_frac = []
-    for p in system:
-        gens_frac.append({ctx.pack(e): Fraction(c) for e, c in p.terms.items()})
-    gens_int = [_int_dicts_from_frac(d) for d in gens_frac]
+    gens_int = [
+        _int_dicts_from_frac({ctx.pack(e): Fraction(c) for e, c in p.terms.items()})
+        for p in system
+    ]
 
     runs = []  # (prime, shape, {lm: {mono: residue}})
     stream = _prime_stream()
@@ -572,20 +488,12 @@ def _modular_qq(system, order, budget, stats):
         for _ in range(min(batch, max_primes - used)):
             p = next(stream)
             used += 1
-            bad = False
-            seeds = []
-            for d in gens_int:
-                lt = max(d)
-                if d[lt] % p == 0:
-                    bad = True  # leading coefficient vanished; skip prime
-                    break
-                dd = {e: c % p for e, c in d.items() if c % p}
-                inv = pow(dd[lt], -1, p)
-                seeds.append({e: (c * inv) % p for e, c in dd.items()})
-            if bad:
-                continue
-            seeds.sort(key=lambda d: (max(d), len(d), sorted(d.items())))
-            out, trivial = _core(seeds, ctx, budget, "gf", pmod=p)
+            if any(d[max(d)] % p == 0 for d in gens_int):
+                continue  # a leading coefficient vanished; skip prime
+            seeds = [
+                _monic({e: c % p for e, c in d.items() if c % p}, p) for d in gens_int
+            ]
+            out, trivial = _core(seeds, ctx, budget, p)
             if trivial:
                 zero = ctx.pack((0,) * len(vars))
                 runs.append((p, (zero,), {zero: {zero: 1}}))
@@ -626,7 +534,7 @@ def _modular_qq(system, order, budget, stats):
         if not ok:
             continue
 
-        if _certify_qq(candidate, gens_frac, ctx, budget):
+        if _certify_qq(candidate, gens_int, ctx, budget):
             stats["primes"] = [p for p, _, _ in good]
             candidate.sort(key=max)
             return [
@@ -635,21 +543,21 @@ def _modular_qq(system, order, budget, stats):
     raise GroebnerResourceError("modular reconstruction did not converge")
 
 
-def _certify_qq(candidate, gens_frac, ctx, budget):
+def _certify_qq(candidate, gens_int, ctx, budget):
     """Exact certificate: candidate is a GB and contains the generators.
 
     Success proves the candidate is the reduced basis of an ideal that
     contains the input ideal; the leading-term shape was already matched
-    against several independent mod-p reduced bases of the input.
+    against several independent mod-p reduced bases of the input. Only
+    zero remainders are tested, which scaling cannot change, so the checks
+    run fraction-free on the candidate with its denominators cleared.
     """
-    elts = [_make_elt(d) for d in candidate]
-    for d in gens_frac:
-        r = _reduce_qq(dict(d), elts, budget, ctx, full=True)
-        if r:
-            return False
+    cand_int = [_int_dicts_from_frac(d) for d in candidate]
+    elts = [_make_elt(d) for d in cand_int]
+    if any(_reduce(dict(d), elts, budget, ctx) for d in gens_int):
+        return False
     try:
-        seeds = [dict(d) for d in candidate]
-        _core(seeds, ctx, budget, "qq", freeze=True)
+        _core(cand_int, ctx, budget, freeze=True)
     except ValueError:
         return False
     return True
@@ -785,23 +693,13 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
         return f
     ctx = _PackCtx(len(f.vars), order)
     budget = _Budget(10**9, 10**12)
-    field = f.field
-    elts = []
-    for b in basis:
-        d = {ctx.pack(e): c for e, c in b.terms.items()}
-        elts.append(_make_elt(d))
+    elts = [
+        _make_elt({ctx.pack(e): c for e, c in b.monic(order).terms.items()})
+        for b in basis
+    ]
     r = {ctx.pack(e): c for e, c in f.terms.items()}
-    if field.is_rational:
-        r = _reduce_qq(r, elts, budget, ctx, full=True)
-    else:
-        p = field.p
-        monic = []
-        for elt in elts:
-            inv = pow(elt.lc, -1, p)
-            d = {e: (c * inv) % p for e, c in elt.terms}
-            monic.append(_make_elt(d))
-        r = _reduce_gf(r, monic, budget, p, ctx, full=True)
-    return Polynomial(f.vars, {ctx.unpack(e): c for e, c in r.items()}, field, order)
+    r = _reduce(r, elts, budget, ctx, f.field.p, full=True)
+    return Polynomial(f.vars, {ctx.unpack(e): c for e, c in r.items()}, f.field, order)
 
 
 def buchberger(
@@ -846,15 +744,14 @@ def buchberger(
     if field.is_rational:
         # direct run with a swell guard; fall back to the modular pipeline
         try:
-            seeds = []
-            for p in nonzero:
-                d = _int_dicts_from_frac({ctx.pack(e): c for e, c in p.terms.items()})
-                seeds.append(d)
-            seeds.sort(key=lambda d: (max(d), len(d), sorted(d.items())))
+            seeds = [
+                _int_dicts_from_frac({ctx.pack(e): c for e, c in p.terms.items()})
+                for p in nonzero
+            ]
             sub_budget = _Budget(
                 min(budget.pair_limit, 20_000), min(budget.op_limit, 2_000_000)
             )
-            out, is_triv = _core(seeds, ctx, sub_budget, "zz", swell_bits=4096)
+            out, is_triv = _core(seeds, ctx, sub_budget, swell_bits=4096)
             budget.pairs += sub_budget.pairs
             budget.ops += sub_budget.ops
             stats["mode"] = "direct"
@@ -874,27 +771,13 @@ def buchberger(
 
     # prime field: direct computation
     pmod = field.p
-    seeds = []
-    for p in nonzero:
-        d = {ctx.pack(e): c % pmod for e, c in p.terms.items()}
-        d = {e: c for e, c in d.items() if c}
-        if not d:
-            continue
-        lt = max(d)
-        inv = pow(d[lt], -1, pmod)
-        seeds.append({e: (c * inv) % pmod for e, c in d.items()})
-    if not seeds:
-        return GroebnerBasis([], vars, field, order, system, stats)
-    seeds.sort(key=lambda d: (max(d), len(d), sorted(d.items())))
-    out, is_triv = _core(seeds, ctx, budget, "gf", pmod=pmod)
+    seeds = [
+        _monic({ctx.pack(e): c for e, c in p.terms.items()}, pmod) for p in nonzero
+    ]
+    out, is_triv = _core(seeds, ctx, budget, pmod)
     if is_triv:
         return trivial()
-    dicts = []
-    for d in out:
-        lt = max(d)
-        inv = pow(d[lt], -1, pmod)
-        dicts.append({ctx.unpack(e): (c * inv) % pmod for e, c in d.items()})
-    return finish(dicts)
+    return finish([{ctx.unpack(e): c for e, c in d.items()} for d in out])
 
 
 def ideal_is_trivial(gb: GroebnerBasis) -> bool:

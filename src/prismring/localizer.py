@@ -688,11 +688,11 @@ def two_parallel(
     if l not in tuple(_as_index(ring, x) for x in sprime_l):
         raise LocalizationError("the linking label must belong to its own chosen subset")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     sys_k = generate_Ek(ring, k, sprime_k)
     sys_l = generate_Ek(ring, l, sprime_l)
     link = extra_link(ring, k, l)
-    timings["generate"] = time.time() - t0
+    timings["generate"] = time.perf_counter() - t0
 
     kwargs = {}
     if pair_budget is not None:
@@ -705,28 +705,28 @@ def two_parallel(
             return list(polys)
         return specialize(field, polys)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     gb_k = buchberger(in_field(sys_k.polys), field=field, **kwargs)
-    timings["gb_k"] = time.time() - t0
-    t0 = time.time()
+    timings["gb_k"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     gb_l = buchberger(in_field(sys_l.polys), field=field, **kwargs)
-    timings["gb_l"] = time.time() - t0
+    timings["gb_l"] = time.perf_counter() - t0
 
     allv = _combined_ring_vars(sys_k, sys_l)
     combined = [g.rename(allv) for g in gb_k.polys]
     combined += [g.rename(allv) for g in gb_l.polys]
     combined.append(in_field([link.rename(allv)])[0])
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     final = buchberger(combined, field=field, **kwargs)
-    timings["gb_final"] = time.time() - t0
+    timings["gb_final"] = time.perf_counter() - t0
 
     verdict = EXCLUDED if final.is_trivial else NOT_EXCLUDED
     certified = not field.is_rational  # prime-field runs are direct
     if verdict == EXCLUDED and field.is_rational:
-        t0 = time.time()
+        t0 = time.perf_counter()
         certified = _unit_certificate(gb_k, gb_l, link, allv)
-        timings["certificate"] = time.time() - t0
+        timings["certificate"] = time.perf_counter() - t0
 
     return TwoParallelReport(
         verdict=verdict,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rings import FusionRing
 
@@ -72,7 +73,6 @@ class _Tables:
     """
 
     def __init__(self, ring: FusionRing):
-        self.ring = ring
         r = ring.rank
         N = ring.N
         self.N = N
@@ -95,16 +95,9 @@ class _Tables:
         ]
 
 
-_tables_cache: dict = {}
-
-
+@lru_cache(maxsize=16)
 def _tables(ring: FusionRing) -> _Tables:
-    key = id(ring)
-    hit = _tables_cache.get(key)
-    if hit is None or hit.ring is not ring:
-        hit = _Tables(ring)
-        _tables_cache[key] = hit
-    return hit
+    return _Tables(ring)
 
 
 def pe_spectrum(ring: FusionRing, i4, i5, i6, i7, i8, i9) -> SpectrumSet:

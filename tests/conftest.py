@@ -6,6 +6,7 @@ import random
 import pytest
 
 from prismring.catalog import catalog
+from prismring.poly import Polynomial, monomial_div, monomial_divides
 from prismring.rings import build_ring, verify_axioms
 
 # Reference form of the two reduced localization subsystems of the rank-7
@@ -198,6 +199,28 @@ def oracle_search(ring, kind, first_only=True):
                 return (t, i0)
             hits.append((t, i0))
     return None if first_only else hits
+
+
+def oracle_normal_form(f, basis, order):
+    """Textbook division: the largest term left is cancelled by the first
+    divisor whose leading monomial divides it, or moved to the remainder."""
+    basis = [b for b in basis if not b.is_zero()]
+    field = f.field
+    rem = Polynomial.zero(f.vars, field, order)
+    while not f.is_zero():
+        lm = f.leading_monomial(order)
+        lc = f.leading_coefficient(order)
+        for b in basis:
+            blm = b.leading_monomial(order)
+            if monomial_divides(blm, lm):
+                q = {monomial_div(lm, blm): field.div(lc, b.leading_coefficient(order))}
+                f = f - Polynomial(f.vars, q, field, order) * b
+                break
+        else:
+            lead = Polynomial(f.vars, {lm: lc}, field, order)
+            rem = rem + lead
+            f = f - lead
+    return rem
 
 
 # ------------------------------------------------ random valid small rings

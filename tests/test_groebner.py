@@ -1,10 +1,18 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismring.fields import GF, QQ, NonInvertibleError
 from prismring.groebner import (
     GroebnerResourceError,
+    _Budget,
+    _certify_qq,
+    _int_dicts_from_frac,
+    _PackCtx,
     buchberger,
     ideal_equal,
     ideal_is_trivial,
@@ -13,7 +21,7 @@ from prismring.groebner import (
 )
 from prismring.poly import Polynomial, format_polynomial, parse_polynomial
 
-from conftest import E1_TEXT, E1_VARS
+from conftest import E1_TEXT, E1_VARS, oracle_normal_form
 
 
 def P(text, vars, field=QQ, order="grevlex"):
@@ -157,10 +165,120 @@ def test_pair_budget_enforced():
         buchberger(sys_q, pair_budget=1)
 
 
-def test_modular_path_used_for_swelling_system():
-    E1 = [P(t, E1_VARS) for t in E1_TEXT]
-    gb = buchberger(E1)
+@pytest.fixture(scope="module")
+def e1():
+    return [P(t, E1_VARS) for t in E1_TEXT]
+
+
+@pytest.fixture(scope="module")
+def gb_e1(e1):
+    return buchberger(e1)
+
+
+def test_modular_path_used_for_swelling_system(gb_e1):
+    gb = gb_e1
     assert gb.stats.get("mode") == "modular"
-    assert len(gb.stats.get("primes", [])) >= 3
+    assert len(gb.stats.get("primes", [])) == 6
     assert len(gb) == 31
     assert gb.quotient_dimension() == 14
+    text = "\n".join(format_polynomial(g) for g in gb.polys)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7abb78f0ad1758f4"
+    # six GF(p) runs, the abandoned direct ZZ run and the certificate
+    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (2104, 12_819_906)
+
+
+# ------------------------------------------------------- pinned engine work
+
+
+@pytest.mark.parametrize(
+    "p, spairs, term_ops",
+    [(1073741789, 332, 2_123_113), (11, 326, 1_690_907)],
+)
+def test_gf_engine_work_on_ek(ek, p, spairs, term_ops):
+    F = GF(p)
+    gb = buchberger(specialize(F, ek.polys), field=F)
+    assert len(gb) == 31
+    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (spairs, term_ops)
+
+
+def test_direct_zz_engine_work_on_corpus():
+    got = [buchberger(system).stats for system in small_corpus()]
+    assert got == [
+        {"mode": "direct", "spairs": 1, "term_ops": 2},
+        {"mode": "direct", "spairs": 1, "term_ops": 2},
+        {"mode": "direct", "spairs": 0, "term_ops": 0},
+        {"mode": "direct", "spairs": 8, "term_ops": 22},
+        {"mode": "direct", "spairs": 2, "term_ops": 8},
+    ]
+
+
+# ------------------------------------------------------ modular certificate
+
+
+def certify(candidate, generators):
+    """Run the exact QQ certificate on polynomial lists."""
+    ctx = _PackCtx(len(generators[0].vars), "grevlex")
+
+    def pack(p):
+        return {ctx.pack(e): Fraction(c) for e, c in p.terms.items()}
+
+    gens = [_int_dicts_from_frac(pack(g)) for g in generators]
+    return _certify_qq([pack(c) for c in candidate], gens, ctx, _Budget(10**6, 10**9))
+
+
+def test_certificate_accepts_modular_basis(e1, gb_e1):
+    assert certify(gb_e1.polys, e1)
+
+
+def test_certificate_rejects_candidate_missing_a_generator():
+    XY = ("x", "y")
+    # a single polynomial is closed under S-polynomials; y^2 - 1 is not in its ideal
+    assert not certify([P("x^2 - y", XY)], [P("x^2 - y", XY), P("y^2 - 1", XY)])
+
+
+def test_certificate_rejects_candidate_not_closed():
+    XY = ("x", "y")
+    # both generators reduce to zero, but S(xy - 1, y^2 - x) leaves x^2 - y
+    gens = [P("x*y - 1", XY), P("y^2 - x", XY)]
+    assert not certify(gens, gens)
+
+
+# ------------------------------------------------------ property tests
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, deadline=None, max_examples=60
+)
+XYZ = ("x", "y", "z")
+_EXPS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+_QQ_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+_GF_COEFFS = st.integers(1, 32002)
+
+
+def _polys(field, coeffs, min_size=1, max_size=3):
+    terms = st.dictionaries(_EXPS, coeffs, min_size=min_size, max_size=max_size)
+    return terms.map(lambda t: Polynomial(XYZ, t, field))
+
+
+FIELDS = [
+    (QQ, _QQ_COEFFS),
+    (GF(32003), _GF_COEFFS),
+]
+
+
+@pytest.mark.parametrize("field, coeffs", FIELDS, ids=["QQ", "GF32003"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_normal_form_matches_division_oracle(field, coeffs, data):
+    divisors = data.draw(st.lists(_polys(field, coeffs), min_size=1, max_size=3))
+    f = data.draw(_polys(field, coeffs, min_size=0, max_size=6))
+    assert normal_form(f, divisors) == oracle_normal_form(f, divisors, "grevlex")
+
+
+@pytest.mark.parametrize("field, coeffs", FIELDS, ids=["QQ", "GF32003"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_basis_is_generator_order_free_and_self_checks(field, coeffs, data):
+    system = data.draw(st.lists(_polys(field, coeffs), min_size=1, max_size=3))
+    gb = buchberger(system, field=field)
+    assert gb.polys == buchberger(system[::-1], field=field).polys
+    gb.self_check()

@@ -3,6 +3,7 @@ import random
 
 from prismring.catalog import catalog
 from prismring.spectra import (
+    _tables,
     criterion_search,
     one_witness_check,
     pe_spectrum,
@@ -142,3 +143,12 @@ def test_pruning_soundness_sampled(f660):
         t = tuple(rng.randrange(r) for _ in range(9))
         if skipped(t):
             assert not zero_witness_check(f660, t).passed
+
+
+def test_tables_cache_is_bounded():
+    rings = random_valid_rings(count=25)
+    assert len(rings) > _tables.cache_info().maxsize
+    for ring in rings:
+        criterion_search(ring, "zero")
+        assert _tables.cache_info().currsize <= _tables.cache_info().maxsize
+    assert _tables.cache_info().currsize == _tables.cache_info().maxsize
