@@ -469,7 +469,11 @@ def _int_dicts_from_frac(terms):
 
 
 def _modular_qq(system, order, budget, stats):
-    """Reduced GB over QQ via multi-modular runs with exact certification."""
+    """Reduced GB over QQ via multi-modular runs with exact certification.
+
+    A trivial candidate {1} passes ``_certify_qq`` vacuously, so a modular
+    {1} rests on the agreement of the primes alone.
+    """
     vars = system[0].vars
     ctx = _PackCtx(len(vars), order)
 
@@ -551,6 +555,9 @@ def _certify_qq(candidate, gens_int, ctx, budget):
     against several independent mod-p reduced bases of the input. Only
     zero remainders are tested, which scaling cannot change, so the checks
     run fraction-free on the candidate with its denominators cleared.
+    The trivial candidate {1} passes vacuously: ``_core`` stops on a
+    constant seed before the closure test, and every generator reduces to
+    zero modulo 1. ``two_parallel``'s QQ exclusion does not rely on it.
     """
     cand_int = [_int_dicts_from_frac(d) for d in candidate]
     elts = [_make_elt(d) for d in cand_int]

@@ -14,9 +14,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .fields import Field, QQ
+import numpy as np
+
+from .fields import GF, Field, NonInvertibleError, QQ
 from .groebner import (
     GroebnerBasis,
     _prime_stream,
@@ -592,69 +593,54 @@ def _combined_ring_vars(sys_k: LocalSystem, sys_l: LocalSystem):
     return sys_k.variables + sys_l.variables
 
 
-def _unit_certificate(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial, allv):
-    """Exact certificate that the linked ideal is trivial.
+def _link_is_unit(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial) -> bool:
+    """True when the link is proved a unit modulo the two subsystem ideals.
 
-    The union of the two reduced bases (disjoint variables) is a reduced
-    basis of their sum, with finite staircase B given by concatenating the
-    per-subsystem staircases. The linked ideal is trivial iff
-    multiplication by the link polynomial is invertible on the quotient
-    spanned by B; the multiplication matrix is built exactly, and a
-    nonzero determinant modulo any prime (after clearing denominators)
-    proves invertibility over the rationals.
+    The bases live in disjoint variables, so the quotient by their sum is
+    A_k (x) A_l, spanned by the products of the two staircases, and the
+    linked ideal is trivial iff multiplication by the link (over
+    gb_k.vars + gb_l.vars) is invertible there. A link term c*m_k*m_l acts
+    as c*(M_k (x) M_l), from the multiplication matrices of m_k and m_l on
+    their staircases. The matrix is reduced over one prime p: the field's
+    own, or over QQ the first prime into which both bases and the link
+    specialize. Division by the monic bases stays p-integral, so the matrix
+    mod p is the image of the rational one, and a nonzero determinant mod p
+    proves invertibility over QQ. False when the matrix is singular mod p
+    or a staircase is infinite.
     """
-    stairs_k = gb_k.staircase()
-    stairs_l = gb_l.staircase()
-    if stairs_k is None or stairs_l is None:
+    stairs = (gb_k.staircase(), gb_l.staircase())
+    if None in stairs:
         return False
-    nk = len(gb_k.vars)
-    nl = len(gb_l.vars)
-    union = [g.rename(allv) for g in gb_k.polys] + [g.rename(allv) for g in gb_l.polys]
-    basis_monos = [ek + el for ek in stairs_k for el in stairs_l]
-    index = {m: i for i, m in enumerate(basis_monos)}
-    n = len(basis_monos)
-    link = link.rename(allv)
-    cols = []
-    for m in basis_monos:
-        shifted = Polynomial(
-            allv,
-            {tuple(x + y for x, y in zip(e, m)): c for e, c in link.terms.items()},
-        )
-        nf = normal_form(shifted, union)
-        col = [Fraction(0)] * n
-        for e, c in nf.terms.items():
-            col[index[e]] = c
-        cols.append(col)
-    mat = []
-    for col in cols:
-        den = 1
-        for c in col:
-            den = den * c.denominator // gcd(den, c.denominator)
-        mat.append([int(c * den) for c in col])
-    stream = _prime_stream()
-    for _ in range(5):
-        p = next(stream)
-        a = [[mat[j][i] % p for j in range(n)] for i in range(n)]
-        ok = True
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                ok = False
-                break
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-            inv = pow(a[col][col], -1, p)
-            arow = a[col]
-            for r in range(col + 1, n):
-                f = a[r][col]
-                if f:
-                    f = f * inv % p
-                    row = a[r]
-                    for cc in range(col, n):
-                        row[cc] = (row[cc] - f * arow[cc]) % p
-        if ok:
-            return True
-    return False
+    for F in [link.field] if link.field.p else map(GF, _prime_stream()):
+        try:
+            parts = [specialize(F, f) for f in (gb_k.polys, gb_l.polys, [link])]
+            break
+        except NonInvertibleError:
+            continue
+    p = F.p
+    dtype = np.int64 if p < 1 << 31 else object  # int64 holds products below p^2
+
+    def mult(side, mono):
+        gb, basis, st = (gb_k, gb_l)[side], parts[side], stairs[side]
+        m = np.zeros((len(st), len(st)), dtype)
+        for j, s in enumerate(st):
+            f = Polynomial(gb.vars, {tuple(a + b for a, b in zip(mono, s)): 1}, F, gb.order)
+            for e, c in normal_form(f, basis, gb.order).terms.items():
+                m[st.index(e), j] = c
+        return m
+
+    cut = len(gb_k.vars)
+    a = np.zeros((len(stairs[0]) * len(stairs[1]),) * 2, dtype)
+    for e, c in parts[2][0].terms.items():
+        a = (a + c * (np.kron(mult(0, e[:cut]), mult(1, e[cut:])) % p)) % p
+    for col in range(len(a)):  # Gaussian elimination mod p
+        nz = np.flatnonzero(a[col:, col])
+        if not nz.size:
+            return False
+        a[[col, col + nz[0]]] = a[[col + nz[0], col]]
+        a[col] = a[col] * pow(int(a[col, col]), -1, p) % p
+        a[col + 1:] = (a[col + 1:] - np.outer(a[col + 1:, col], a[col])) % p
+    return True
 
 
 def two_parallel(
@@ -669,11 +655,13 @@ def two_parallel(
 ) -> TwoParallelReport:
     """Run the two-subsystem exclusion pipeline.
 
-    Computes the reduced bases of both subsystems separately, joins them
-    with the linking equation over the combined variables, and reduces the
-    union; the ring is excluded iff the final ideal is trivial. Over the
-    rationals an excluded verdict is additionally certified by an exact
-    invertibility check on the joint quotient.
+    Computes the reduced bases of both subsystems separately; the ring is
+    excluded iff the linking equation is a unit modulo their sum, which is
+    decided by an exact invertibility test on the joint quotient
+    (``_link_is_unit``). When the test fails, or a staircase is infinite,
+    Buchberger reduces the union of both bases and the link (``gb_final``).
+    A rational verdict of that run rests on the modular basis computation
+    and is reported uncertified.
     """
     timings = {}
     k = _as_index(ring, k)
@@ -700,33 +688,30 @@ def two_parallel(
     if term_budget is not None:
         kwargs["term_budget"] = term_budget
 
-    def in_field(polys):
-        if field.is_rational:
-            return list(polys)
-        return specialize(field, polys)
-
     t0 = time.perf_counter()
-    gb_k = buchberger(in_field(sys_k.polys), field=field, **kwargs)
+    gb_k = buchberger(specialize(field, sys_k.polys), field=field, **kwargs)
     timings["gb_k"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    gb_l = buchberger(in_field(sys_l.polys), field=field, **kwargs)
+    gb_l = buchberger(specialize(field, sys_l.polys), field=field, **kwargs)
     timings["gb_l"] = time.perf_counter() - t0
 
     allv = _combined_ring_vars(sys_k, sys_l)
-    combined = [g.rename(allv) for g in gb_k.polys]
-    combined += [g.rename(allv) for g in gb_l.polys]
-    combined.append(in_field([link.rename(allv)])[0])
+    (link_in,) = specialize(field, [link.rename(allv)])
 
     t0 = time.perf_counter()
-    final = buchberger(combined, field=field, **kwargs)
-    timings["gb_final"] = time.perf_counter() - t0
+    unit = _link_is_unit(gb_k, gb_l, link_in)
+    timings["certificate"] = time.perf_counter() - t0
 
-    verdict = EXCLUDED if final.is_trivial else NOT_EXCLUDED
-    certified = not field.is_rational  # prime-field runs are direct
-    if verdict == EXCLUDED and field.is_rational:
+    if unit:
+        verdict, final_basis, certified = EXCLUDED, ("1",), True
+    else:
+        combined = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link_in]
         t0 = time.perf_counter()
-        certified = _unit_certificate(gb_k, gb_l, link, allv)
-        timings["certificate"] = time.perf_counter() - t0
+        final = buchberger(combined, field=field, **kwargs)
+        timings["gb_final"] = time.perf_counter() - t0
+        verdict = EXCLUDED if final.is_trivial else NOT_EXCLUDED
+        final_basis = tuple(str(g) for g in final.polys)
+        certified = not field.is_rational  # prime-field runs are direct
 
     return TwoParallelReport(
         verdict=verdict,
@@ -736,7 +721,7 @@ def two_parallel(
         link=link,
         gb_k_size=len(gb_k),
         gb_l_size=len(gb_l),
-        final_basis=tuple(str(g) for g in final.polys),
+        final_basis=final_basis,
         certified=certified,
         timings=timings,
     )

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .fields import QQ
 from .localizer import localization_sets, x_var_name, y_var_name, _validate_sprime
-from .poly import GREVLEX, Polynomial
+from .poly import GREVLEX, MAX_VARS, Polynomial
 from .rings import FusionRing, FpData, fpdim_data
 
 # tetrahedron: vertices 0..3, edges by vertex pair; faces are vertex stars
@@ -517,6 +517,10 @@ def tpe_system(
             equations.append(eq)
             polys.extend(fresh)
     allvars = sorted({v for p in polys for v in p.vars})
+    if len(allvars) > MAX_VARS:
+        raise TpeError(
+            f"prism system has {len(allvars)} variables; at most {MAX_VARS} supported"
+        )
     merged = tuple(p.rename(tuple(allvars)) for p in polys)
     return TpeSystem(
         variables=tuple(allvars), equations=tuple(equations), polys=merged

@@ -120,8 +120,9 @@ def test_two_parallel_prime_field(capsys):
     assert code == 0
     report = json.loads(out)
     _validate_report(report)
-    assert report["result"]["verdict"] in ("excluded", "not-excluded")
-    assert report["result"]["gb_sizes"]["k"] > 0
+    assert report["result"]["verdict"] == "not-excluded"
+    assert len(report["result"]["final_basis"]) == 23
+    assert report["result"]["gb_sizes"] == {"k": 31, "l": 31}
 
 
 def test_two_parallel_bad_characteristic(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from prismring.fields import GF, QQ, NonInvertibleError
 from prismring.groebner import (
+    GroebnerBasis,
     GroebnerResourceError,
     _Budget,
     _certify_qq,
@@ -171,8 +172,15 @@ def e1():
 
 
 @pytest.fixture(scope="module")
-def gb_e1(e1):
-    return buchberger(e1)
+def gb_e1(e1, ek, gb_ek):
+    """The session basis of E_k under E1's variable names."""
+    alias = ek.alias_table("u", "v")
+    # same variables in the same order, and the generators agree up to
+    # scaling and order, which the engine normalises away
+    assert tuple(alias[v] for v in ek.variables) == E1_VARS
+    assert {p.rename(E1_VARS, alias).monic() for p in ek.polys} == {p.monic() for p in e1}
+    polys = [g.rename(E1_VARS, alias) for g in gb_ek.polys]
+    return GroebnerBasis(polys, E1_VARS, QQ, gb_ek.order, e1, gb_ek.stats)
 
 
 def test_modular_path_used_for_swelling_system(gb_e1):

@@ -1,15 +1,21 @@
+import random
+
 import pytest
 
 from prismring.catalog import catalog
-from prismring.groebner import ideal_equal
+from prismring.fields import GF, QQ
+from prismring.groebner import buchberger, ideal_equal, specialize
 from prismring.localizer import (
+    EXCLUDED,
     LocalizationError,
+    _link_is_unit,
     default_sprime_pair,
     extra_link,
     generate_Ek,
     generate_full,
     localization_sets,
     maximal_sprime_candidates,
+    two_parallel,
 )
 from prismring.poly import parse_polynomial
 
@@ -154,3 +160,60 @@ def test_full_system_unit_instances_reduce_to_orthogonality(f210, ek):
 def test_localization_rejects_non_integral(fib):
     with pytest.raises(LocalizationError):
         generate_Ek(fib, "tau", ("1", "tau"))
+
+
+# ------------------------------------------ link invertibility on A_k (x) A_l
+
+
+def _gb(field, texts, vars):
+    polys = specialize(field, [parse_polynomial(t, vars) for t in texts])
+    return buchberger(polys, field=field)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(32003), GF(2**40 + 15)], ids=["QQ", "GF32003", "GF2^40+15"]
+)
+@pytest.mark.parametrize(
+    "k_vars, k_texts, link, unit",
+    [
+        (("x",), ["x^2 - 1"], "x*y - 1", False),  # vanishes at x = y = 1
+        (("x",), ["x^2 - 1"], "x*y - 2", True),  # xy is +-1 at every point
+        # vanishes at x = -1, y = 1; residues near 2^40 overflow int64 products
+        (("x",), ["x^2 - 1"], "3*x*y + x - y + 5", False),
+        (("x",), ["x^2 - 1", "x - 2"], "x*y - 1", True),  # trivial gb_k: empty staircase
+        # a unit, but z is free: an infinite staircase is left to Buchberger
+        (("x", "z"), ["x^2 - 1"], "x*y - 2", False),
+    ],
+)
+def test_link_is_unit_on_tiny_algebras(field, k_vars, k_texts, link, unit):
+    gb_k = _gb(field, k_texts, k_vars)
+    gb_l = _gb(field, ["y^2 - 1"], ("y",))
+    (f,) = specialize(field, [parse_polynomial(link, k_vars + ("y",))])
+    assert _link_is_unit(gb_k, gb_l, f) is unit
+
+
+def test_link_is_unit_agrees_with_combined_buchberger():
+    """Reference: the link is a unit iff the union of both bases and the
+    link has the trivial basis. GF(7) makes both outcomes common."""
+    F = GF(7)
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(30):
+        c = [rng.randrange(7) for _ in range(8)]
+        gb_k = _gb(F, [f"a^2 - {c[0]}*b - {c[1]}", f"b^2 - {c[2]}*a - {c[3]}"], ("a", "b"))
+        gb_l = _gb(F, [f"x^2 - {c[4]}*y", f"y^2 - {c[5]}*x - 1"], ("x", "y"))
+        allv = ("a", "b", "x", "y")
+        (link,) = specialize(F, [parse_polynomial(f"a*x - {c[6]}*b*y + {c[7]}", allv)])
+        union = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link]
+        unit = _link_is_unit(gb_k, gb_l, link)
+        assert unit == buchberger(union, field=F).is_trivial
+        seen.add(unit)
+    assert seen == {True, False}
+
+
+def test_two_parallel_gf32003_decided_without_final_basis(f210):
+    rep = two_parallel(f210, "5_1", "5_3", field=GF(32003))
+    assert rep.verdict == EXCLUDED
+    assert rep.final_basis == ("1",)
+    assert rep.certified
+    assert "gb_final" not in rep.timings

@@ -206,3 +206,8 @@ def test_fibonacci_system_dedupes_and_solves(fib):
     d = parse_polynomial("d_tau^2 - d_tau - 1", sys.variables)
     gb = buchberger(list(sys.polys) + [d])
     assert not ideal_is_trivial(gb)
+
+
+def test_oversized_system_is_a_typed_error(f210):
+    with pytest.raises(TpeError, match="87 variables; at most 64"):
+        tpe_system(f210, ("1", "5_1", "5_2", "5_3"))
