@@ -5,18 +5,36 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _is_prime(n: int) -> bool:
+# Miller-Rabin with the first 13 primes as bases decides primality for
+# every n < 3.3e24 (Sorenson and Webster, 2015); the first 12 reach 3.18e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin primality test, deterministic for every n < 3.3e24.
+
+    Larger n are strong probable primes to all 13 bases.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -30,7 +48,7 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int = 0):
-        if p != 0 and not _is_prime(p):
+        if p != 0 and not is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
         self.p = p
 

@@ -2,13 +2,17 @@
 
 Pair handling is fully deterministic: normal selection (smallest lcm in the
 active order, ties by pair index) with Gebauer-Moeller elimination, which
-implements Buchberger's product and chain criteria. Resource caps bound the
-number of processed S-pairs and coefficient operations; exceeding one raises
-:class:`GroebnerResourceError`, never a wrong answer.
+implements Buchberger's product and chain criteria. Each pair's lcm is
+computed once, when the pair is created; live pairs sit in a dict keyed
+``(i, j)`` that Gebauer-Moeller prunes, and in a heap keyed ``(lcm, i, j)``
+from which pruned pairs are skipped when they come up. Resource caps bound
+the number of processed S-pairs and coefficient operations; exceeding one
+raises :class:`GroebnerResourceError`, never a wrong answer.
 
 Exponent vectors are packed into single integers (16-bit digits, degree
-first for grevlex) so that monomial comparison is integer comparison and
-divisibility is one masked subtraction.
+first for grevlex) so that monomial comparison is integer comparison,
+divisibility is one masked subtraction, and the lcm is taken digit-wise
+on the packed integers.
 
 One reducer and one S-polynomial routine serve every coefficient domain.
 A step subtracts a monic divisor ``c`` times, where ``c`` is the
@@ -37,10 +41,11 @@ model as standard modular Groebner engines.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd, inf, isqrt
 
-from .fields import Field
+from .fields import Field, is_prime
 from .poly import (
     GREVLEX,
     LEX,
@@ -98,12 +103,13 @@ class _PackCtx:
     16-bit digit of a single subtraction has its high bit set.
     """
 
-    __slots__ = ("n", "order", "corr", "himask", "_shifts")
+    __slots__ = ("n", "order", "corr", "himask", "emask", "_shifts")
 
     def __init__(self, n, order):
         self.n = n
         self.order = order
         self._shifts = [_DIGIT_BITS * i for i in range(n)]
+        self.emask = (1 << (_DIGIT_BITS * n)) - 1  # below the grevlex degree digit
         if order == GREVLEX:
             corr = 0
             for i in range(n):
@@ -166,9 +172,30 @@ class _PackCtx:
         return sum(self.unpack(key))
 
     def lcm(self, a, b):
-        ea = self.unpack(a)
-        eb = self.unpack(b)
-        return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
+        """Packed lcm, taken digit-wise on the packed integers.
+
+        With the grevlex degree digit masked off, every digit is below
+        2^15, so ``(a | H) - b`` (H = ``himask``) borrows across no digit,
+        and a digit keeps its high bit iff a >= b there; that bit, shifted
+        down and multiplied by 0xFFFF, masks whole digits. lex takes the
+        larger digit, grevlex (digits M - e) the smaller. The grevlex
+        degree digit is n M minus the digit sum, which is the packed value
+        mod 0xFFFF (2^16 = 1 mod 0xFFFF); the lcm's degree is at most
+        2 M < 0xFFFF, so it comes out exact.
+        """
+        a &= self.emask
+        b &= self.emask
+        hi = self.himask
+        if (a | b) & hi:  # a lex reduction pushed an exponent past _MAXE
+            raise ValueError("exponent too large to pack")
+        m = ((((a | hi) - b) & hi) >> (_DIGIT_BITS - 1)) * (_DIGIT - 1)
+        if self.order == LEX:
+            return (a & m) | (b & ~m)
+        e = (b & m) | (a & ~m)
+        deg = (self.n * _MAXE - e % (_DIGIT - 1)) % (_DIGIT - 1)
+        if deg > _MAXE:
+            raise ValueError("total degree too large to pack")
+        return (deg << (_DIGIT_BITS * self.n)) | e
 
 
 class _Elt:
@@ -287,9 +314,8 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
     return r
 
 
-def _spoly(f, g, ctx, pmod=0):
-    """S-polynomial of engine elements: f shifted to the lcm, one step by g."""
-    big = ctx.lcm(f.lm, g.lm)
+def _spoly(f, g, big, pmod=0):
+    """S-polynomial of engine elements: f shifted to ``big`` = lcm, one step by g."""
     shift = big - f.lm
     s = {e + shift: c for e, c in f.terms}
     _step(s, big, g, pmod)
@@ -305,30 +331,30 @@ def _monic(d, pmod):
 
 
 def _gm_update(pairs, lms, new_index, ctx):
-    """Gebauer-Moeller pair-set update for arrival of basis element new_index."""
+    """Gebauer-Moeller update of ``pairs`` ({(i, j): lcm}) for basis element new_index.
+
+    Removes, in place, the old pairs the new leading monomial makes
+    redundant, adds the new pairs that survive, and returns the added ones.
+    """
     lmf = lms[new_index]
-    kept = set()
-    for (i, j) in pairs:
-        lij = ctx.lcm(lms[i], lms[j])
-        if (
-            not ctx.divides(lmf, lij)
-            or lij == ctx.lcm(lms[i], lmf)
-            or lij == ctx.lcm(lms[j], lmf)
-        ):
-            kept.add((i, j))
+    new_lcms = [ctx.lcm(lm, lmf) for lm in lms[:new_index]]
+    for (i, j), lij in list(pairs.items()):
+        if ctx.divides(lmf, lij) and lij != new_lcms[i] and lij != new_lcms[j]:
+            del pairs[i, j]
     groups = {}
-    for i in range(new_index):
-        groups.setdefault(ctx.lcm(lms[i], lmf), []).append(i)
+    for i, big in enumerate(new_lcms):
+        groups.setdefault(big, []).append(i)
     minimal = []
     for big in sorted(groups):
         if all(not ctx.divides(other, big) for other in minimal):
             minimal.append(big)
+    added = {}
     for big in minimal:
         members = groups[big]
-        coprime = any(ctx.lcm(lms[i], lmf) == ctx.mul(lms[i], lmf) for i in members)
-        if not coprime:
-            kept.add((min(members), new_index))
-    return kept
+        if all(big != ctx.mul(lms[i], lmf) for i in members):
+            added[members[0], new_index] = big
+    pairs.update(added)
+    return added
 
 
 def _make_elt(d):
@@ -347,14 +373,15 @@ def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
     """
     engine = []
     lms = []
-    pairs = set()
+    pairs = {}  # live pairs {(i, j): lcm}
+    heap = []  # (lcm, i, j), live or pruned
 
     def add(d):
-        nonlocal pairs
         elt = _make_elt(d)
         engine.append(elt)
         lms.append(elt.lm)
-        pairs = _gm_update(pairs, lms, len(engine) - 1, ctx)
+        for (i, j), big in _gm_update(pairs, lms, len(engine) - 1, ctx).items():
+            heapq.heappush(heap, (big, i, j))
 
     for d in sorted(seeds, key=lambda d: (max(d), len(d), sorted(d.items()))):
         if ctx.deg(max(d)) == 0:
@@ -363,12 +390,12 @@ def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
     if not engine:
         return [], False
 
-    while pairs:
-        pick = min(pairs, key=lambda p: (ctx.lcm(lms[p[0]], lms[p[1]]), p))
-        pairs.discard(pick)
+    while heap:
+        big, i, j = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
+            continue
         budget.charge_pair()
-        i, j = pick
-        s = _spoly(engine[i], engine[j], ctx, pmod)
+        s = _spoly(engine[i], engine[j], big, pmod)
         r = _reduce(s, engine, budget, ctx, pmod, swell_bits=swell_bits)
         if not r:
             continue
@@ -402,34 +429,10 @@ def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
 # ----------------------------------------------------- modular QQ pipeline
 
 
-def _miller_rabin(n):
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):  # deterministic below 3.2e9
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime_stream():
     n = (1 << 30) - 1
     while n > 1 << 29:
-        if _miller_rabin(n):
+        if is_prime(n):
             yield n
         n -= 2
 

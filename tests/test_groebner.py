@@ -12,6 +12,8 @@ from prismring.groebner import (
     GroebnerResourceError,
     _Budget,
     _certify_qq,
+    _MAXE,
+    _gm_update,
     _int_dicts_from_frac,
     _PackCtx,
     buchberger,
@@ -20,7 +22,14 @@ from prismring.groebner import (
     normal_form,
     specialize,
 )
-from prismring.poly import Polynomial, format_polynomial, parse_polynomial
+from prismring.poly import (
+    GREVLEX,
+    LEX,
+    MAX_VARS,
+    Polynomial,
+    format_polynomial,
+    parse_polynomial,
+)
 
 from conftest import E1_TEXT, E1_VARS, oracle_normal_form
 
@@ -220,6 +229,52 @@ def test_direct_zz_engine_work_on_corpus():
     ]
 
 
+def test_lex_engine_work_on_corpus():
+    F = GF(32003)
+    zz, gf = [], []
+    for system in small_corpus():
+        lex = [p.with_order(LEX) for p in system]
+        zz.append(buchberger(lex, order=LEX).stats)
+        gf.append(buchberger(specialize(F, lex), order=LEX, field=F).stats)
+    work = [(1, 2), (1, 2), (0, 0), (5, 0), (2, 6)]
+    assert zz == [{"mode": "direct", "spairs": s, "term_ops": t} for s, t in work]
+    assert gf == [{"spairs": s, "term_ops": t} for s, t in work]
+
+
+def test_exponent_overflow_is_loud():
+    XY = ("x", "y")
+    # under lex, reducing x^2 by x - y^20000 leaves y^40000, above _MAXE
+    lex = [P("x - y^20000", XY, order=LEX), P("x^2 - 1", XY, order=LEX)]
+    with pytest.raises(ValueError):
+        buchberger(lex, order=LEX)
+
+
+# ------------------------------------------------------------ pair update
+
+
+def test_gm_update_pair_dict():
+    ctx = _PackCtx(2, GREVLEX)
+
+    def run(*exps):
+        lms = [ctx.pack(e) for e in exps]
+        pairs = {}
+        added = [_gm_update(pairs, lms, k, ctx) for k in range(len(lms))]
+        return pairs, added
+
+    x2y, xy2 = ctx.pack((2, 1)), ctx.pack((1, 2))
+    # x^2, y^2 are coprime, so no pair; xy then pairs with both, lcm cached
+    pairs, added = run((2, 0), (0, 2), (1, 1))
+    assert added == [{}, {}, {(0, 2): x2y, (1, 2): xy2}]
+    assert pairs == {(0, 2): x2y, (1, 2): xy2}
+    # xy divides lcm(x^2 y, x y^2) = x^2 y^2 strictly: (0, 1) is removed
+    pairs, added = run((2, 1), (1, 2), (1, 1))
+    assert added[1] == {(0, 1): ctx.pack((2, 2))}
+    assert pairs == {(0, 2): x2y, (1, 2): xy2}
+    # y divides lcm(x^2, xy) = x^2 y, but so does lcm(x^2, y): (0, 1) stays
+    pairs, _ = run((2, 0), (1, 1), (0, 1))
+    assert pairs == {(0, 1): x2y, (1, 2): ctx.pack((1, 1))}
+
+
 # ------------------------------------------------------ modular certificate
 
 
@@ -290,3 +345,36 @@ def test_basis_is_generator_order_free_and_self_checks(field, coeffs, data):
     gb = buchberger(system, field=field)
     assert gb.polys == buchberger(system[::-1], field=field).polys
     gb.self_check()
+
+
+@st.composite
+def _packable_pair(draw):
+    """A variable count and two exponent vectors of total degree <= _MAXE."""
+    n = draw(st.integers(1, MAX_VARS))
+
+    def exps():
+        left, out = _MAXE, []
+        for _ in range(n):
+            out.append(draw(st.integers(0, left)))
+            left -= out[-1]
+        return tuple(draw(st.permutations(out)))
+
+    return n, exps(), exps()
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@PROPERTY_SETTINGS
+@given(case=_packable_pair())
+def test_packed_lcm_is_digitwise_max(order, case):
+    n, ea, eb = case
+    ctx = _PackCtx(n, order)
+    a, b = ctx.pack(ea), ctx.pack(eb)
+    top = tuple(map(max, ea, eb))
+    if sum(top) > _MAXE and order == GREVLEX:
+        with pytest.raises(ValueError):
+            ctx.lcm(a, b)
+        return
+    big = ctx.lcm(a, b)
+    assert big == ctx.pack(top)
+    assert ctx.divides(a, big) and ctx.divides(b, big)
+    assert ctx.lcm(b, a) == big
