@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 1 usage or input error; 2 resource-cap error;
 3 when --fail-on-witness / --fail-on-excluded triggers. Reports print as
-text by default, or as a schema-versioned JSON envelope with --json. The
-only environment variable honored is PRISM_THREADS (worker-count hint).
+text by default, or as a schema-versioned JSON envelope with --json. No
+environment variable is read.
 """
 
 from __future__ import annotations
@@ -95,18 +95,6 @@ def _emit(args, command, payload, digest_src, t0, seed=None, text=None):
         print(json.dumps(_envelope(command, payload, digest_src, t0, seed), indent=2))
     else:
         print(text if text is not None else json.dumps(payload, indent=2))
-
-
-def _threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("PRISM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"PRISM_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _split_labels(text):
@@ -233,17 +221,14 @@ def cmd_criteria(args):
     t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
     kinds = ["zero", "one"] if args.kind == "both" else [args.kind]
-    threads = _threads(args)
     found = {}
     for kind in kinds:
         if args.all_witnesses:
-            found[kind] = [
-                w.as_dict() for w in criterion_search(ring, kind, True, threads)
-            ]
+            found[kind] = [w.as_dict() for w in criterion_search(ring, kind, True)]
         else:
-            w = criterion_search(ring, kind, False, threads)
+            w = criterion_search(ring, kind)
             found[kind] = [w.as_dict()] if w else []
-    payload = {"kinds": kinds, "witnesses": found, "threads": threads}
+    payload = {"kinds": kinds, "witnesses": found}
     lines = []
     any_witness = False
     for kind in kinds:
@@ -484,7 +469,6 @@ def build_parser():
     p.add_argument("ring")
     p.add_argument("--kind", choices=["zero", "one", "both"], default="both")
     p.add_argument("--all-witnesses", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument(
         "--fail-on-witness",
         action="store_true",

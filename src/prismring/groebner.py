@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import reduce
 from math import gcd, inf, isqrt
 
 from .fields import Field, is_prime
@@ -186,7 +187,7 @@ class _PackCtx:
         a &= self.emask
         b &= self.emask
         hi = self.himask
-        if (a | b) & hi:  # a lex reduction pushed an exponent past _MAXE
+        if (a | b) & hi:  # the borrow trick needs every exponent <= _MAXE
             raise ValueError("exponent too large to pack")
         m = ((((a | hi) - b) & hi) >> (_DIGIT_BITS - 1)) * (_DIGIT - 1)
         if self.order == LEX:
@@ -197,14 +198,26 @@ class _PackCtx:
             raise ValueError("total degree too large to pack")
         return (deg << (_DIGIT_BITS * self.n)) | e
 
+    def check_shift(self, elt, shift):
+        """Under lex, raise unless ``elt`` times monomial ``shift`` packs.
+
+        ``elt.top`` and ``shift`` have digits of at most _MAXE, so their sum
+        carries across no digit, and a digit passes _MAXE iff some term of
+        the product would. grevlex needs no check: its reductions never
+        raise the total degree, and ``pack`` and ``lcm`` bound that.
+        """
+        if (elt.top + shift) & self.himask:
+            raise ValueError("exponent too large to pack")
+
 
 class _Elt:
-    __slots__ = ("lm", "lc", "terms")
+    __slots__ = ("lm", "lc", "terms", "top")
 
-    def __init__(self, lm, lc, terms):
+    def __init__(self, lm, lc, terms, top):
         self.lm = lm
         self.lc = lc
         self.terms = terms  # list of (packed_monomial, coeff)
+        self.top = top  # lex: digit-wise max of the terms' exponents; grevlex: None
 
 
 # ---------------------------------------------------------------- reducers
@@ -284,6 +297,7 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
     """
     aside = {}
     steps = 0
+    lex = ctx.order == LEX
     while r:
         lt = max(r)
         for red in basis:
@@ -294,6 +308,8 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
                 break
             aside[lt] = r.pop(lt)
             continue
+        if lex:
+            ctx.check_shift(red, lt - red.lm)
         budget.charge_ops(_step(r, lt, red, pmod, aside))
         steps += 1
         if swell_bits is not None and steps % _STRIP_EVERY == 0:
@@ -357,10 +373,11 @@ def _gm_update(pairs, lms, new_index, ctx):
     return added
 
 
-def _make_elt(d):
+def _make_elt(d, ctx):
     lm = max(d)
     terms = sorted(d.items(), reverse=True)
-    return _Elt(lm, d[lm], terms)
+    top = reduce(ctx.lcm, d) if ctx.order == LEX else None
+    return _Elt(lm, d[lm], terms, top)
 
 
 def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
@@ -377,7 +394,7 @@ def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
     heap = []  # (lcm, i, j), live or pruned
 
     def add(d):
-        elt = _make_elt(d)
+        elt = _make_elt(d, ctx)
         engine.append(elt)
         lms.append(elt.lm)
         for (i, j), big in _gm_update(pairs, lms, len(engine) - 1, ctx).items():
@@ -395,6 +412,9 @@ def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
         if pairs.pop((i, j), None) is None:
             continue
         budget.charge_pair()
+        if ctx.order == LEX:
+            for f in (engine[i], engine[j]):
+                ctx.check_shift(f, big - f.lm)
         s = _spoly(engine[i], engine[j], big, pmod)
         r = _reduce(s, engine, budget, ctx, pmod, swell_bits=swell_bits)
         if not r:
@@ -563,7 +583,7 @@ def _certify_qq(candidate, gens_int, ctx, budget):
     zero modulo 1. ``two_parallel``'s QQ exclusion does not rely on it.
     """
     cand_int = [_int_dicts_from_frac(d) for d in candidate]
-    elts = [_make_elt(d) for d in cand_int]
+    elts = [_make_elt(d, ctx) for d in cand_int]
     if any(_reduce(dict(d), elts, budget, ctx) for d in gens_int):
         return False
     try:
@@ -704,7 +724,7 @@ def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
     ctx = _PackCtx(len(f.vars), order)
     budget = _Budget(10**9, 10**12)
     elts = [
-        _make_elt({ctx.pack(e): c for e, c in b.monic(order).terms.items()})
+        _make_elt({ctx.pack(e): c for e, c in b.monic(order).terms.items()}, ctx)
         for b in basis
     ]
     r = {ctx.pack(e): c for e, c in f.terms.items()}

@@ -8,7 +8,7 @@ zero". All checks are exact integer arithmetic on the fusion coefficients.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -264,115 +264,86 @@ def _resolve_nonet(ring, nonet):
     return out
 
 
-def _search_i1_chunk(ring, tab, kind, i1, collect_all):
-    """Lexicographic search over (i2..i9) for a fixed i1.
+def _witnesses(ring, kind):
+    """Yield every passing witness, in lexicographic (i1..i9) order.
 
     Candidate values at each level come from the premise support lists, so
     every skipped tuple fails at least one nonzero premise (or the exact
-    pair-coefficient condition). First hit is the lexicographic minimum of
-    the chunk.
+    pair-coefficient condition). The checks are looked up as module
+    globals at call time, so patching those names counts them.
     """
+    tab = _tables(ring)
     r = ring.rank
     N = ring.N
     star = ring.star
     row_mask = tab.row_mask
-    found = []
     want_zero = kind == ZERO
-    for i2 in range(r):
-        for i3 in range(r):
-            pair = N[i2][i1][i3]
-            if want_zero:
-                if pair != 1:
-                    continue
-            elif pair != 0:
+    for i1, i2, i3 in itertools.product(range(r), repeat=3):
+        pair = N[i2][i1][i3]
+        if want_zero:
+            if pair != 1:
                 continue
-            for i4 in range(r):
-                sup_i5 = tab.first_support[i4][i2]  # N[i5][i4][i2] > 0
-                if not sup_i5:
-                    continue
-                sup_i6a = tab.row_support[i4][i1]  # N[i4][i1][i6] > 0
-                if not sup_i6a:
-                    continue
-                for i5 in sup_i5:
-                    sup_i6b = tab.second_support[i5][i3]  # N[i5][i6][i3] > 0
-                    for i6 in sup_i6a:
-                        if i6 not in sup_i6b:
+        elif pair != 0:
+            continue
+        for i4 in range(r):
+            sup_i5 = tab.first_support[i4][i2]  # N[i5][i4][i2] > 0
+            if not sup_i5:
+                continue
+            sup_i6a = tab.row_support[i4][i1]  # N[i4][i1][i6] > 0
+            if not sup_i6a:
+                continue
+            for i5 in sup_i5:
+                sup_i6b = tab.second_support[i5][i3]  # N[i5][i6][i3] > 0
+                for i6 in sup_i6a:
+                    if i6 not in sup_i6b:
+                        continue
+                    for i7 in range(r):
+                        sup_i9a = tab.second_support[i7][i1]  # N[i7][i9][i1]>0
+                        if not sup_i9a:
                             continue
-                        for i7 in range(r):
-                            sup_i9a = tab.second_support[i7][i1]  # N[i7][i9][i1]>0
-                            if not sup_i9a:
+                        mask1 = row_mask[i4][i7]
+                        for i8 in tab.row_support[i2][i7]:  # N[i2][i7][i8]>0
+                            mask12 = mask1 & row_mask[star[i5]][i8]
+                            if not want_zero and not mask12:
                                 continue
-                            mask1 = row_mask[i4][i7]
-                            for i8 in tab.row_support[i2][i7]:  # N[i2][i7][i8]>0
-                                mask12 = mask1 & row_mask[star[i5]][i8]
-                                if not want_zero and not mask12:
+                            sup_i9b = tab.second_support[i8][i3]
+                            for i9 in sup_i9a:
+                                if i9 not in sup_i9b:
                                     continue
-                                sup_i9b = tab.second_support[i8][i3]
-                                for i9 in sup_i9a:
-                                    if i9 not in sup_i9b:
+                                spec_mask = mask12 & row_mask[i6][star[i9]]
+                                if want_zero:
+                                    if spec_mask:
                                         continue
-                                    spec_mask = mask12 & row_mask[i6][star[i9]]
-                                    if want_zero:
-                                        if spec_mask:
-                                            continue
-                                        res = zero_witness_check(
-                                            ring,
-                                            (i1, i2, i3, i4, i5, i6, i7, i8, i9),
-                                        )
-                                    else:
-                                        if spec_mask == 0 or spec_mask & (spec_mask - 1):
-                                            continue
-                                        i0 = spec_mask.bit_length() - 1
-                                        res = one_witness_check(
-                                            ring,
-                                            (i1, i2, i3, i4, i5, i6, i7, i8, i9),
-                                            i0,
-                                        )
-                                    if res.passed:
-                                        if collect_all:
-                                            found.append(res.witness)
-                                        else:
-                                            return [res.witness]
-    return found
+                                    res = zero_witness_check(
+                                        ring, (i1, i2, i3, i4, i5, i6, i7, i8, i9)
+                                    )
+                                else:
+                                    if spec_mask == 0 or spec_mask & (spec_mask - 1):
+                                        continue
+                                    i0 = spec_mask.bit_length() - 1
+                                    res = one_witness_check(
+                                        ring, (i1, i2, i3, i4, i5, i6, i7, i8, i9), i0
+                                    )
+                                if res.passed:
+                                    yield res.witness
 
 
 def criterion_search(
     ring: FusionRing,
     kind: str = ZERO,
     all_witnesses: bool = False,
+    # unused; kept because perfbench/probes.py passes it and changes only with the benchmark
     threads: int = 1,
 ):
-    """Search for a criterion witness; deterministic for any thread count.
+    """Search for a criterion witness, serially and deterministically.
 
-    Returns the first witness in lexicographic (i1..i9) order, or None; in
-    ``all_witnesses`` mode, the full list in lexicographic order. Work is
-    partitioned over i1 values, and a surviving chunk must be drained
-    before later chunks can contribute, so results never depend on timing.
+    Walks (i1..i9) in lexicographic order with support pruning and returns
+    the first witness, or None; in ``all_witnesses`` mode, the full list in
+    lexicographic order. The first-hit search stops at its witness.
     """
     if kind not in (ZERO, ONE):
         raise ValueError(f"kind must be {ZERO!r} or {ONE!r}")
-    tab = _tables(ring)
-    r = ring.rank
-    results = []
-    if threads <= 1:
-        for i1 in range(r):
-            hit = _search_i1_chunk(ring, tab, kind, i1, all_witnesses)
-            if hit and not all_witnesses:
-                return hit[0]
-            results.extend(hit)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_search_i1_chunk, ring, tab, kind, i1, all_witnesses)
-                for i1 in range(r)
-            ]
-            for fut in futures:  # submission order == i1 order
-                hit = fut.result()
-                if hit and not all_witnesses:
-                    for other in futures:
-                        other.cancel()
-                    return hit[0]
-                results.extend(hit)
+    found = _witnesses(ring, kind)
     if all_witnesses:
-        return results
-    return None
+        return list(found)
+    return next(found, None)

@@ -41,7 +41,7 @@ def _ok(num, name, t0, budget_s, detail=""):
 
 def test_criterion_1_f660_exclusion(f660):
     t0 = time.time()
-    witness = criterion_search(f660, "zero", threads=1)
+    witness = criterion_search(f660, "zero")
     assert witness is not None
     res = zero_witness_check(f660, F660_NONET)
     assert res.passed

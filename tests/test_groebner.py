@@ -247,6 +247,13 @@ def test_exponent_overflow_is_loud():
     lex = [P("x - y^20000", XY, order=LEX), P("x^2 - 1", XY, order=LEX)]
     with pytest.raises(ValueError):
         buchberger(lex, order=LEX)
+    # normal_form checks every step: y^40000 and y^90000 do not pack, and
+    # y^90000 would otherwise carry into x's digit; y^32766 still packs
+    for power in ("x^2", "x^3"):
+        with pytest.raises(ValueError):
+            normal_form(P(power, XY, order=LEX), [lex[0]], LEX)
+    assert normal_form(P("x^2", XY, order=LEX), [P("x - y^16383", XY, order=LEX)],
+                       LEX) == P("y^32766", XY, order=LEX)
 
 
 # ------------------------------------------------------------ pair update

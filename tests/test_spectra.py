@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from prismring import spectra
 from prismring.catalog import catalog
 from prismring.spectra import (
     _tables,
@@ -85,12 +86,38 @@ def test_negative_controls():
         assert criterion_search(ring, "one") is None, name
 
 
-def test_thread_count_independence(f660):
-    base_zero = criterion_search(f660, "zero")
-    base_all = criterion_search(f660, "zero", all_witnesses=True)
-    for n in (2, 3, 5):
-        assert criterion_search(f660, "zero", threads=n) == base_zero
-        assert criterion_search(f660, "zero", all_witnesses=True, threads=n) == base_all
+# (ring, kind): (first-hit checks, first nonet, witnesses, all-witness checks)
+SEARCH_WORK = {
+    ("F660", "zero"): (1, "b2 b4 b5 b2 b2 b4 b5 b3 b3", 24, 120),
+    ("F660", "one"): (3, "b2 b4 b4 b2 b2 b5 b5 b3 b3", 24, 840),
+    ("F210", "zero"): (0, None, 0, 0),
+    ("F210", "one"): (0, None, 0, 0),
+}
+
+
+def test_search_is_lexicographic_and_pinned(monkeypatch):
+    calls = []
+
+    def counted(check):
+        def wrapper(*args):
+            calls.append(args)
+            return check(*args)
+        return wrapper
+
+    for name in ("zero_witness_check", "one_witness_check"):
+        monkeypatch.setattr(spectra, name, counted(getattr(spectra, name)))
+    for (name, kind), (first_checks, nonet, count, all_checks) in SEARCH_WORK.items():
+        ring = catalog(name)
+        calls.clear()
+        first = criterion_search(ring, kind)
+        assert len(calls) == first_checks, (name, kind)
+        assert (first and " ".join(first.nonet)) == nonet, (name, kind)
+        calls.clear()
+        found = criterion_search(ring, kind, all_witnesses=True)
+        assert (len(found), len(calls)) == (count, all_checks), (name, kind)
+        assert first == (found[0] if found else None)
+        keys = [tuple(ring.index(lab) for lab in w.nonet) for w in found]
+        assert keys == sorted(keys)
 
 
 def test_search_agrees_with_oracle_on_small_rings(ising, rep_s3):
