@@ -324,6 +324,7 @@ def cmd_two_parallel(args):
         "sprime_l": list(rep.l_system.chosen),
         "gb_sizes": {"k": rep.gb_k_size, "l": rep.gb_l_size},
         "final_basis": list(rep.final_basis),
+        "corank": rep.corank,
         "certified": rep.certified,
         "timings": {k: round(v, 3) for k, v in rep.timings.items()},
     }
@@ -332,6 +333,7 @@ def cmd_two_parallel(args):
             f"verdict: {rep.verdict}",
             f"final reduced basis: {list(rep.final_basis)}",
             f"subsystem basis sizes: {rep.gb_k_size}, {rep.gb_l_size}",
+            f"corank: {rep.corank}",
             f"certified: {rep.certified}",
             f"timings: {payload['timings']}",
         ]

@@ -17,7 +17,7 @@ on the packed integers.
 One reducer and one S-polynomial routine serve every coefficient domain.
 A step subtracts a monic divisor ``c`` times, where ``c`` is the
 coefficient being cancelled: GF(p) runs keep their basis monic and reduce
-every touched coefficient mod p, and ``normal_form`` over QQ makes its
+every touched coefficient mod p, and ``normal_forms`` over QQ makes its
 divisors monic with Fraction coefficients. Over ZZ the step is
 fraction-free: it scales the remainder by lc/g and subtracts the divisor
 c/g times, with g = gcd(lc, c). The direct ZZ run also strips the content
@@ -681,12 +681,13 @@ class GroebnerBasis:
         Checks: every generator has normal form 0; every S-polynomial of
         basis pairs has normal form 0; the basis is monic and inter-reduced.
         """
-        for g in self.generators:
-            assert self.normal_form(g).is_zero(), f"generator does not reduce to 0: {g}"
-        for i in range(len(self.polys)):
-            for j in range(i):
-                s = spolynomial(self.polys[i], self.polys[j], self.order)
-                assert self.normal_form(s).is_zero(), f"S-pair ({i},{j}) not zero"
+        rems = normal_forms(self.generators, self.polys, self.order)
+        for g, r in zip(self.generators, rems):
+            assert r.is_zero(), f"generator does not reduce to 0: {g}"
+        pairs = [(i, j) for i in range(len(self.polys)) for j in range(i)]
+        spolys = [spolynomial(self.polys[i], self.polys[j], self.order) for i, j in pairs]
+        for (i, j), r in zip(pairs, normal_forms(spolys, self.polys, self.order)):
+            assert r.is_zero(), f"S-pair ({i},{j}) not zero"
         key = order_key(self.order)
         lms = self.leading_monomials()
         for idx, p in enumerate(self.polys):
@@ -711,25 +712,38 @@ def spolynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:
     return mf * f - mg * g
 
 
-def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
-    """Full remainder of f under multivariate division by ``basis``.
+def normal_forms(fs, basis, order=GREVLEX) -> list:
+    """Full remainders of each f in ``fs`` under multivariate division by ``basis``.
 
-    The remainder contains no term divisible by any basis leading monomial
-    and differs from f by an element of the generated ideal. Reducers are
-    chosen first-match in list order, so the result is deterministic.
+    A remainder contains no term divisible by any basis leading monomial
+    and differs from its f by an element of the generated ideal. Reducers
+    are chosen first-match in list order, so the results are deterministic.
+    The divisors are made monic and packed once for the whole batch; every
+    f must live in one ring.
     """
+    fs = list(fs)
     basis = [b for b in basis if not b.is_zero()]
-    if f.is_zero() or not basis:
-        return f
-    ctx = _PackCtx(len(f.vars), order)
+    if not fs or not basis:
+        return fs
+    ctx = _PackCtx(len(fs[0].vars), order)
     budget = _Budget(10**9, 10**12)
     elts = [
         _make_elt({ctx.pack(e): c for e, c in b.monic(order).terms.items()}, ctx)
         for b in basis
     ]
-    r = {ctx.pack(e): c for e, c in f.terms.items()}
-    r = _reduce(r, elts, budget, ctx, f.field.p, full=True)
-    return Polynomial(f.vars, {ctx.unpack(e): c for e, c in r.items()}, f.field, order)
+    out = []
+    for f in fs:
+        r = {ctx.pack(e): c for e, c in f.terms.items()}
+        r = _reduce(r, elts, budget, ctx, f.field.p, full=True)
+        out.append(
+            Polynomial(f.vars, {ctx.unpack(e): c for e, c in r.items()}, f.field, order)
+        )
+    return out
+
+
+def normal_form(f: Polynomial, basis, order=GREVLEX) -> Polynomial:
+    """Full remainder of f under division by ``basis`` (see :func:`normal_forms`)."""
+    return normal_forms([f], basis, order)[0]
 
 
 def buchberger(
@@ -844,10 +858,10 @@ def ideal_equal(sys_a, sys_b, order: str = GREVLEX, field: Field | None = None) 
     if _monic_set(sys_a, order) == _monic_set(sys_b, order):
         return True
     gb_b = buchberger(sys_b, order, field)
-    if any(not gb_b.normal_form(p).is_zero() for p in sys_a):
+    if any(not r.is_zero() for r in normal_forms(sys_a, gb_b.polys, order)):
         return False
     gb_a = buchberger(sys_a, order, field)
-    return all(gb_a.normal_form(p).is_zero() for p in sys_b)
+    return all(r.is_zero() for r in normal_forms(sys_b, gb_a.polys, order))
 
 
 def specialize(field: Field, polys):

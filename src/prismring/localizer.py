@@ -5,15 +5,19 @@ the categorification constraints localize to a small polynomial system in
 variables y(i,b) (pairing scalars) and x(i,b) (triple scalars), with unit
 arguments forced to explicit constants. This module generates the reduced
 subsystem, the full three-argument system, the equation linking two
-subsystems, and runs the two-subsystem exclusion pipeline decided by
-Groebner bases.
+subsystems, and runs the two-subsystem exclusion pipeline: Groebner
+bases of the two subsystems, then linear algebra on the product of their
+quotient algebras, which gives the verdict and, by FGLM, the basis of the
+linked system.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 
@@ -22,10 +26,11 @@ from .groebner import (
     GroebnerBasis,
     _prime_stream,
     buchberger,
-    normal_form,
+    normal_form,  # unused here; perfbench/spans.py patches it by name
+    normal_forms,
     specialize,
 )
-from .poly import GREVLEX, Polynomial
+from .poly import GREVLEX, Polynomial, grevlex_key, monomial_divides
 from .rings import FpData, FusionRing, fpdim_data
 
 
@@ -560,6 +565,7 @@ class TwoParallelReport:
     final_basis: tuple  # canonical strings
     certified: bool
     timings: dict
+    corank: int | None = None  # dim of the linked quotient; None when infinite
 
 
 def default_sprime_pair(ring: FusionRing, k, l):
@@ -593,24 +599,51 @@ def _combined_ring_vars(sys_k: LocalSystem, sys_l: LocalSystem):
     return sys_k.variables + sys_l.variables
 
 
-def _link_is_unit(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial) -> bool:
-    """True when the link is proved a unit modulo the two subsystem ideals.
+def _unit_exponent(n, v):
+    return tuple(int(i == v) for i in range(n))
+
+
+def _mulmod(a, b, p):
+    """``a @ b`` mod p for residue arrays, without int64 overflow.
+
+    Over int64 (p < 2^31) b is split into 16-bit halves, so every partial
+    sum of products stays below n * 2^47 for n < 2^16 terms.
+    """
+    if a.dtype == object:
+        return a.dot(b) % p
+    return (a @ (b & 0xFFFF) % p + (a @ (b >> 16) % p << 16)) % p
+
+
+def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
+    """Corank of the link on A_k (x) A_l and, where it can, the linked basis.
 
     The bases live in disjoint variables, so the quotient by their sum is
-    A_k (x) A_l, spanned by the products of the two staircases, and the
-    linked ideal is trivial iff multiplication by the link (over
-    gb_k.vars + gb_l.vars) is invertible there. A link term c*m_k*m_l acts
-    as c*(M_k (x) M_l), from the multiplication matrices of m_k and m_l on
-    their staircases. The matrix is reduced over one prime p: the field's
-    own, or over QQ the first prime into which both bases and the link
-    specialize. Division by the monic bases stays p-integral, so the matrix
-    mod p is the image of the rational one, and a nonzero determinant mod p
-    proves invertibility over QQ. False when the matrix is singular mod p
-    or a staircase is infinite.
+    A = A_k (x) A_l, spanned by the products of the two staircases, and the
+    linked quotient R/(I_k + I_l + link) is A/im(L), where L is the matrix
+    of multiplication by the link (over gb_k.vars + gb_l.vars). A link term
+    c*m_k*m_l acts as c*(M_k (x) M_l), from the multiplication matrices of
+    m_k and m_l on their staircases. Everything is reduced over one prime
+    p: the field's own, or over QQ the first prime into which both bases
+    and the link specialize. Division by the monic bases stays p-integral,
+    so the matrix mod p is the image of the rational one, and corank 0 mod
+    p proves the link a unit over QQ.
+
+    The reduced echelon form R of L^T spans im(L), so w - w[piv] @ R
+    reduces a vector modulo im(L). The reduced grevlex basis of the linked
+    ideal then comes from FGLM (Faugere-Gianni-Lazard-Mora, JSC 16(4),
+    1993): candidate monomials x_v*s, s in the new staircase, are taken in
+    increasing grevlex order, multiples of leading monomials found so far
+    are skipped, and each candidate's vector is its predecessor's times
+    M_v, reduced modulo im(L) and then against the accepted vectors. A
+    dependent vector gives the basis element m - sum c_i s_i.
+
+    Returns ``(corank, basis)``: the corank of L mod p and the basis as
+    polynomials over ``link.field``, which is ``None`` over QQ when L is
+    singular mod p. ``(None, None)`` when a staircase is infinite.
     """
     stairs = (gb_k.staircase(), gb_l.staircase())
     if None in stairs:
-        return False
+        return None, None
     for F in [link.field] if link.field.p else map(GF, _prime_stream()):
         try:
             parts = [specialize(F, f) for f in (gb_k.polys, gb_l.polys, [link])]
@@ -619,28 +652,105 @@ def _link_is_unit(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial) ->
             continue
     p = F.p
     dtype = np.int64 if p < 1 << 31 else object  # int64 holds products below p^2
-
-    def mult(side, mono):
-        gb, basis, st = (gb_k, gb_l)[side], parts[side], stairs[side]
-        m = np.zeros((len(st), len(st)), dtype)
-        for j, s in enumerate(st):
-            f = Polynomial(gb.vars, {tuple(a + b for a, b in zip(mono, s)): 1}, F, gb.order)
-            for e, c in normal_form(f, basis, gb.order).terms.items():
-                m[st.index(e), j] = c
-        return m
-
     cut = len(gb_k.vars)
-    a = np.zeros((len(stairs[0]) * len(stairs[1]),) * 2, dtype)
-    for e, c in parts[2][0].terms.items():
-        a = (a + c * (np.kron(mult(0, e[:cut]), mult(1, e[cut:])) % p)) % p
-    for col in range(len(a)):  # Gaussian elimination mod p
-        nz = np.flatnonzero(a[col:, col])
+    link_terms = parts[2][0].terms
+
+    def matrices(side):
+        """{exponent: multiplication matrix} for the variables and link monomials."""
+        gb, st = (gb_k, gb_l)[side], stairs[side]
+        monos = [_unit_exponent(len(gb.vars), v) for v in range(len(gb.vars))]
+        monos += [e[cut:] if side else e[:cut] for e in link_terms]
+        monos = list(dict.fromkeys(monos))
+        row = {s: i for i, s in enumerate(st)}
+        fs = [
+            Polynomial(gb.vars, {tuple(a + b for a, b in zip(mono, s)): 1}, F, gb.order)
+            for mono in monos
+            for s in st
+        ]
+        nfs = iter(normal_forms(fs, parts[side], gb.order))
+        out = {}
+        for mono in monos:
+            m = np.zeros((len(st), len(st)), dtype)
+            for j in range(len(st)):
+                for e, c in next(nfs).terms.items():
+                    m[row[e], j] = c
+            out[mono] = m
+        return out
+
+    mk, ml = matrices(0), matrices(1)
+    xs = [mk[_unit_exponent(cut, v)] for v in range(cut)]
+    xs += [ml[_unit_exponent(len(gb_l.vars), v)] for v in range(len(gb_l.vars))]
+    nk, nl = len(stairs[0]), len(stairs[1])
+    a = np.zeros((nk * nl, nk * nl), dtype)
+    for e, c in link_terms.items():
+        a = (a + c * (np.kron(mk[e[:cut]], ml[e[cut:]]) % p)) % p
+
+    ech = a.T.copy()  # reduced echelon form mod p; its rows span im(L)
+    piv = []
+    for col in range(len(ech)):
+        r = len(piv)
+        nz = np.flatnonzero(ech[r:, col])
         if not nz.size:
-            return False
-        a[[col, col + nz[0]]] = a[[col + nz[0], col]]
-        a[col] = a[col] * pow(int(a[col, col]), -1, p) % p
-        a[col + 1:] = (a[col + 1:] - np.outer(a[col + 1:, col], a[col])) % p
-    return True
+            continue
+        ech[[r, r + nz[0]]] = ech[[r + nz[0], r]]
+        ech[r] = ech[r] * pow(int(ech[r, col]), -1, p) % p
+        rows = np.flatnonzero(ech[:, col])
+        rows = rows[rows != r]
+        ech[rows] = (ech[rows] - np.outer(ech[rows, col], ech[r])) % p
+        piv.append(col)
+    ech = ech[: len(piv)]
+    free = np.setdiff1d(np.arange(nk * nl), piv)
+    corank = len(free)
+    if corank and not link.field.p:
+        return corank, None
+
+    n = len(link.vars)
+    one = (0,) * n
+    start = np.zeros((nk, nl), dtype)
+    if nk and nl:
+        start[0, 0] = 1  # the staircases are sorted, so 1 comes first
+    pred = {one: None}  # candidate -> (staircase monomial, variable)
+    vecs = {}  # staircase monomial -> its vector reduced modulo im(L)
+    stair, lms, basis = [], [], []
+    rows = []  # accepted vectors: (pivot, row, row as a combination of stair)
+    heap = [(grevlex_key(one), one)]
+    while heap:
+        _, m = heapq.heappop(heap)
+        if any(monomial_divides(lm, m) for lm in lms):
+            continue
+        if pred[m] is None:
+            w = start
+        else:
+            s, v = pred[m]
+            w = vecs[s]  # times x_v: M_v (x) I or I (x) M_v on the nk x nl reshape
+            w = _mulmod(xs[v], w, p) if v < cut else _mulmod(w, xs[v].T, p)
+        w = w.ravel()
+        w = (w - _mulmod(w[piv], ech, p)) % p
+        u, comb = w[free], np.zeros(corank, dtype)
+        for col, e, t in rows:
+            f = u[col]
+            if f:
+                u = (u - f * e) % p
+                comb = (comb + f * t) % p
+        nz = np.flatnonzero(u)
+        if not nz.size:
+            terms = {m: 1}
+            terms.update({stair[j]: (-int(comb[j])) % p for j in np.flatnonzero(comb)})
+            basis.append(Polynomial(link.vars, terms, link.field, GREVLEX))
+            lms.append(m)
+            continue
+        inv = pow(int(u[nz[0]]), -1, p)
+        t = (-comb) * inv % p
+        t[len(stair)] = inv
+        rows.append((nz[0], u * inv % p, t))
+        stair.append(m)
+        vecs[m] = w.reshape(nk, nl)
+        for v in range(n):
+            c = m[:v] + (m[v] + 1,) + m[v + 1:]
+            if c not in pred:
+                pred[c] = (m, v)
+                heapq.heappush(heap, (grevlex_key(c), c))
+    return corank, basis
 
 
 def two_parallel(
@@ -656,12 +766,14 @@ def two_parallel(
     """Run the two-subsystem exclusion pipeline.
 
     Computes the reduced bases of both subsystems separately; the ring is
-    excluded iff the linking equation is a unit modulo their sum, which is
-    decided by an exact invertibility test on the joint quotient
-    (``_link_is_unit``). When the test fails, or a staircase is infinite,
-    Buchberger reduces the union of both bases and the link (``gb_final``).
-    A rational verdict of that run rests on the modular basis computation
-    and is reported uncertified.
+    excluded iff the linking equation is a unit modulo their sum. Both
+    the verdict and the ``not-excluded`` basis come from the joint quotient
+    A_k (x) A_l (``_link_quotient``): the corank of the link's matrix, and
+    the reduced basis of the linked ideal by FGLM. Buchberger reduces the
+    union of both bases and the link (``gb_final``) only when a staircase
+    is infinite, or over QQ when the matrix is singular mod p; a rational
+    verdict of that run rests on the modular basis computation and is
+    reported uncertified.
     """
     timings = {}
     k = _as_index(ring, k)
@@ -699,22 +811,21 @@ def two_parallel(
     (link_in,) = specialize(field, [link.rename(allv)])
 
     t0 = time.perf_counter()
-    unit = _link_is_unit(gb_k, gb_l, link_in)
+    corank, basis = _link_quotient(gb_k, gb_l, link_in)
     timings["certificate"] = time.perf_counter() - t0
 
-    if unit:
-        verdict, final_basis, certified = EXCLUDED, ("1",), True
-    else:
+    if basis is None:
         combined = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link_in]
         t0 = time.perf_counter()
         final = buchberger(combined, field=field, **kwargs)
         timings["gb_final"] = time.perf_counter() - t0
-        verdict = EXCLUDED if final.is_trivial else NOT_EXCLUDED
-        final_basis = tuple(str(g) for g in final.polys)
-        certified = not field.is_rational  # prime-field runs are direct
+        basis = final.polys
+        dim = final.quotient_dimension()
+        corank = None if dim == inf else dim
+    final_basis = tuple(str(g) for g in basis)
 
     return TwoParallelReport(
-        verdict=verdict,
+        verdict=EXCLUDED if corank == 0 else NOT_EXCLUDED,
         field=field,
         k_system=sys_k,
         l_system=sys_l,
@@ -722,6 +833,8 @@ def two_parallel(
         gb_k_size=len(gb_k),
         gb_l_size=len(gb_l),
         final_basis=final_basis,
-        certified=certified,
+        # a rational gb_final rests on the modular basis computation
+        certified=not field.is_rational or "gb_final" not in timings,
         timings=timings,
+        corank=corank,
     )

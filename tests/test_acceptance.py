@@ -60,6 +60,7 @@ def test_criterion_2_f210_two_parallel(f210):
     assert rep.verdict == "excluded"
     assert rep.final_basis == ("1",)
     assert rep.certified
+    assert rep.corank == 0
     assert "gb_final" not in rep.timings
     _ok(2, "F210 linked-subsystem exclusion", t0, 1800,
         f"timings {dict((k, round(v, 1)) for k, v in rep.timings.items())}")

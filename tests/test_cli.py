@@ -125,6 +125,13 @@ def test_two_parallel_prime_field(capsys):
     assert report["result"]["verdict"] == "not-excluded"
     assert len(report["result"]["final_basis"]) == 23
     assert report["result"]["gb_sizes"] == {"k": 31, "l": 31}
+    assert report["result"]["corank"] == 4
+    assert "gb_final" not in report["result"]["timings"]
+    code, out, _ = invoke(
+        capsys, "two-parallel", "F210", "--k", "5_1", "--l", "5_3", "--field", "GF(32003)"
+    )
+    assert code == 0
+    assert "verdict: excluded" in out and "corank: 0" in out
 
 
 def test_two_parallel_bad_characteristic(capsys):

@@ -20,6 +20,7 @@ from prismring.groebner import (
     ideal_equal,
     ideal_is_trivial,
     normal_form,
+    normal_forms,
     specialize,
 )
 from prismring.poly import (
@@ -342,6 +343,9 @@ def test_normal_form_matches_division_oracle(field, coeffs, data):
     divisors = data.draw(st.lists(_polys(field, coeffs), min_size=1, max_size=3))
     f = data.draw(_polys(field, coeffs, min_size=0, max_size=6))
     assert normal_form(f, divisors) == oracle_normal_form(f, divisors, "grevlex")
+    # the batched reducer agrees with one call per polynomial
+    fs = data.draw(st.lists(_polys(field, coeffs, min_size=0, max_size=6), max_size=4))
+    assert normal_forms(fs, divisors) == [normal_form(g, divisors) for g in fs]
 
 
 @pytest.mark.parametrize("field, coeffs", FIELDS, ids=["QQ", "GF32003"])

@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from prismring.catalog import catalog
@@ -7,8 +9,10 @@ from prismring.fields import GF, QQ
 from prismring.groebner import buchberger, ideal_equal, specialize
 from prismring.localizer import (
     EXCLUDED,
+    NOT_EXCLUDED,
     LocalizationError,
-    _link_is_unit,
+    _link_quotient,
+    _mulmod,
     default_sprime_pair,
     extra_link,
     generate_Ek,
@@ -162,12 +166,17 @@ def test_localization_rejects_non_integral(fib):
         generate_Ek(fib, "tau", ("1", "tau"))
 
 
-# ------------------------------------------ link invertibility on A_k (x) A_l
+# ------------------------------------------ the linked quotient A_k (x) A_l / im(L)
 
 
 def _gb(field, texts, vars):
     polys = specialize(field, [parse_polynomial(t, vars) for t in texts])
     return buchberger(polys, field=field)
+
+
+def _union_basis(gb_k, gb_l, link):
+    union = [g.rename(link.vars) for g in gb_k.polys + gb_l.polys] + [link]
+    return buchberger(union, field=link.field)
 
 
 @pytest.mark.parametrize(
@@ -186,15 +195,27 @@ def _gb(field, texts, vars):
     ],
 )
 def test_link_is_unit_on_tiny_algebras(field, k_vars, k_texts, link, unit):
+    """``unit`` is the outcome the quotient step reports: corank 0."""
     gb_k = _gb(field, k_texts, k_vars)
     gb_l = _gb(field, ["y^2 - 1"], ("y",))
     (f,) = specialize(field, [parse_polynomial(link, k_vars + ("y",))])
-    assert _link_is_unit(gb_k, gb_l, f) is unit
+    corank, basis = _link_quotient(gb_k, gb_l, f)
+    if gb_k.staircase() is None:
+        assert (corank, basis) == (None, None)
+        return
+    assert (corank == 0) is unit
+    final = _union_basis(gb_k, gb_l, f)
+    assert corank == final.quotient_dimension()
+    if basis is None:  # QQ, singular mod p: left to Buchberger
+        assert field == QQ and corank
+    else:
+        assert [str(g) for g in basis] == [str(g) for g in final.polys]
 
 
 def test_link_is_unit_agrees_with_combined_buchberger():
-    """Reference: the link is a unit iff the union of both bases and the
-    link has the trivial basis. GF(7) makes both outcomes common."""
+    """Reference: the linked basis equals Buchberger's on the union of both
+    bases and the link, and the corank is its quotient dimension. GF(7)
+    makes coranks 0, 1, 2 and 4 all occur."""
     F = GF(7)
     rng = random.Random(7)
     seen = set()
@@ -204,16 +225,39 @@ def test_link_is_unit_agrees_with_combined_buchberger():
         gb_l = _gb(F, [f"x^2 - {c[4]}*y", f"y^2 - {c[5]}*x - 1"], ("x", "y"))
         allv = ("a", "b", "x", "y")
         (link,) = specialize(F, [parse_polynomial(f"a*x - {c[6]}*b*y + {c[7]}", allv)])
-        union = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link]
-        unit = _link_is_unit(gb_k, gb_l, link)
-        assert unit == buchberger(union, field=F).is_trivial
-        seen.add(unit)
-    assert seen == {True, False}
+        corank, basis = _link_quotient(gb_k, gb_l, link)
+        final = _union_basis(gb_k, gb_l, link)
+        assert [str(g) for g in basis] == [str(g) for g in final.polys]
+        assert corank == final.quotient_dimension()
+        seen.add(corank)
+    assert seen == {0, 1, 2, 4}
+
+
+def test_mulmod_does_not_overflow_int64():
+    p = 2**31 - 1  # the largest prime still on int64
+    rng = np.random.default_rng(7)
+    a = rng.integers(p - 2**20, p, (14, 196), dtype=np.int64)
+    b = rng.integers(p - 2**20, p, (196, 14), dtype=np.int64)
+    exact = a.astype(object).dot(b.astype(object)) % p
+    assert (_mulmod(a, b, p) == exact).all()
+    assert (_mulmod(a[0], b, p) == exact[0]).all()
 
 
 def test_two_parallel_gf32003_decided_without_final_basis(f210):
     rep = two_parallel(f210, "5_1", "5_3", field=GF(32003))
     assert rep.verdict == EXCLUDED
     assert rep.final_basis == ("1",)
+    assert rep.certified
+    assert rep.corank == 0
+    assert "gb_final" not in rep.timings
+
+
+def test_two_parallel_gf11_by_fglm(f210):
+    rep = two_parallel(f210, "5_1", "5_3", field=GF(11))
+    assert rep.verdict == NOT_EXCLUDED
+    assert len(rep.final_basis) == 23
+    digest = hashlib.sha256("\n".join(rep.final_basis).encode()).hexdigest()[:16]
+    assert digest == "0e3c0d90ee1e3817"
+    assert rep.corank == 4
     assert rep.certified
     assert "gb_final" not in rep.timings
