@@ -14,6 +14,15 @@ first for grevlex) so that monomial comparison is integer comparison,
 divisibility is one masked subtraction, and the lcm is taken digit-wise
 on the packed integers.
 
+The reducer takes each next term from a heap of pending monomials (lazy
+deletion: keys no longer in the remainder are skipped), since every term
+a step creates lies below the one it cancels. The S-pair loop only
+appends to the basis, so its reductions share one divisor memo per run:
+a monomial's first match in list order, once found, stays its first
+match, and a miss only rescans the elements appended since. Reductions
+over a fixed list (interreduction, the certificate's generator check,
+``normal_forms``) search afresh on each call.
+
 One reducer and one S-polynomial routine serve every coefficient domain.
 A step subtracts a monic divisor ``c`` times, where ``c`` is the
 coefficient being cancelled: GF(p) runs keep their basis monic and reduce
@@ -41,9 +50,10 @@ model as standard modular Groebner engines.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd, inf, isqrt
 
 from .fields import Field, is_prime
@@ -242,12 +252,16 @@ def _content_strip(*dicts):
                 d[e] //= g
 
 
-def _step(r, lt, red, pmod, aside=()):
+def _step(r, lt, red, pmod, pend, aside=()):
     """Cancel the term ``lt`` of r with ``red`` shifted onto it; returns term ops.
 
     A monic divisor is subtracted ``r[lt]`` times. Over ZZ a non-monic
     divisor first scales r, and the terms set ``aside`` with it, by
     lc(red)/g with g = gcd(lc(red), r[lt]), so the step stays fraction-free.
+    Each key the step inserts into r is pushed, negated, onto the heap
+    ``pend``; keys it updates or cancels are already there. A new term's
+    coefficient is -mult * cg, never zero: both factors are nonzero
+    (nonzero residues mod a prime in GF(p) runs).
     """
     c = r[lt]
     ops = len(red.terms)
@@ -266,26 +280,36 @@ def _step(r, lt, red, pmod, aside=()):
     if pmod:
         for e, cg in red.terms:
             ee = e + shift
-            v = (r.get(ee, 0) - mult * cg) % pmod
-            if v:
-                r[ee] = v
+            old = r.get(ee)
+            if old is None:
+                r[ee] = -mult * cg % pmod
+                heappush(pend, -ee)
             else:
-                r.pop(ee, None)
+                v = (old - mult * cg) % pmod
+                if v:
+                    r[ee] = v
+                else:
+                    del r[ee]
     else:
         for e, cg in red.terms:
             ee = e + shift
-            v = r.get(ee, 0) - mult * cg
-            if v:
-                r[ee] = v
+            old = r.get(ee)
+            if old is None:
+                r[ee] = -mult * cg
+                heappush(pend, -ee)
             else:
-                r.pop(ee, None)
+                v = old - mult * cg
+                if v:
+                    r[ee] = v
+                else:
+                    del r[ee]
     return ops
 
 
 _STRIP_EVERY = 8
 
 
-def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
+def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None, memo=None):
     """Reduce the dict r by ``basis`` (first match in list order), in place.
 
     Without ``full`` only leading terms are reduced; with it every term is,
@@ -294,23 +318,47 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
     content is stripped every few steps, a coefficient longer than
     ``swell_bits`` bits raises :class:`_Swell`, and the remainder comes back
     primitive with a positive leading coefficient.
+
+    The next term comes from ``pend``, a heap of negated keys built once
+    from r, to which ``_step`` pushes every key it inserts; entries no
+    longer in r are skipped. This is exact because a step only creates
+    terms below the one it cancels, so a key once taken never returns.
+
+    ``memo`` = (hit, upto) caches the divisor search across calls on one
+    basis that only grows by appending, as in ``_core``'s S-pair loop:
+    ``hit[m]`` is m's first match, which later appends cannot change, and
+    ``upto[m]`` is how far the basis was scanned without one, so a miss
+    rescans only the elements appended since. Without ``memo`` the cache
+    lives for this call only.
     """
+    hit, upto = memo or ({}, {})
+    corr, himask = ctx.corr, ctx.himask
+    lex = ctx.order == LEX
     aside = {}
     steps = 0
-    lex = ctx.order == LEX
+    pend = [-e for e in r]
+    heapify(pend)
     while r:
-        lt = max(r)
-        for red in basis:
-            if ctx.divides(red.lm, lt):
-                break
-        else:
-            if not full:
-                break
-            aside[lt] = r.pop(lt)
+        lt = -heappop(pend)
+        if lt not in r:
             continue
+        red = hit.get(lt)
+        if red is None:
+            k = upto.get(lt, 0)
+            # an islice costs more than most first scans; take one only to resume
+            for red in islice(basis, k, None) if k else basis:
+                if not (lt - red.lm + corr) & himask:
+                    hit[lt] = red
+                    break
+            else:
+                upto[lt] = len(basis)
+                if not full:
+                    break
+                aside[lt] = r.pop(lt)
+                continue
         if lex:
             ctx.check_shift(red, lt - red.lm)
-        budget.charge_ops(_step(r, lt, red, pmod, aside))
+        budget.charge_ops(_step(r, lt, red, pmod, pend, aside))
         steps += 1
         if swell_bits is not None and steps % _STRIP_EVERY == 0:
             _content_strip(r, aside)
@@ -334,7 +382,7 @@ def _spoly(f, g, big, pmod=0):
     """S-polynomial of engine elements: f shifted to ``big`` = lcm, one step by g."""
     shift = big - f.lm
     s = {e + shift: c for e, c in f.terms}
-    _step(s, big, g, pmod)
+    _step(s, big, g, pmod, [])
     return s
 
 
@@ -392,13 +440,14 @@ def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
     lms = []
     pairs = {}  # live pairs {(i, j): lcm}
     heap = []  # (lcm, i, j), live or pruned
+    memo = ({}, {})  # divisor cache of the S-pair reductions (see _reduce)
 
     def add(d):
         elt = _make_elt(d, ctx)
         engine.append(elt)
         lms.append(elt.lm)
         for (i, j), big in _gm_update(pairs, lms, len(engine) - 1, ctx).items():
-            heapq.heappush(heap, (big, i, j))
+            heappush(heap, (big, i, j))
 
     for d in sorted(seeds, key=lambda d: (max(d), len(d), sorted(d.items()))):
         if ctx.deg(max(d)) == 0:
@@ -408,7 +457,7 @@ def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
         return [], False
 
     while heap:
-        big, i, j = heapq.heappop(heap)
+        big, i, j = heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
         budget.charge_pair()
@@ -416,7 +465,7 @@ def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
             for f in (engine[i], engine[j]):
                 ctx.check_shift(f, big - f.lm)
         s = _spoly(engine[i], engine[j], big, pmod)
-        r = _reduce(s, engine, budget, ctx, pmod, swell_bits=swell_bits)
+        r = _reduce(s, engine, budget, ctx, pmod, swell_bits=swell_bits, memo=memo)
         if not r:
             continue
         if freeze:

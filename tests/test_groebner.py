@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,10 @@ from prismring.groebner import (
     _MAXE,
     _gm_update,
     _int_dicts_from_frac,
+    _make_elt,
+    _monic,
     _PackCtx,
+    _reduce,
     buchberger,
     ideal_equal,
     ideal_is_trivial,
@@ -389,3 +393,75 @@ def test_packed_lcm_is_digitwise_max(order, case):
     assert big == ctx.pack(top)
     assert ctx.divides(a, big) and ctx.divides(b, big)
     assert ctx.lcm(b, a) == big
+
+
+# ------------------------------------------- divisor memo and pending heap
+
+
+def _plain_reduce(r, basis, ctx, pmod, full):
+    """The reducer without memo or heap: ``max(r)`` on every step, and the
+    divisor by a fresh first-match scan. Returns (remainder, term ops)."""
+    aside, ops = {}, 0
+    while r:
+        lt = max(r)
+        red = next((b for b in basis if ctx.divides(b.lm, lt)), None)
+        if red is None:
+            if not full:
+                break
+            aside[lt] = r.pop(lt)
+            continue
+        g = gcd(red.lc, r[lt])
+        scale, mult = red.lc // g, r[lt] // g
+        ops += len(red.terms)
+        if scale != 1:
+            for d in (r, aside):
+                for e in d:
+                    d[e] *= scale
+                ops += len(d)
+        for e, cg in red.terms:
+            ee = e + lt - red.lm
+            v = r.get(ee, 0) - mult * cg
+            if pmod:
+                v %= pmod
+            if v:
+                r[ee] = v
+            else:
+                r.pop(ee, None)
+    r.update(aside)
+    return r, ops
+
+
+_MEMO_EXPS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+_ZZ_COEFFS = st.integers(-9, 9).filter(bool)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["lead", "full"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("pmod", [32003, 0], ids=["GF32003", "ZZ"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_memo_and_heap_match_plain_scan(pmod, order, full, data):
+    """One memo shared by reductions over a basis that grows by appending,
+    as in ``_core``'s S-pair loop, gives the plain scan's remainders and
+    term-op charges. The same dicts are reduced again after each append,
+    so their monomials come back as memo hits and as misses to rescan.
+    Over ZZ the elements are not monic, so the steps scale (fraction-free)."""
+    ctx = _PackCtx(3, order)
+    coeffs = _GF_COEFFS if pmod else _ZZ_COEFFS
+
+    def packed(min_size, max_size):
+        d = data.draw(st.dictionaries(_MEMO_EXPS, coeffs, min_size=min_size,
+                                      max_size=max_size))
+        return {ctx.pack(e): c for e, c in d.items()}
+
+    probes = [packed(0, 8) for _ in range(data.draw(st.integers(1, 3)))]
+    basis, memo, budget = [], ({}, {}), _Budget(10**9, 10**12)
+    for rounds_left in range(data.draw(st.integers(1, 6)), -1, -1):
+        for r in probes:
+            want = _plain_reduce(dict(r), basis, ctx, pmod, full)
+            before = budget.ops
+            got = _reduce(dict(r), basis, budget, ctx, pmod, full, memo=memo)
+            assert (got, budget.ops - before) == want
+        if rounds_left:
+            d = packed(1, 4)
+            basis.append(_make_elt(_monic(d, pmod) if pmod else d, ctx))
