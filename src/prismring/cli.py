@@ -326,6 +326,7 @@ def cmd_two_parallel(args):
         "final_basis": list(rep.final_basis),
         "corank": rep.corank,
         "certified": rep.certified,
+        "stats": rep.stats,
         "timings": {k: round(v, 3) for k, v in rep.timings.items()},
     }
     text = "\n".join(

@@ -1,13 +1,29 @@
-"""Buchberger engine: reduced Groebner bases over QQ and GF(p).
+"""Groebner engine: reduced Groebner bases over QQ and GF(p).
 
-Pair handling is fully deterministic: normal selection (smallest lcm in the
-active order, ties by pair index) with Gebauer-Moeller elimination, which
-implements Buchberger's product and chain criteria. Each pair's lcm is
-computed once, when the pair is created; live pairs sit in a dict keyed
-``(i, j)`` that Gebauer-Moeller prunes, and in a heap keyed ``(lcm, i, j)``
-from which pruned pairs are skipped when they come up. Resource caps bound
-the number of processed S-pairs and coefficient operations; exceeding one
-raises :class:`GroebnerResourceError`, never a wrong answer.
+Every GF(p) run (``buchberger`` over GF(p), and each prime of the modular
+QQ pipeline) is F4 (Faugere, JPAA 139, 1999): each round takes every
+live pair whose lcm has the lowest degree and reduces them together in
+one Macaulay matrix. The rows are both shifted elements of each pair;
+symbolic preprocessing gives every monomial of the matrix that some
+leading monomial divides a pivot row, its first divisor in list order
+shifted onto it. The pair rows are cleared in every pivot column, and the
+reduced row echelon form of what is left gives the new basis elements,
+each with a new leading monomial. A reduced echelon form is unique, so
+the two kernels give the same rows: matrices of at most ``_SPARSE_CELLS``
+cells are reduced on dicts with the reducer's ``_step``, larger ones in
+numpy (int64 below p = 2^31, object above). Each matrix's rows x columns
+are charged to the term budget before it is allocated, so the budget also
+bounds the dense kernel's memory.
+
+The fraction-free ZZ runs (the direct QQ attempt and the certificate)
+take one S-pair at a time: normal selection (smallest lcm in the active
+order, ties by pair index). Both kinds of run use Gebauer-Moeller
+elimination, which implements Buchberger's product and chain criteria.
+Each pair's lcm is computed once, when the pair is created; live pairs
+sit in a dict keyed ``(i, j)`` that Gebauer-Moeller prunes, and in a heap
+from which pruned pairs are skipped when they come up. Resource caps
+bound the number of processed S-pairs and coefficient operations;
+exceeding one raises :class:`GroebnerResourceError`, never a wrong answer.
 
 Exponent vectors are packed into single integers (16-bit digits, degree
 first for grevlex) so that monomial comparison is integer comparison,
@@ -16,12 +32,13 @@ on the packed integers.
 
 The reducer takes each next term from a heap of pending monomials (lazy
 deletion: keys no longer in the remainder are skipped), since every term
-a step creates lies below the one it cancels. The S-pair loop only
-appends to the basis, so its reductions share one divisor memo per run:
-a monomial's first match in list order, once found, stays its first
-match, and a miss only rescans the elements appended since. Reductions
-over a fixed list (interreduction, the certificate's generator check,
-``normal_forms``) search afresh on each call.
+a step creates lies below the one it cancels. Both kinds of run only
+append to the basis, so a run shares one divisor memo among its S-pair
+reductions (ZZ) or symbolic preprocessing (F4): a monomial's first match
+in list order, once found, stays its first match, and a miss only
+rescans the elements appended since. Reductions over a fixed list
+(interreduction, the certificate's generator check, ``normal_forms``)
+search afresh on each call.
 
 One reducer and one S-polynomial routine serve every coefficient domain.
 A step subtracts a monic divisor ``c`` times, where ``c`` is the
@@ -32,20 +49,19 @@ fraction-free: it scales the remainder by lc/g and subtracts the divisor
 c/g times, with g = gcd(lc, c). The direct ZZ run also strips the content
 every few steps and gives up when a coefficient outgrows its swell guard.
 
-Over GF(p) the algorithm runs directly. Over QQ a direct ZZ run on the
-generators with denominators cleared is attempted first under the swell
-guard; systems whose intermediates swell (the final reduced basis is
-typically tiny even when intermediates explode) switch to a modular
-pipeline: reduced bases are computed modulo a deterministic stream of
-30-bit primes, the majority leading-term shape is kept, coefficients are
-combined by CRT and lifted by rational reconstruction, and the candidate
-is certified exactly, fraction-free on its integer multiples: every
-input generator must reduce to zero modulo the candidate, and the
-candidate must be closed under S-polynomial reduction. Those checks
-prove the candidate is the reduced basis of an ideal containing the
-input ideal; agreement of the leading-term shape across several
-independent primes pins it to the input ideal itself, the same assurance
-model as standard modular Groebner engines.
+Over QQ a direct ZZ run on the generators with denominators cleared is
+attempted first under the swell guard; systems whose intermediates swell
+(the final reduced basis is typically tiny even when intermediates
+explode) switch to a modular pipeline: reduced bases are computed modulo
+a deterministic stream of 30-bit primes, the majority leading-term shape
+is kept, coefficients are combined by CRT and lifted by rational
+reconstruction, and the candidate is certified exactly, fraction-free on
+its integer multiples: every input generator must reduce to zero modulo
+the candidate, and the candidate must be closed under S-polynomial
+reduction. Those checks prove the candidate is the reduced basis of an
+ideal containing the input ideal; agreement of the leading-term shape
+across several independent primes pins it to the input ideal itself, the
+same assurance model as standard modular Groebner engines.
 """
 
 from __future__ import annotations
@@ -55,6 +71,8 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd, inf, isqrt
+
+import numpy as np
 
 from .fields import Field, is_prime
 from .poly import (
@@ -84,13 +102,15 @@ class _Swell(Exception):
 
 
 class _Budget:
-    __slots__ = ("pair_limit", "op_limit", "pairs", "ops")
+    __slots__ = ("pair_limit", "op_limit", "pairs", "ops", "matrices", "max_cells")
 
     def __init__(self, pair_limit, op_limit):
         self.pair_limit = pair_limit
         self.op_limit = op_limit
         self.pairs = 0
         self.ops = 0
+        self.matrices = 0
+        self.max_cells = 0
 
     def charge_pair(self):
         self.pairs += 1
@@ -103,6 +123,12 @@ class _Budget:
             raise GroebnerResourceError(
                 f"term-operation budget exceeded ({self.op_limit})"
             )
+
+    def charge_matrix(self, cells):
+        """Charge an F4 matrix's rows x columns, before it is allocated."""
+        self.charge_ops(cells)
+        self.matrices += 1
+        self.max_cells = max(self.max_cells, cells)
 
 
 class _PackCtx:
@@ -309,6 +335,22 @@ def _step(r, lt, red, pmod, pend, aside=()):
 _STRIP_EVERY = 8
 
 
+def _scan(lt, basis, hit, upto, corr, himask):
+    """First element of ``basis`` whose leading monomial divides ``lt``, or None.
+
+    Resumes at ``upto[lt]`` and records the answer in ``hit`` or ``upto``
+    (the divisor memo, see ``_reduce``).
+    """
+    k = upto.get(lt, 0)
+    # an islice costs more than most first scans; take one only to resume
+    for red in islice(basis, k, None) if k else basis:
+        if not (lt - red.lm + corr) & himask:
+            hit[lt] = red
+            return red
+    upto[lt] = len(basis)
+    return None
+
+
 def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None, memo=None):
     """Reduce the dict r by ``basis`` (first match in list order), in place.
 
@@ -342,20 +384,12 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None, memo=Non
         lt = -heappop(pend)
         if lt not in r:
             continue
-        red = hit.get(lt)
+        red = hit.get(lt) or _scan(lt, basis, hit, upto, corr, himask)
         if red is None:
-            k = upto.get(lt, 0)
-            # an islice costs more than most first scans; take one only to resume
-            for red in islice(basis, k, None) if k else basis:
-                if not (lt - red.lm + corr) & himask:
-                    hit[lt] = red
-                    break
-            else:
-                upto[lt] = len(basis)
-                if not full:
-                    break
-                aside[lt] = r.pop(lt)
-                continue
+            if not full:
+                break
+            aside[lt] = r.pop(lt)
+            continue
         if lex:
             ctx.check_shift(red, lt - red.lm)
         budget.charge_ops(_step(r, lt, red, pmod, pend, aside))
@@ -378,11 +412,11 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None, memo=Non
     return r
 
 
-def _spoly(f, g, big, pmod=0):
-    """S-polynomial of engine elements: f shifted to ``big`` = lcm, one step by g."""
+def _spoly(f, g, big):
+    """S-polynomial of ZZ engine elements: f shifted to ``big`` = lcm, one step by g."""
     shift = big - f.lm
     s = {e + shift: c for e, c in f.terms}
-    _step(s, big, g, pmod, [])
+    _step(s, big, g, 0, [])
     return s
 
 
@@ -401,21 +435,39 @@ def _gm_update(pairs, lms, new_index, ctx):
     redundant, adds the new pairs that survive, and returns the added ones.
     """
     lmf = lms[new_index]
-    new_lcms = [ctx.lcm(lm, lmf) for lm in lms[:new_index]]
-    for (i, j), lij in list(pairs.items()):
-        if ctx.divides(lmf, lij) and lij != new_lcms[i] and lij != new_lcms[j]:
-            del pairs[i, j]
+    corr, himask = ctx.corr, ctx.himask  # divides(a, b): not (b - a + corr) & himask
+    lcm = ctx.lcm
+    new_lcms = [lcm(lm, lmf) for lm in lms[:new_index]]
+    gone = [
+        ij
+        for ij, lij in pairs.items()
+        if not (lij - lmf + corr) & himask
+        and lij != new_lcms[ij[0]]
+        and lij != new_lcms[ij[1]]
+    ]
+    for ij in gone:
+        del pairs[ij]
     groups = {}
     for i, big in enumerate(new_lcms):
-        groups.setdefault(big, []).append(i)
+        if big in groups:
+            groups[big].append(i)
+        else:
+            groups[big] = [i]
     minimal = []
     for big in sorted(groups):
-        if all(not ctx.divides(other, big) for other in minimal):
+        for other in minimal:
+            if not (big - other + corr) & himask:
+                break
+        else:
             minimal.append(big)
     added = {}
+    coprime = lmf - corr  # lcm(a, lmf) == a * lmf iff the two are coprime
     for big in minimal:
         members = groups[big]
-        if all(big != ctx.mul(lms[i], lmf) for i in members):
+        for i in members:
+            if big == lms[i] + coprime:
+                break
+        else:
             added[members[0], new_index] = big
     pairs.update(added)
     return added
@@ -428,71 +480,280 @@ def _make_elt(d, ctx):
     return _Elt(lm, d[lm], terms, top)
 
 
-def _core(seeds, ctx, budget, pmod=0, swell_bits=None, freeze=False):
-    """Run Buchberger on engine dicts; returns (final_dicts, trivial_flag).
+class _Basis:
+    """A basis under construction: its elements and their live pairs.
 
-    Coefficients are residues mod ``pmod`` (monic seeds), or integers for
-    the fraction-free ZZ run when ``pmod`` is 0. With ``freeze`` set, any
+    Live pairs sit in ``pairs`` ({(i, j): lcm}, pruned by Gebauer-Moeller)
+    and in ``heap`` as (rank, lcm, i, j), where rank is the lcm's degree in
+    graded runs (F4 takes every pair of the lowest degree at once) and 0
+    otherwise; pruned entries are skipped when they come up.
+    """
+
+    __slots__ = ("ctx", "graded", "elts", "lms", "pairs", "heap")
+
+    def __init__(self, ctx, graded):
+        self.ctx = ctx
+        self.graded = graded
+        self.elts = []
+        self.lms = []
+        self.pairs = {}
+        self.heap = []
+
+    def add(self, d):
+        ctx = self.ctx
+        elt = _make_elt(d, ctx)
+        self.elts.append(elt)
+        self.lms.append(elt.lm)
+        added = _gm_update(self.pairs, self.lms, len(self.elts) - 1, ctx)
+        for (i, j), big in added.items():
+            heappush(self.heap, (ctx.deg(big) if self.graded else 0, big, i, j))
+
+    def seed(self, seeds):
+        """Add the seeds in a fixed order; True when one is a constant."""
+        for d in sorted(seeds, key=lambda d: (max(d), len(d), sorted(d.items()))):
+            if self.ctx.deg(max(d)) == 0:
+                return True
+            self.add(d)
+        return False
+
+    def reduced(self, budget, pmod=0, swell_bits=None):
+        """The reduced basis: minimalize, then interreduce the tails."""
+        ctx, lms = self.ctx, self.lms
+        minimal = []
+        for i in sorted(range(len(lms)), key=lms.__getitem__):
+            if not any(ctx.divides(lms[j], lms[i]) for j in minimal):
+                minimal.append(i)
+        kept = [self.elts[i] for i in minimal]
+        out = []
+        for pos in range(len(kept)):
+            others = kept[:pos] + kept[pos + 1:]
+            d = dict(kept[pos].terms)
+            out.append(_reduce(d, others, budget, ctx, pmod, True, swell_bits))
+        out.sort(key=max)
+        return out
+
+
+def _core(seeds, ctx, budget, swell_bits=None, freeze=False):
+    """Run Buchberger on fraction-free ZZ dicts; returns (final_dicts, trivial_flag).
+
+    One S-pair at a time, the smallest lcm first. With ``freeze`` set, any
     surviving S-pair that does not reduce to zero raises ValueError instead
     of growing the basis (used to certify candidates).
     """
-    engine = []
-    lms = []
-    pairs = {}  # live pairs {(i, j): lcm}
-    heap = []  # (lcm, i, j), live or pruned
+    gb = _Basis(ctx, graded=False)
+    if gb.seed(seeds):
+        return None, True
+    engine = gb.elts
     memo = ({}, {})  # divisor cache of the S-pair reductions (see _reduce)
-
-    def add(d):
-        elt = _make_elt(d, ctx)
-        engine.append(elt)
-        lms.append(elt.lm)
-        for (i, j), big in _gm_update(pairs, lms, len(engine) - 1, ctx).items():
-            heappush(heap, (big, i, j))
-
-    for d in sorted(seeds, key=lambda d: (max(d), len(d), sorted(d.items()))):
-        if ctx.deg(max(d)) == 0:
-            return None, True
-        add(d)
-    if not engine:
-        return [], False
-
-    while heap:
-        big, i, j = heappop(heap)
-        if pairs.pop((i, j), None) is None:
+    while gb.heap:
+        _, big, i, j = heappop(gb.heap)
+        if gb.pairs.pop((i, j), None) is None:
             continue
         budget.charge_pair()
         if ctx.order == LEX:
             for f in (engine[i], engine[j]):
                 ctx.check_shift(f, big - f.lm)
-        s = _spoly(engine[i], engine[j], big, pmod)
-        r = _reduce(s, engine, budget, ctx, pmod, swell_bits=swell_bits, memo=memo)
+        s = _spoly(engine[i], engine[j], big)
+        r = _reduce(s, engine, budget, ctx, swell_bits=swell_bits, memo=memo)
         if not r:
             continue
         if freeze:
             raise ValueError("candidate basis is not closed under S-polynomials")
         if ctx.deg(max(r)) == 0:
             return None, True
-        add(_monic(r, pmod) if pmod else r)
-
+        gb.add(r)
     if freeze:
         return [dict(e.terms) for e in engine], False
+    return gb.reduced(budget, swell_bits=swell_bits), False
 
-    # minimalize
-    order_idx = sorted(range(len(engine)), key=lambda i: lms[i])
-    minimal = []
-    for i in order_idx:
-        if not any(ctx.divides(lms[j], lms[i]) for j in minimal):
-            minimal.append(i)
-    kept = [engine[i] for i in minimal]
 
-    # interreduce tails
-    out = []
-    for pos in range(len(kept)):
-        others = [kept[q] for q in range(len(kept)) if q != pos]
-        d = dict(kept[pos].terms)
-        out.append(_reduce(d, others, budget, ctx, pmod, True, swell_bits))
-    out.sort(key=max)
-    return out, False
+# ---------------------------------------------------------------- F4 (GF(p))
+
+# Matrices of at most this many cells (rows x columns) are reduced on dicts,
+# larger ones in numpy, whose per-call overhead is repaid from about here on
+# (measured on the small-bases systems and on E_k of F210 over GF(p)).
+_SPARSE_CELLS = 4096
+
+
+def _f4(seeds, ctx, budget, pmod):
+    """Reduced basis of monic seeds over GF(pmod) by F4; (final_dicts, trivial_flag).
+
+    Each round takes every live pair whose lcm has the lowest degree and
+    reduces them together in one Macaulay matrix (``_f4_matrix``). Every
+    row of the reduced echelon form that is left has a new leading
+    monomial and joins the basis.
+    """
+    gb = _Basis(ctx, graded=True)
+    if gb.seed(seeds):
+        return None, True
+    memo = ({}, {})  # divisor cache of the symbolic preprocessing (see _reduce)
+    heap, pairs = gb.heap, gb.pairs
+    while heap:
+        batch, rank = [], None
+        while heap and (not batch or heap[0][0] == rank):
+            rank, big, i, j = heappop(heap)
+            if pairs.pop((i, j), None) is not None:
+                budget.charge_pair()
+                batch.append((big, i, j))
+        if not batch:
+            break
+        for d in _f4_matrix(batch, gb.elts, ctx, budget, pmod, memo):
+            if ctx.deg(max(d)) == 0:
+                return None, True
+            gb.add(d)
+    return gb.reduced(budget, pmod), False
+
+
+def _f4_matrix(batch, elts, ctx, budget, pmod, memo):
+    """Reduce the S-pairs of ``batch`` together; returns the new elements' dicts.
+
+    The rows are both shifted elements of each pair. Symbolic preprocessing
+    gives every monomial of the matrix that some leading monomial divides a
+    pivot row: its first divisor in list order, shifted onto it. A pair row
+    equal to the pivot row of its own leading monomial is left out, since
+    it would reduce to zero. The matrix's rows x columns are charged to the
+    term budget before either kernel runs.
+    """
+    lex = ctx.order == LEX
+    hit, upto = memo
+    corr, himask = ctx.corr, ctx.himask
+    rows, cols, seen = [], set(), set()
+    for big, i, j in batch:
+        cols.add(big)
+        lead = hit.get(big) or _scan(big, elts, hit, upto, corr, himask)
+        for k in (i, j):
+            f = elts[k]
+            if f is lead or (k, big) in seen:
+                continue  # the pivot row of big, or a row taken already
+            seen.add((k, big))
+            shift = big - f.lm
+            if lex:
+                ctx.check_shift(f, shift)
+            row = {e + shift: c for e, c in f.terms}
+            cols.update(row)
+            rows.append(row)
+    todo = list(cols)
+    piv = {}
+    n = len(elts)
+    low = min(f.lm for f in elts)  # a divisor of m is at most m in every order
+    for m in todo:  # grows while it is walked
+        red = hit.get(m)
+        if red is None:
+            if m < low or upto.get(m) == n:
+                continue
+            red = _scan(m, elts, hit, upto, corr, himask)
+            if red is None:
+                continue
+        piv[m] = red
+        shift = m - red.lm
+        if lex:
+            ctx.check_shift(red, shift)
+        for e, _ in red.terms:
+            e += shift
+            if e not in cols:
+                cols.add(e)
+                todo.append(e)
+    cells = (len(piv) + len(rows)) * len(cols)
+    budget.charge_matrix(cells)
+    kernel = _sparse_echelon if cells <= _SPARSE_CELLS else _dense_echelon
+    return kernel(rows, piv, cols, pmod)
+
+
+def _sparse_echelon(rows, piv, cols, pmod):
+    """Reduced echelon form of ``rows`` modulo the pivot rows, on dicts.
+
+    ``piv`` maps a column (monomial) to the element whose shift onto it is
+    that column's pivot row. Each pivot row, in column order, clears its
+    column in the rows that have it. Each row left then joins the echelon
+    form: it is reduced by the rows already there, made monic, and clears
+    its leading column in them. Returns the nonzero monic rows in ascending
+    order of leading monomial. The rows are reduced in place; ``cols``
+    (every column of the matrix) is only used by ``_dense_echelon``.
+    """
+    scratch = []  # _step's pushes; the sweep goes by column, not by heap
+    for m in sorted(piv, reverse=True):
+        for r in rows:
+            if m in r:
+                _step(r, m, piv[m], pmod, scratch)
+    # leading monomial -> monic row, of the echelon form so far; a row goes
+    # to _step as an _Elt over its dict items, which _step only iterates
+    ech = {}
+    for r in rows:
+        for lm, d in ech.items():
+            if lm in r:
+                _step(r, lm, _Elt(lm, 1, d.items(), None), pmod, scratch)
+        if not r:
+            continue
+        lm = max(r)
+        inv = pow(r[lm], -1, pmod)
+        new = {e: c * inv % pmod for e, c in r.items()}
+        red = _Elt(lm, 1, new.items(), None)
+        for d in ech.values():
+            if lm in d:
+                _step(d, lm, red, pmod, scratch)
+        ech[lm] = new
+    return [ech[lm] for lm in sorted(ech)]
+
+
+def _dense_echelon(rows, piv, cols, pmod):
+    """``_sparse_echelon`` in numpy, with the same result: the reduced
+    echelon form is unique.
+
+    The pair rows form a dense residue matrix over ``cols`` (int64 below
+    2^31, object above, see ``_residue_dtype``). Each pivot row, in column
+    order, clears its column in the rows that have it; what is left lives
+    in the non-pivot columns and goes through ``_rref_mod_p``.
+    """
+    dtype = _residue_dtype(pmod)
+    cols = sorted(cols, reverse=True)
+    idx = {m: k for k, m in enumerate(cols)}
+    a = np.zeros((len(rows), len(cols)), dtype)
+    for r, row in enumerate(rows):
+        a[r, [idx[m] for m in row]] = list(row.values())
+    for m in sorted(piv, reverse=True):
+        c = idx[m]
+        nz = np.flatnonzero(a[:, c])
+        if not nz.size:
+            continue
+        red = piv[m]
+        shift = m - red.lm
+        at = np.ix_(nz, [idx[e + shift] for e, _ in red.terms])
+        vals = np.array([v for _, v in red.terms], dtype)
+        a[at] = (a[at] - np.outer(a[nz, c], vals)) % pmod
+    free = [k for k, m in enumerate(cols) if m not in piv]
+    ech, _ = _rref_mod_p(a[:, free], pmod)
+    names = [cols[k] for k in free]
+    out = [{names[k]: int(row[k]) for k in np.flatnonzero(row)} for row in ech]
+    out.reverse()
+    return out
+
+
+def _residue_dtype(p):
+    """int64 holds every product of two residues below p^2 < 2^62; object above."""
+    return np.int64 if p < 1 << 31 else object
+
+
+def _rref_mod_p(a, p):
+    """Reduced row echelon form of the residue array ``a`` mod prime p, in place.
+
+    Returns (the nonzero rows, their pivot columns). Rows are monic, and
+    the pivot columns are cleared in every other row.
+    """
+    piv = []
+    for col in range(a.shape[1]):
+        r = len(piv)
+        if r == len(a):
+            break
+        nz = np.flatnonzero(a[r:, col])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, col]), -1, p) % p
+        rows = np.flatnonzero(a[:, col])
+        rows = rows[rows != r]
+        a[rows] = (a[rows] - np.outer(a[rows, col], a[r])) % p
+        piv.append(col)
+    return a[: len(piv)], piv
 
 
 # ----------------------------------------------------- modular QQ pipeline
@@ -569,7 +830,7 @@ def _modular_qq(system, order, budget, stats):
             seeds = [
                 _monic({e: c % p for e, c in d.items() if c % p}, p) for d in gens_int
             ]
-            out, trivial = _core(seeds, ctx, budget, p)
+            out, trivial = _f4(seeds, ctx, budget, p)
             if trivial:
                 zero = ctx.pack((0,) * len(vars))
                 runs.append((p, (zero,), {zero: {zero: 1}}))
@@ -825,14 +1086,15 @@ def buchberger(
     ctx = _PackCtx(len(vars), order)
 
     def finish(dicts):
-        polys = [Polynomial(vars, d, field, order) for d in dicts]
         stats.update({"spairs": budget.pairs, "term_ops": budget.ops})
+        if stats.get("mode") != "direct":  # the GF(p) runs reduced F4 matrices
+            stats["matrices"] = budget.matrices
+            stats["max_matrix_cells"] = budget.max_cells
+        polys = [Polynomial(vars, d, field, order) for d in dicts]
         return GroebnerBasis(polys, vars, field, order, system, stats)
 
     def trivial():
-        stats.update({"spairs": budget.pairs, "term_ops": budget.ops})
-        one = Polynomial.constant(vars, 1, field, order)
-        return GroebnerBasis([one], vars, field, order, system, stats)
+        return finish([{(0,) * len(vars): 1}])
 
     if field.is_rational:
         # direct run with a swell guard; fall back to the modular pipeline
@@ -867,7 +1129,7 @@ def buchberger(
     seeds = [
         _monic({ctx.pack(e): c for e, c in p.terms.items()}, pmod) for p in nonzero
     ]
-    out, is_triv = _core(seeds, ctx, budget, pmod)
+    out, is_triv = _f4(seeds, ctx, budget, pmod)
     if is_triv:
         return trivial()
     return finish([{ctx.unpack(e): c for e, c in d.items()} for d in out])

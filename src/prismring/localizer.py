@@ -25,6 +25,8 @@ from .fields import GF, Field, NonInvertibleError, QQ
 from .groebner import (
     GroebnerBasis,
     _prime_stream,
+    _residue_dtype,
+    _rref_mod_p,
     buchberger,
     normal_form,  # unused here; perfbench/spans.py patches it by name
     normal_forms,
@@ -565,6 +567,7 @@ class TwoParallelReport:
     final_basis: tuple  # canonical strings
     certified: bool
     timings: dict
+    stats: dict  # each basis's engine counters: "k", "l" and, when it runs, "final"
     corank: int | None = None  # dim of the linked quotient; None when infinite
 
 
@@ -651,7 +654,7 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
         except NonInvertibleError:
             continue
     p = F.p
-    dtype = np.int64 if p < 1 << 31 else object  # int64 holds products below p^2
+    dtype = _residue_dtype(p)
     cut = len(gb_k.vars)
     link_terms = parts[2][0].terms
 
@@ -685,20 +688,7 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     for e, c in link_terms.items():
         a = (a + c * (np.kron(mk[e[:cut]], ml[e[cut:]]) % p)) % p
 
-    ech = a.T.copy()  # reduced echelon form mod p; its rows span im(L)
-    piv = []
-    for col in range(len(ech)):
-        r = len(piv)
-        nz = np.flatnonzero(ech[r:, col])
-        if not nz.size:
-            continue
-        ech[[r, r + nz[0]]] = ech[[r + nz[0], r]]
-        ech[r] = ech[r] * pow(int(ech[r, col]), -1, p) % p
-        rows = np.flatnonzero(ech[:, col])
-        rows = rows[rows != r]
-        ech[rows] = (ech[rows] - np.outer(ech[rows, col], ech[r])) % p
-        piv.append(col)
-    ech = ech[: len(piv)]
+    ech, piv = _rref_mod_p(a.T.copy(), p)  # its rows span im(L)
     free = np.setdiff1d(np.arange(nk * nl), piv)
     corank = len(free)
     if corank and not link.field.p:
@@ -814,12 +804,14 @@ def two_parallel(
     corank, basis = _link_quotient(gb_k, gb_l, link_in)
     timings["certificate"] = time.perf_counter() - t0
 
+    stats = {"k": gb_k.stats, "l": gb_l.stats}
     if basis is None:
         combined = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link_in]
         t0 = time.perf_counter()
         final = buchberger(combined, field=field, **kwargs)
         timings["gb_final"] = time.perf_counter() - t0
         basis = final.polys
+        stats["final"] = final.stats
         dim = final.quotient_dimension()
         corank = None if dim == inf else dim
     final_basis = tuple(str(g) for g in basis)
@@ -837,4 +829,5 @@ def two_parallel(
         certified=not field.is_rational or "gb_final" not in timings,
         timings=timings,
         corank=corank,
+        stats=stats,
     )

@@ -127,6 +127,9 @@ def test_two_parallel_prime_field(capsys):
     assert report["result"]["gb_sizes"] == {"k": 31, "l": 31}
     assert report["result"]["corank"] == 4
     assert "gb_final" not in report["result"]["timings"]
+    stats = report["result"]["stats"]
+    assert set(stats) == {"k", "l"}
+    assert [stats[s]["matrices"] for s in "kl"] == [10, 10]
     code, out, _ = invoke(
         capsys, "two-parallel", "F210", "--k", "5_1", "--l", "5_3", "--field", "GF(32003)"
     )

@@ -13,6 +13,7 @@ from prismring.groebner import (
     GroebnerResourceError,
     _Budget,
     _certify_qq,
+    _dense_echelon,
     _MAXE,
     _gm_update,
     _int_dicts_from_frac,
@@ -20,12 +21,14 @@ from prismring.groebner import (
     _monic,
     _PackCtx,
     _reduce,
+    _sparse_echelon,
     buchberger,
     ideal_equal,
     ideal_is_trivial,
     normal_form,
     normal_forms,
     specialize,
+    spolynomial,
 )
 from prismring.poly import (
     GREVLEX,
@@ -33,8 +36,12 @@ from prismring.poly import (
     MAX_VARS,
     Polynomial,
     format_polynomial,
+    monomial_divides,
+    monomial_lcm,
+    order_key,
     parse_polynomial,
 )
+from prismring.tpegen import tpe_system
 
 from conftest import E1_TEXT, E1_VARS, oracle_normal_form
 
@@ -180,6 +187,22 @@ def test_pair_budget_enforced():
         buchberger(sys_q, pair_budget=1)
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_gf_budgets_enforced(order):
+    F = GF(32003)
+    XYZ = ("x", "y", "z")
+    texts = ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
+    system = [P(t, XYZ, F, order) for t in texts]
+    work = buchberger(system, order, F).stats
+    assert work["spairs"] > 1 and work["matrices"] > 1
+    with pytest.raises(GroebnerResourceError, match="S-pair"):
+        buchberger(system, order, F, pair_budget=1)
+    # a matrix is charged before it is reduced: the largest one is refused
+    with pytest.raises(GroebnerResourceError, match="term-operation"):
+        buchberger(system, order, F, term_budget=work["max_matrix_cells"] - 1)
+    buchberger(system, order, F, pair_budget=work["spairs"], term_budget=work["term_ops"])
+
+
 @pytest.fixture(scope="module")
 def e1():
     return [P(t, E1_VARS) for t in E1_TEXT]
@@ -206,21 +229,27 @@ def test_modular_path_used_for_swelling_system(gb_e1):
     text = "\n".join(format_polynomial(g) for g in gb.polys)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7abb78f0ad1758f4"
     # six GF(p) runs, the abandoned direct ZZ run and the certificate
-    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (2104, 12_819_906)
+    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (3250, 3_036_660)
+    # 10 F4 matrices per prime
+    assert (gb.stats["matrices"], gb.stats["max_matrix_cells"]) == (60, 219_486)
 
 
 # ------------------------------------------------------- pinned engine work
 
 
+F4_STATS = ("spairs", "term_ops", "matrices", "max_matrix_cells")
+
+
 @pytest.mark.parametrize(
-    "p, spairs, term_ops",
-    [(1073741789, 332, 2_123_113), (11, 326, 1_690_907)],
+    "p, work",
+    [(1073741789, (523, 492_572, 10, 219_486)), (11, (523, 489_390, 10, 218_550))],
+    ids=["GF1073741789", "GF11"],
 )
-def test_gf_engine_work_on_ek(ek, p, spairs, term_ops):
+def test_gf_engine_work_on_ek(ek, p, work):
     F = GF(p)
     gb = buchberger(specialize(F, ek.polys), field=F)
     assert len(gb) == 31
-    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (spairs, term_ops)
+    assert gb.stats == dict(zip(F4_STATS, work))
 
 
 def test_direct_zz_engine_work_on_corpus():
@@ -243,7 +272,31 @@ def test_lex_engine_work_on_corpus():
         gf.append(buchberger(specialize(F, lex), order=LEX, field=F).stats)
     work = [(1, 2), (1, 2), (0, 0), (5, 0), (2, 6)]
     assert zz == [{"mode": "direct", "spairs": s, "term_ops": t} for s, t in work]
-    assert gf == [{"spairs": s, "term_ops": t} for s, t in work]
+    # F4 charges each matrix's cells, and interreduction its steps
+    f4 = [(1, 9, 1, 9), (1, 12, 1, 12), (0, 0, 0, 0), (5, 40, 4, 24), (2, 30, 2, 15)]
+    assert gf == [dict(zip(F4_STATS, w)) for w in f4]
+
+
+def test_three_label_prism_system_over_gf11_hits_the_default_budget(f210):
+    """Unbounded, this run ends in a 90-element basis after charging
+    413,056,215 matrix cells (the largest matrix 170,441,496); the default
+    term budget of 10^8, charged before each matrix is allocated, stops it."""
+    system = tpe_system(f210, ["1", "5_1", "5_3"]).polys
+    F = GF(11)
+    with pytest.raises(GroebnerResourceError, match="term-operation"):
+        buchberger(specialize(F, system), field=F)
+
+
+@pytest.mark.parametrize("p", [32003, 101, 1073741789])
+def test_three_label_prism_system_is_trivial(f210, p):
+    """The stress target: 27 variables and 27 equations, trivial over GF(p)."""
+    system = tpe_system(f210, ["1", "5_1", "5_3"]).polys
+    assert len(system) == len(system[0].vars) == 27
+    F = GF(p)
+    gb = buchberger(specialize(F, system), field=F)
+    assert [format_polynomial(g) for g in gb.polys] == ["1"]
+    if p == 32003:
+        assert gb.stats == dict(zip(F4_STATS, (2021, 10_159_801, 21, 2_961_504)))
 
 
 def test_exponent_overflow_is_loud():
@@ -465,3 +518,99 @@ def test_memo_and_heap_match_plain_scan(pmod, order, full, data):
         if rounds_left:
             d = packed(1, 4)
             basis.append(_make_elt(_monic(d, pmod) if pmod else d, ctx))
+
+
+# ------------------------------------------------------------ F4 engine
+
+
+def naive_buchberger(system, order):
+    """Textbook Buchberger over the system's field, from the public
+    ``spolynomial`` and ``normal_form``: every pair, smallest lcm first, no
+    criteria; then minimalized, interreduced and monic, sorted by leading
+    monomial."""
+    key = order_key(order)
+
+    def lm(p):
+        return p.leading_monomial(order)
+
+    def lcm(pair):
+        return key(monomial_lcm(*(lm(basis[k]) for k in pair)))
+
+    basis = [p for p in system if not p.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(min(range(len(pairs)), key=lambda k: lcm(pairs[k])))
+        r = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
+        if not r.is_zero():
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(r)
+    minimal = []
+    for g in sorted(basis, key=lambda p: key(lm(p))):
+        if not any(monomial_divides(lm(h), lm(g)) for h in minimal):
+            minimal.append(g)
+    return [
+        normal_form(g, [h for h in minimal if h is not g], order).monic(order)
+        for g in minimal
+    ]
+
+
+F4_PRIMES = [11, 32003, 2**31 - 1, 2**40 + 15]  # 2^31 - 1: largest int64 prime
+
+
+@pytest.mark.parametrize("p", F4_PRIMES)
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_f4_matches_naive_buchberger(order, p, data):
+    F = GF(p)
+    terms = st.dictionaries(_EXPS, st.integers(1, p - 1), min_size=1, max_size=3)
+    system = data.draw(st.lists(terms, min_size=1, max_size=3))
+    system = [Polynomial(XYZ, t, F, order) for t in system]
+    gb = buchberger(system, order, F)
+    assert gb.polys == naive_buchberger(system, order)
+
+
+def _matrix(ctx, basis, rows):
+    """Kernel input: the pivot rows, by first divisor, for every column
+    of ``rows`` and of the pivot rows themselves, and every column."""
+    cols, piv = set(), {}
+    for r in rows:
+        cols.update(r)
+    todo = list(cols)
+    for m in todo:
+        red = next((b for b in basis if ctx.divides(b.lm, m)), None)
+        if red is not None:
+            piv[m] = red
+            for e, _ in red.terms:
+                if e + m - red.lm not in cols:
+                    cols.add(e + m - red.lm)
+                    todo.append(e + m - red.lm)
+    return piv, cols
+
+
+@pytest.mark.parametrize("p", [32003, 2**40 + 15])
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_dense_and_sparse_kernels_agree(order, p, data):
+    """Both kernels return the reduced echelon form of the rows modulo the
+    pivot rows, which is unique: the same monic rows, in the same order."""
+    ctx = _PackCtx(3, order)
+    coeffs = st.integers(1, p - 1)
+
+    def packed(min_size, max_size):
+        d = data.draw(st.dictionaries(_MEMO_EXPS, coeffs, min_size=min_size,
+                                      max_size=max_size))
+        return {ctx.pack(e): c for e, c in d.items()}
+
+    basis = [_make_elt(_monic(packed(1, 3), p), ctx)
+             for _ in range(data.draw(st.integers(0, 3)))]
+    rows = [packed(1, 6) for _ in range(data.draw(st.integers(1, 6)))]
+    piv, cols = _matrix(ctx, basis, rows)
+    dense = _dense_echelon([dict(r) for r in rows], piv, cols, p)
+    sparse = _sparse_echelon([dict(r) for r in rows], piv, cols, p)
+    assert dense == sparse
+    for r in sparse:
+        assert r[max(r)] == 1 and not set(r) & set(piv)
+    lms = [max(r) for r in sparse]
+    assert lms == sorted(set(lms))

@@ -261,3 +261,11 @@ def test_two_parallel_gf11_by_fglm(f210):
     assert rep.corank == 4
     assert rep.certified
     assert "gb_final" not in rep.timings
+    assert rep.stats == GF11_ENGINE_STATS
+
+
+# F4 counters of gb_k and gb_l for two_parallel(F210, 5_1, 5_3) over GF(11)
+GF11_ENGINE_STATS = {
+    "k": {"spairs": 523, "term_ops": 489_390, "matrices": 10, "max_matrix_cells": 218_550},
+    "l": {"spairs": 525, "term_ops": 491_119, "matrices": 10, "max_matrix_cells": 225_600},
+}
