@@ -24,15 +24,15 @@ import numpy as np
 from .fields import GF, Field, NonInvertibleError, QQ
 from .groebner import (
     GroebnerBasis,
+    _mulmod,
     _prime_stream,
     _residue_dtype,
     _rref_mod_p,
     buchberger,
     normal_form,  # unused here; perfbench/spans.py patches it by name
-    normal_forms,
     specialize,
 )
-from .poly import GREVLEX, Polynomial, grevlex_key, monomial_divides
+from .poly import GREVLEX, Polynomial, grevlex_key, monomial_divides, order_key
 from .rings import FpData, FusionRing, fpdim_data
 
 
@@ -567,7 +567,9 @@ class TwoParallelReport:
     final_basis: tuple  # canonical strings
     certified: bool
     timings: dict
-    stats: dict  # each basis's engine counters: "k", "l" and, when it runs, "final"
+    # each basis's engine counters: "k", "l" and, when it runs, "final"; and
+    # "link", the link step's (dim, rank, border, fglm_candidates)
+    stats: dict
     corank: int | None = None  # dim of the linked quotient; None when infinite
 
 
@@ -602,19 +604,55 @@ def _combined_ring_vars(sys_k: LocalSystem, sys_l: LocalSystem):
     return sys_k.variables + sys_l.variables
 
 
-def _unit_exponent(n, v):
-    return tuple(int(i == v) for i in range(n))
+def _shift(m, v, d):
+    """The monomial m times x_v^d (d = 1 or -1)."""
+    return m[:v] + (m[v] + d,) + m[v + 1 :]
 
 
-def _mulmod(a, b, p):
-    """``a @ b`` mod p for residue arrays, without int64 overflow.
+def _multiplication_matrices(polys, stair, order, p):
+    """Matrices of multiplication by each variable on a finite staircase.
 
-    Over int64 (p < 2^31) b is split into 16-bit halves, so every partial
-    sum of products stays below n * 2^47 for n < 2^16 terms.
+    ``polys`` is a reduced basis over GF(p), ``stair`` its staircase sorted
+    ascending in ``order``; column j of the matrix of x_v is the normal
+    form of x_v*stair[j] on the staircase. Returns the matrices and the
+    number of border vectors built.
+
+    The border monomials b = x_v*s, s in the staircase, b outside it, are
+    taken in increasing order (FGLM's construction, no division). A leading
+    monomial b of an element g has the vector -tail(g). Any other b has a
+    variable x_w with b/x_w outside the staircase, so on the border: its
+    normal form has only terms t below b/x_w, and the vector of b is the
+    sum of its coefficients times the vectors of x_w*t, all below b, so the
+    columns of M_w filled so far suffice.
     """
-    if a.dtype == object:
-        return a.dot(b) % p
-    return (a @ (b & 0xFFFF) % p + (a @ (b >> 16) % p << 16)) % p
+    dtype = _residue_dtype(p)
+    n, size = len(polys[0].vars), len(stair)
+    row = {s: i for i, s in enumerate(stair)}
+    lead = {g.leading_monomial(order): g for g in polys}
+    xs = [np.zeros((size, size), dtype) for _ in range(n)]
+    border = set()
+    for s, j in row.items():
+        for v in range(n):
+            b = _shift(s, v, 1)
+            if b in row:
+                xs[v][row[b], j] = 1
+            else:
+                border.add(b)
+    vec = {}  # border monomial -> its normal form, on the staircase
+    for b in sorted(border, key=order_key(order)):
+        if b in lead:
+            u = np.zeros(size, dtype)
+            for e, c in lead[b].terms.items():
+                if e != b:
+                    u[row[e]] = -c % p
+        else:
+            w = next(w for w in range(n) if b[w] and _shift(b, w, -1) not in row)
+            u = _mulmod(xs[w], vec[_shift(b, w, -1)], p)
+        vec[b] = u
+        for v in range(n):
+            if b[v] and _shift(b, v, -1) in row:
+                xs[v][:, row[_shift(b, v, -1)]] = u
+    return xs, len(border)
 
 
 def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
@@ -627,9 +665,14 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     c*m_k*m_l acts as c*(M_k (x) M_l), from the multiplication matrices of
     m_k and m_l on their staircases. Everything is reduced over one prime
     p: the field's own, or over QQ the first prime into which both bases
-    and the link specialize. Division by the monic bases stays p-integral,
-    so the matrix mod p is the image of the rational one, and corank 0 mod
-    p proves the link a unit over QQ.
+    and the link specialize.
+
+    The multiplication matrices of the variables come from the border of
+    each staircase (``_multiplication_matrices``), and the matrix of a link
+    monomial is the product of its variables' matrices. These are ring
+    operations on the monic bases, with no division, so over QQ the
+    matrices mod p are the images of the rational ones, and corank 0 mod p
+    proves the link a unit over QQ.
 
     The reduced echelon form R of L^T spans im(L), so w - w[piv] @ R
     reduces a vector modulo im(L). The reduced grevlex basis of the linked
@@ -640,13 +683,15 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     M_v, reduced modulo im(L) and then against the accepted vectors. A
     dependent vector gives the basis element m - sum c_i s_i.
 
-    Returns ``(corank, basis)``: the corank of L mod p and the basis as
+    Returns ``(corank, basis, counts)``: the corank of L mod p, the basis as
     polynomials over ``link.field``, which is ``None`` over QQ when L is
-    singular mod p. ``(None, None)`` when a staircase is infinite.
+    singular mod p, and the step's work: ``dim`` and ``rank`` of L, the
+    ``border`` vectors built and the ``fglm_candidates`` whose vectors were
+    reduced. ``(None, None, None)`` when a staircase is infinite.
     """
     stairs = (gb_k.staircase(), gb_l.staircase())
     if None in stairs:
-        return None, None
+        return None, None, None
     for F in [link.field] if link.field.p else map(GF, _prime_stream()):
         try:
             parts = [specialize(F, f) for f in (gb_k.polys, gb_l.polys, [link])]
@@ -658,41 +703,29 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     cut = len(gb_k.vars)
     link_terms = parts[2][0].terms
 
-    def matrices(side):
-        """{exponent: multiplication matrix} for the variables and link monomials."""
-        gb, st = (gb_k, gb_l)[side], stairs[side]
-        monos = [_unit_exponent(len(gb.vars), v) for v in range(len(gb.vars))]
-        monos += [e[cut:] if side else e[:cut] for e in link_terms]
-        monos = list(dict.fromkeys(monos))
-        row = {s: i for i, s in enumerate(st)}
-        fs = [
-            Polynomial(gb.vars, {tuple(a + b for a, b in zip(mono, s)): 1}, F, gb.order)
-            for mono in monos
-            for s in st
-        ]
-        nfs = iter(normal_forms(fs, parts[side], gb.order))
-        out = {}
-        for mono in monos:
-            m = np.zeros((len(st), len(st)), dtype)
-            for j in range(len(st)):
-                for e, c in next(nfs).terms.items():
-                    m[row[e], j] = c
-            out[mono] = m
-        return out
-
-    mk, ml = matrices(0), matrices(1)
-    xs = [mk[_unit_exponent(cut, v)] for v in range(cut)]
-    xs += [ml[_unit_exponent(len(gb_l.vars), v)] for v in range(len(gb_l.vars))]
+    xk, bk = _multiplication_matrices(parts[0], stairs[0], gb_k.order, p)
+    xl, bl = _multiplication_matrices(parts[1], stairs[1], gb_l.order, p)
     nk, nl = len(stairs[0]), len(stairs[1])
+
+    def power(xs, e, size):
+        m = np.eye(size, dtype=dtype)
+        for x, d in zip(xs, e):
+            for _ in range(d):
+                m = _mulmod(m, x, p)
+        return m
+
     a = np.zeros((nk * nl, nk * nl), dtype)
     for e, c in link_terms.items():
-        a = (a + c * (np.kron(mk[e[:cut]], ml[e[cut:]]) % p)) % p
+        mk, ml = power(xk, e[:cut], nk), power(xl, e[cut:], nl)
+        a = (a + c * (np.kron(mk, ml) % p)) % p
+    xs = xk + xl
 
     ech, piv = _rref_mod_p(a.T.copy(), p)  # its rows span im(L)
     free = np.setdiff1d(np.arange(nk * nl), piv)
     corank = len(free)
+    counts = {"dim": nk * nl, "rank": len(piv), "border": bk + bl, "fglm_candidates": 0}
     if corank and not link.field.p:
-        return corank, None
+        return corank, None, counts
 
     n = len(link.vars)
     one = (0,) * n
@@ -708,6 +741,7 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
         _, m = heapq.heappop(heap)
         if any(monomial_divides(lm, m) for lm in lms):
             continue
+        counts["fglm_candidates"] += 1
         if pred[m] is None:
             w = start
         else:
@@ -736,11 +770,11 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
         stair.append(m)
         vecs[m] = w.reshape(nk, nl)
         for v in range(n):
-            c = m[:v] + (m[v] + 1,) + m[v + 1:]
+            c = _shift(m, v, 1)
             if c not in pred:
                 pred[c] = (m, v)
                 heapq.heappush(heap, (grevlex_key(c), c))
-    return corank, basis
+    return corank, basis, counts
 
 
 def two_parallel(
@@ -801,10 +835,12 @@ def two_parallel(
     (link_in,) = specialize(field, [link.rename(allv)])
 
     t0 = time.perf_counter()
-    corank, basis = _link_quotient(gb_k, gb_l, link_in)
+    corank, basis, counts = _link_quotient(gb_k, gb_l, link_in)
     timings["certificate"] = time.perf_counter() - t0
 
     stats = {"k": gb_k.stats, "l": gb_l.stats}
+    if counts is not None:
+        stats["link"] = counts
     if basis is None:
         combined = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link_in]
         t0 = time.perf_counter()

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,11 @@ from prismring.groebner import (
     _int_dicts_from_frac,
     _make_elt,
     _monic,
+    _PANEL,
     _PackCtx,
     _reduce,
+    _residue_dtype,
+    _rref_mod_p,
     _sparse_echelon,
     buchberger,
     ideal_equal,
@@ -195,10 +199,14 @@ def test_gf_budgets_enforced(order):
     system = [P(t, XYZ, F, order) for t in texts]
     work = buchberger(system, order, F).stats
     assert work["spairs"] > 1 and work["matrices"] > 1
-    with pytest.raises(GroebnerResourceError, match="S-pair"):
+    # the message gives the work done when the limit was hit: the first
+    # round's one matrix, then the second round's first pair
+    with pytest.raises(GroebnerResourceError, match=r"^S-pair budget exceeded \(1\) "
+                       r"at spairs=2, term_ops=\d+, matrices=1$"):
         buchberger(system, order, F, pair_budget=1)
     # a matrix is charged before it is reduced: the largest one is refused
-    with pytest.raises(GroebnerResourceError, match="term-operation"):
+    with pytest.raises(GroebnerResourceError, match=r"^term-operation budget exceeded "
+                       r"\(\d+\) at spairs=\d+, term_ops=\d+, matrices=\d+$"):
         buchberger(system, order, F, term_budget=work["max_matrix_cells"] - 1)
     buchberger(system, order, F, pair_budget=work["spairs"], term_budget=work["term_ops"])
 
@@ -588,7 +596,7 @@ def _matrix(ctx, basis, rows):
     return piv, cols
 
 
-@pytest.mark.parametrize("p", [32003, 2**40 + 15])
+@pytest.mark.parametrize("p", [32003, 2**31 - 1, 2**40 + 15])
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
 @PROPERTY_SETTINGS
 @given(data=st.data())
@@ -614,3 +622,62 @@ def test_dense_and_sparse_kernels_agree(order, p, data):
         assert r[max(r)] == 1 and not set(r) & set(piv)
     lms = [max(r) for r in sparse]
     assert lms == sorted(set(lms))
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**40 + 15])
+def test_dense_kernel_exact_when_updates_pile_up(p):
+    """Nine pivot rows x^i*y^(8-i) - 1 all add (p - 1)^2 to the constant
+    column of the row sum(x^i*y^(8-i)) * (p - 1) + z: past int64 unless the
+    dense kernel reduces mod p on the way."""
+    ctx = _PackCtx(3, GREVLEX)
+    one, z = ctx.pack((0, 0, 0)), ctx.pack((0, 0, 1))
+    lms = [ctx.pack((i, 8 - i, 0)) for i in range(9)]
+    basis = [_make_elt({m: 1, one: p - 1}, ctx) for m in lms]
+    row = {m: p - 1 for m in lms} | {z: 1}
+    piv, cols = _matrix(ctx, basis, [row])
+    want = [{z: 1, one: -9 % p}]
+    assert _sparse_echelon([dict(row)], piv, cols, p) == want
+    assert _dense_echelon([dict(row)], piv, cols, p) == want
+
+
+def _single_pivot_rref(a, p):
+    """Reference: Gauss-Jordan one column at a time over all rows."""
+    a = a.copy()
+    piv = []
+    for col in range(a.shape[1]):
+        r = len(piv)
+        nz = [i for i in range(r, len(a)) if a[i, col]]
+        if not nz:
+            continue
+        a[[r, nz[0]]] = a[[nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, col]), -1, p) % p
+        for i in range(len(a)):
+            if i != r and a[i, col]:
+                a[i] = (a[i] - a[i, col] * a[r]) % p
+        piv.append(col)
+    return a[: len(piv)], piv
+
+
+@pytest.mark.parametrize("p", [11, 32003, 2**31 - 1, 2**40 + 15])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_blocked_rref_matches_single_pivot(p, data):
+    """The panel-blocked reduced echelon form equals the column-at-a-time
+    one, which is unique: zero, rank-deficient, tall and wide matrices,
+    with zero columns, up to three panels and a part wide."""
+    n = data.draw(st.integers(0, 40), label="rows")
+    m = data.draw(st.integers(0, 3 * _PANEL + 5), label="columns")
+    rank = data.draw(st.integers(0, min(n, m)), label="rank at most")
+    zero = data.draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m), label="zero columns")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = [[rng.randrange(p) for _ in range(rank)] for _ in range(n)]
+    y = [[0 if j in zero else rng.randrange(p) for j in range(m)] for _ in range(rank)]
+    a = np.array(
+        [[sum(u * v for u, v in zip(row, col)) % p for col in zip(*y)] if y else [0] * m
+         for row in x],
+        dtype=_residue_dtype(p),
+    ).reshape(n, m)
+    want, want_piv = _single_pivot_rref(a, p)
+    got, got_piv = _rref_mod_p(a.copy(), p)
+    assert got_piv == want_piv
+    assert got.shape == want.shape and (got == want).all()

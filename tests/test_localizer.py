@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 
 from prismring.catalog import catalog
-from prismring.fields import GF, QQ
-from prismring.groebner import buchberger, ideal_equal, specialize
+from prismring.fields import GF, QQ, NonInvertibleError
+from prismring.groebner import (
+    _mulmod,
+    _prime_stream,
+    buchberger,
+    ideal_equal,
+    normal_forms,
+    specialize,
+)
 from prismring.localizer import (
     EXCLUDED,
     NOT_EXCLUDED,
     LocalizationError,
     _link_quotient,
-    _mulmod,
+    _multiplication_matrices,
     default_sprime_pair,
     extra_link,
     generate_Ek,
@@ -21,7 +28,7 @@ from prismring.localizer import (
     maximal_sprime_candidates,
     two_parallel,
 )
-from prismring.poly import parse_polynomial
+from prismring.poly import Polynomial, parse_polynomial
 
 from conftest import E1_TEXT, E1_VARS, E2_TEXT, E2_VARS, LINK_TEXT
 
@@ -199,10 +206,11 @@ def test_link_is_unit_on_tiny_algebras(field, k_vars, k_texts, link, unit):
     gb_k = _gb(field, k_texts, k_vars)
     gb_l = _gb(field, ["y^2 - 1"], ("y",))
     (f,) = specialize(field, [parse_polynomial(link, k_vars + ("y",))])
-    corank, basis = _link_quotient(gb_k, gb_l, f)
+    corank, basis, counts = _link_quotient(gb_k, gb_l, f)
     if gb_k.staircase() is None:
-        assert (corank, basis) == (None, None)
+        assert (corank, basis, counts) == (None, None, None)
         return
+    assert counts["rank"] + corank == counts["dim"]
     assert (corank == 0) is unit
     final = _union_basis(gb_k, gb_l, f)
     assert corank == final.quotient_dimension()
@@ -225,7 +233,7 @@ def test_link_is_unit_agrees_with_combined_buchberger():
         gb_l = _gb(F, [f"x^2 - {c[4]}*y", f"y^2 - {c[5]}*x - 1"], ("x", "y"))
         allv = ("a", "b", "x", "y")
         (link,) = specialize(F, [parse_polynomial(f"a*x - {c[6]}*b*y + {c[7]}", allv)])
-        corank, basis = _link_quotient(gb_k, gb_l, link)
+        corank, basis, _ = _link_quotient(gb_k, gb_l, link)
         final = _union_basis(gb_k, gb_l, link)
         assert [str(g) for g in basis] == [str(g) for g in final.polys]
         assert corank == final.quotient_dimension()
@@ -241,6 +249,14 @@ def test_mulmod_does_not_overflow_int64():
     exact = a.astype(object).dot(b.astype(object)) % p
     assert (_mulmod(a, b, p) == exact).all()
     assert (_mulmod(a[0], b, p) == exact[0]).all()
+    # (p - 1)^2 = 1 mod p, so the product is n mod p; past 2^16 inner terms
+    # the 16-bit split alone overflows
+    n = 70_000
+    ones = np.full((1, n), p - 1, dtype=np.int64)
+    assert _mulmod(ones, ones.T, p).tolist() == [[n]]
+    q = 2**40 + 15  # object dtype
+    big = np.full((1, n), q - 1, dtype=object)
+    assert _mulmod(big, big.T, q).tolist() == [[n]]
 
 
 def test_two_parallel_gf32003_decided_without_final_basis(f210):
@@ -264,8 +280,58 @@ def test_two_parallel_gf11_by_fglm(f210):
     assert rep.stats == GF11_ENGINE_STATS
 
 
-# F4 counters of gb_k and gb_l for two_parallel(F210, 5_1, 5_3) over GF(11)
+# F4 counters of gb_k and gb_l for two_parallel(F210, 5_1, 5_3) over GF(11),
+# and the link step's: 14 x 14 staircases, corank 4, 91 border monomials a
+# side, 4 staircase monomials and 23 leading monomials taken by FGLM
 GF11_ENGINE_STATS = {
     "k": {"spairs": 523, "term_ops": 489_390, "matrices": 10, "max_matrix_cells": 218_550},
     "l": {"spairs": 525, "term_ops": 491_119, "matrices": 10, "max_matrix_cells": 225_600},
+    "link": {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27},
 }
+
+
+def _first_prime_of(polys):
+    """The polynomials mod the first prime of the modular stream into which
+    they specialize, as the link step takes a rational basis."""
+    for p in _prime_stream():
+        try:
+            return specialize(GF(p), polys)
+        except NonInvertibleError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "p", [11, 32003, 2**40 + 15, None], ids=["GF11", "GF32003", "GF2^40+15", "QQ"]
+)
+@pytest.mark.parametrize("side", ["k", "l"])
+def test_border_matrices_match_normal_forms(p, side, ek, el, gb_ek):
+    """Column j of the matrix of x_v, built from the border, is the normal
+    form of x_v * stair[j] on the staircase. Over QQ the rational basis is
+    taken mod the first prime into which it specializes, as the link step
+    does. The border is larger than the set of leading monomials, so the
+    walk also takes its second branch."""
+    system = {"k": ek, "l": el}[side]
+    if p is None:
+        gb = gb_ek if side == "k" else buchberger(system.polys)
+        polys = _first_prime_of(gb.polys)
+        p = polys[0].field.p
+    else:
+        F = GF(p)
+        gb = buchberger(specialize(F, system.polys), field=F)
+        polys = gb.polys
+    stair = gb.staircase()
+    xs, border = _multiplication_matrices(polys, stair, gb.order, p)
+    assert border > len(polys)
+    row = {s: i for i, s in enumerate(stair)}
+    F = polys[0].field
+    n = len(gb.vars)
+    for v in range(n):
+        shifted = [
+            Polynomial(gb.vars, {tuple(e + (i == v) for i, e in enumerate(s)): 1}, F, gb.order)
+            for s in stair
+        ]
+        want = np.zeros((len(stair), len(stair)), dtype=object)
+        for j, r in enumerate(normal_forms(shifted, polys, gb.order)):
+            for e, c in r.terms.items():
+                want[row[e], j] = c
+        assert (xs[v] == want).all()
