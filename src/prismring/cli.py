@@ -44,7 +44,7 @@ from .rings import (
     verify_axioms,
 )
 from .spectra import criterion_search
-from .tpegen import TpeError, localization_idmap, tpe_equation, tpe_system
+from .tpegen import TpeError, localization_idmap, merge_equations, tpe_equation, tpe_system
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -368,33 +368,21 @@ def cmd_tpe(args):
                         configs.append((k, k, a, b, k, k, c, k, k))
             if args.l:
                 configs.append((k, k, args.l, k, args.l, args.l, k, args.l, args.l))
-            polys = []
-            seen = set()
-            for cfg in configs:
-                eq = tpe_equation(ring, cfg, idmap=idmap)
-                for p in eq.polys:
-                    key = (frozenset(p.monic().terms.items()), p.vars)
-                    if key not in seen:
-                        seen.add(key)
-                        polys.append(p)
-            allv = tuple(sorted({v for p in polys for v in p.vars}))
-            polys = [p.rename(allv) for p in polys]
+            system = merge_equations(tpe_equation(ring, cfg, idmap=idmap) for cfg in configs)
             legend = [f"identification: localization subsystem {args.k}"]
         else:
             if not args.labels:
                 raise CliError("--labels or --family localization is required")
             system = tpe_system(ring, _split_labels(args.labels))
-            polys = list(system.polys)
-            allv = system.variables
             legend = ["identification: least-orbit tetra tuples (symmetric gauge)"]
     except TpeError as exc:
         raise CliError(str(exc))
     comments = [f"ring {ring.name}"] + legend
-    text = write_system(polys, allv, QQ, comments=comments)
+    text = write_system(system.polys, system.variables, QQ, comments=comments)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        print(f"wrote {len(polys)} equations to {args.output}")
+        print(f"wrote {len(system.polys)} equations to {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -196,13 +196,6 @@ class _PackCtx:
         last = n - 1
         return tuple((key >> self._shifts[last - i]) & (_DIGIT - 1) for i in range(n))
 
-    def mul(self, a, b):
-        return a + b - self.corr
-
-    def div(self, a, b):
-        """Packed form of monomial a/b (caller must know b | a)."""
-        return a - b + self.corr
-
     def divides(self, a, b):
         """True when monomial a divides monomial b."""
         return not ((b - a + self.corr) & self.himask)
@@ -520,6 +513,10 @@ class _Basis:
             self.add(d)
         return False
 
+    def unit(self):
+        """The reduced basis {1} of the whole ring, as packed dicts."""
+        return [{self.ctx.pack((0,) * self.ctx.n): 1}]
+
     def reduced(self, budget, pmod=0, swell_bits=None):
         """The reduced basis: minimalize, then interreduce the tails."""
         ctx, lms = self.ctx, self.lms
@@ -538,15 +535,16 @@ class _Basis:
 
 
 def _core(seeds, ctx, budget, swell_bits=None, freeze=False):
-    """Run Buchberger on fraction-free ZZ dicts; returns (final_dicts, trivial_flag).
+    """Run Buchberger on fraction-free ZZ dicts; returns the reduced basis as dicts.
 
     One S-pair at a time, the smallest lcm first. With ``freeze`` set, any
     surviving S-pair that does not reduce to zero raises ValueError instead
-    of growing the basis (used to certify candidates).
+    of growing the basis, and nothing is returned (used to certify
+    candidates).
     """
     gb = _Basis(ctx, graded=False)
     if gb.seed(seeds):
-        return None, True
+        return gb.unit()
     engine = gb.elts
     memo = ({}, {})  # divisor cache of the S-pair reductions (see _reduce)
     while gb.heap:
@@ -564,11 +562,10 @@ def _core(seeds, ctx, budget, swell_bits=None, freeze=False):
         if freeze:
             raise ValueError("candidate basis is not closed under S-polynomials")
         if ctx.deg(max(r)) == 0:
-            return None, True
+            return gb.unit()
         gb.add(r)
-    if freeze:
-        return [dict(e.terms) for e in engine], False
-    return gb.reduced(budget, swell_bits=swell_bits), False
+    if not freeze:
+        return gb.reduced(budget, swell_bits=swell_bits)
 
 
 # ---------------------------------------------------------------- F4 (GF(p))
@@ -580,7 +577,7 @@ _SPARSE_CELLS = 4096
 
 
 def _f4(seeds, ctx, budget, pmod):
-    """Reduced basis of monic seeds over GF(pmod) by F4; (final_dicts, trivial_flag).
+    """Reduced basis of monic seeds over GF(pmod) by F4, as packed dicts.
 
     Each round takes every live pair whose lcm has the lowest degree and
     reduces them together in one Macaulay matrix (``_f4_matrix``). Every
@@ -589,7 +586,7 @@ def _f4(seeds, ctx, budget, pmod):
     """
     gb = _Basis(ctx, graded=True)
     if gb.seed(seeds):
-        return None, True
+        return gb.unit()
     memo = ({}, {})  # divisor cache of the symbolic preprocessing (see _reduce)
     heap, pairs = gb.heap, gb.pairs
     while heap:
@@ -603,9 +600,9 @@ def _f4(seeds, ctx, budget, pmod):
             break
         for d in _f4_matrix(batch, gb.elts, ctx, budget, pmod, memo):
             if ctx.deg(max(d)) == 0:
-                return None, True
+                return gb.unit()
             gb.add(d)
-    return gb.reduced(budget, pmod), False
+    return gb.reduced(budget, pmod)
 
 
 def _f4_matrix(batch, elts, ctx, budget, pmod, memo):
@@ -908,13 +905,9 @@ def _modular_qq(system, order, budget, stats):
             seeds = [
                 _monic({e: c % p for e, c in d.items() if c % p}, p) for d in gens_int
             ]
-            out, trivial = _f4(seeds, ctx, budget, p)
-            if trivial:
-                zero = ctx.pack((0,) * len(vars))
-                runs.append((p, (zero,), {zero: {zero: 1}}))
-            else:
-                shape = tuple(sorted(max(d) for d in out))
-                runs.append((p, shape, {max(d): d for d in out}))
+            out = _f4(seeds, ctx, budget, p)
+            shape = tuple(sorted(max(d) for d in out))
+            runs.append((p, shape, {max(d): d for d in out}))
         batch = 2
 
         shapes = {}
@@ -1171,9 +1164,6 @@ def buchberger(
         polys = [Polynomial(vars, d, field, order) for d in dicts]
         return GroebnerBasis(polys, vars, field, order, system, stats)
 
-    def trivial():
-        return finish([{(0,) * len(vars): 1}])
-
     if field.is_rational:
         # direct run with a swell guard; fall back to the modular pipeline
         try:
@@ -1184,12 +1174,10 @@ def buchberger(
             sub_budget = _Budget(
                 min(budget.pair_limit, 20_000), min(budget.op_limit, 2_000_000)
             )
-            out, is_triv = _core(seeds, ctx, sub_budget, swell_bits=4096)
+            out = _core(seeds, ctx, sub_budget, swell_bits=4096)
             budget.pairs += sub_budget.pairs
             budget.ops += sub_budget.ops
             stats["mode"] = "direct"
-            if is_triv:
-                return trivial()
             dicts = []
             for d in out:
                 lc = d[max(d)]
@@ -1197,19 +1185,14 @@ def buchberger(
             return finish(dicts)
         except (_Swell, GroebnerResourceError):
             stats["mode"] = "modular"
-        dicts = _modular_qq(nonzero, order, budget, stats)
-        if len(dicts) == 1 and all(sum(e) == 0 for e in dicts[0]):
-            return trivial()
-        return finish(dicts)
+        return finish(_modular_qq(nonzero, order, budget, stats))
 
     # prime field: direct computation
     pmod = field.p
     seeds = [
         _monic({ctx.pack(e): c for e, c in p.terms.items()}, pmod) for p in nonzero
     ]
-    out, is_triv = _f4(seeds, ctx, budget, pmod)
-    if is_triv:
-        return trivial()
+    out = _f4(seeds, ctx, budget, pmod)
     return finish([{ctx.unpack(e): c for e, c in d.items()} for d in out])
 
 

@@ -69,14 +69,26 @@ class LocalizationInput:
         return tuple(self.ring.labels[i] for i in self.chosen)
 
     def with_chosen(self, subset) -> "LocalizationInput":
-        chosen = _validate_sprime(self.ring, self.k, self.support, subset)
-        return LocalizationInput(self.ring, self.k, self.support, chosen)
-
-
-def _as_index(ring, label_or_index):
-    if isinstance(label_or_index, str):
-        return ring.index(label_or_index)
-    return int(label_or_index)
+        """This input with ``subset`` (labels or indices) validated as chosen."""
+        ring = self.ring
+        idx = tuple(sorted(map(ring.resolve, subset)))
+        if len(set(idx)) != len(idx):
+            raise LocalizationError("chosen subset has repeated labels")
+        if ring.unit_index not in idx:
+            raise LocalizationError("chosen subset must contain the unit")
+        if not set(idx) <= set(self.support):
+            bad = sorted(set(idx) - set(self.support))
+            raise LocalizationError(
+                f"chosen subset leaves the support: {[ring.labels[i] for i in bad]}"
+            )
+        offender = _triples_free(ring, idx)
+        if offender is not None:
+            a, b, c = offender
+            raise LocalizationError(
+                "chosen subset is not multiplicity-free: "
+                f"N({ring.labels[b]},{ring.labels[c]};{ring.labels[a]}) > 1"
+            )
+        return LocalizationInput(ring, self.k, self.support, idx)
 
 
 def localization_sets(ring: FusionRing, k) -> LocalizationInput:
@@ -85,7 +97,7 @@ def localization_sets(ring: FusionRing, k) -> LocalizationInput:
     Errors: k not self-dual; some N[k][k][a] exceeding 1; a support
     element that is not self-dual; k itself outside the support.
     """
-    k = _as_index(ring, k)
+    k = ring.resolve(k)
     star = ring.star
     labels = ring.labels
     if star[k] != k:
@@ -117,27 +129,6 @@ def _triples_free(ring, subset) -> tuple | None:
                 if ring.N[b][c][a] > 1:
                     return (a, b, c)
     return None
-
-
-def _validate_sprime(ring, k, support, subset):
-    idx = tuple(sorted(_as_index(ring, x) for x in subset))
-    if len(set(idx)) != len(idx):
-        raise LocalizationError("chosen subset has repeated labels")
-    if ring.unit_index not in idx:
-        raise LocalizationError("chosen subset must contain the unit")
-    if not set(idx) <= set(support):
-        bad = sorted(set(idx) - set(support))
-        raise LocalizationError(
-            f"chosen subset leaves the support: {[ring.labels[i] for i in bad]}"
-        )
-    offender = _triples_free(ring, idx)
-    if offender is not None:
-        a, b, c = offender
-        raise LocalizationError(
-            "chosen subset is not multiplicity-free: "
-            f"N({ring.labels[b]},{ring.labels[c]};{ring.labels[a]}) > 1"
-        )
-    return idx
 
 
 def maximal_sprime_candidates(ring: FusionRing, k) -> tuple:
@@ -308,31 +299,69 @@ def _require_integral(ring) -> FpData:
     return fp
 
 
-def _subsystem_variables(ring, fp, k, support, chosen):
-    """Canonical variable list for the reduced subsystem."""
-    unit = ring.unit_index
-    y_keys = sorted(
-        {tuple(sorted((i, b))) for i in support for b in chosen if i != unit and b != unit},
+def _subsystem(ring, k, sprime):
+    """Validated input, dimensions and atom builder of the (k, chosen) subsystem."""
+    fp = _require_integral(ring)
+    loc = localization_sets(ring, k).with_chosen(sprime)
+    return loc, fp, _Namer(ring, fp, loc.k)
+
+
+def _y_variables(loc) -> tuple:
+    """Names of the y variables without a unit argument, sorted by (b, a)."""
+    labels, unit = loc.ring.labels, loc.ring.unit_index
+    keys = sorted(
+        {tuple(sorted((i, b))) for i in loc.support for b in loc.chosen if i != unit and b != unit},
         key=lambda ab: (ab[1], ab[0]),
     )
-    x_keys = []
-    for b in chosen:
-        if b in (unit, k):
+    return tuple(y_var_name(loc.k_label, labels[a], labels[b]) for a, b in keys)
+
+
+def _local_system(loc, variables, equations, dedupe=False) -> LocalSystem:
+    """The LocalSystem of ``equations``, (family, index args, builder) triples.
+
+    Zero polynomials are dropped; with ``dedupe`` set, so is every
+    polynomial equal to an earlier one up to scaling.
+    """
+    labels = loc.ring.labels
+    polys, provenance, seen = [], [], set()
+    for family, args, builder in equations:
+        poly = builder.build()
+        if poly.is_zero():
             continue
-        for i in support:
-            # x(k,b) with b != k stays a genuine variable; only x(a,k)
-            # collapses to a y square, and b = k is excluded above
-            if i != unit and ring.N[b][b][i] == 1:
-                x_keys.append(tuple(sorted((i, b, b))))
-    x_keys = sorted(set(x_keys))
-    namer = _Namer(ring, fp, k)
-    names = []
-    for ms in x_keys:
-        labels = tuple(ring.labels[t] for t in ms)
-        names.append(x_var_name(namer.tag, labels))
-    for a, b in y_keys:
-        names.append(y_var_name(namer.tag, ring.labels[a], ring.labels[b]))
-    return tuple(names)
+        if dedupe:
+            key = frozenset(poly.monic().terms.items())
+            if key in seen:
+                continue
+            seen.add(key)
+        polys.append(poly)
+        provenance.append((family,) + tuple(labels[t] for t in args))
+    return LocalSystem(
+        ring_name=loc.ring.name,
+        tag=loc.k_label,
+        support=loc.support_labels,
+        chosen=loc.chosen_labels,
+        variables=variables,
+        polys=tuple(polys),
+        provenance=tuple(provenance),
+    )
+
+
+def _subsystem_variables(loc) -> tuple:
+    """Canonical variable list for the reduced subsystem."""
+    ring, k, unit = loc.ring, loc.k, loc.ring.unit_index
+    # x(k,b) with b != k stays a genuine variable; only x(a,k) collapses to
+    # a y square, and b = k is excluded
+    x_keys = {
+        tuple(sorted((i, b, b)))
+        for b in loc.chosen
+        if b not in (unit, k)
+        for i in loc.support
+        if i != unit and ring.N[b][b][i] == 1
+    }
+    x_names = tuple(
+        x_var_name(loc.k_label, tuple(ring.labels[t] for t in ms)) for ms in sorted(x_keys)
+    )
+    return x_names + _y_variables(loc)
 
 
 def generate_Ek(ring: FusionRing, k, sprime) -> LocalSystem:
@@ -344,25 +373,12 @@ def generate_Ek(ring: FusionRing, k, sprime) -> LocalSystem:
     every constant, zero, and symmetry constraint. Variables are exactly
     the surviving y and x scalars.
     """
-    fp = _require_integral(ring)
-    loc = localization_sets(ring, k)
-    k = loc.k
-    chosen = _validate_sprime(ring, k, loc.support, sprime)
-    support = loc.support
+    loc, fp, namer = _subsystem(ring, k, sprime)
+    k, support, chosen = loc.k, loc.support, loc.chosen
     unit = ring.unit_index
     dims = fp.dims
-    namer = _Namer(ring, fp, k)
-    variables = _subsystem_variables(ring, fp, k, support, chosen)
-
-    polys = []
-    provenance = []
-
-    def emit(builder, family, args):
-        poly = builder.build()
-        if poly.is_zero():
-            return
-        polys.append(poly)
-        provenance.append((family,) + tuple(ring.labels[t] for t in args))
+    variables = _subsystem_variables(loc)
+    equations = []
 
     # orthogonality: d_b sum_i d_i y(i,a) y(i,b) = delta(a,b)
     for a in chosen:
@@ -377,7 +393,7 @@ def generate_Ek(ring: FusionRing, k, sprime) -> LocalSystem:
                 builder.add(atom, Fraction(dims[i] * dims[b]))
             if a == b:
                 builder.add((Fraction(-1), {}))
-            emit(builder, "orthogonality", (a, b))
+            equations.append(("orthogonality", (a, b), builder))
 
     # triple product: sum_i d_i y(i,a) y(i,b)^2 = x(a,b)
     for a in chosen:
@@ -394,7 +410,7 @@ def generate_Ek(ring: FusionRing, k, sprime) -> LocalSystem:
             lhs = namer.x((a, b, b))
             if lhs is not None:
                 builder.add((-lhs[0], lhs[1]))
-            emit(builder, "triple-product", (a, b))
+            equations.append(("triple-product", (a, b), builder))
 
     # square expansion: sum_i d_i y(i,a) x(i,b) = y(a,b)^2
     for b in chosen:
@@ -407,17 +423,9 @@ def generate_Ek(ring: FusionRing, k, sprime) -> LocalSystem:
                 builder.add(atom, Fraction(dims[i]))
             yab = namer.y(a, b)
             builder.add(_mul_atoms(yab, yab, (Fraction(-1), {})))
-            emit(builder, "square-expansion", (a, b))
+            equations.append(("square-expansion", (a, b), builder))
 
-    return LocalSystem(
-        ring_name=ring.name,
-        tag=namer.tag,
-        support=loc.support_labels,
-        chosen=tuple(ring.labels[i] for i in chosen),
-        variables=variables,
-        polys=tuple(polys),
-        provenance=tuple(provenance),
-    )
+    return _local_system(loc, variables, equations)
 
 
 def generate_full(ring: FusionRing, k, sprime) -> LocalSystem:
@@ -428,19 +436,10 @@ def generate_full(ring: FusionRing, k, sprime) -> LocalSystem:
     dropped and duplicate equations deduplicated. Restricting to b = c
     recovers the reduced subsystem's ideal.
     """
-    fp = _require_integral(ring)
-    loc = localization_sets(ring, k)
-    k = loc.k
-    chosen = _validate_sprime(ring, k, loc.support, sprime)
-    support = loc.support
-    unit = ring.unit_index
+    loc, fp, namer = _subsystem(ring, k, sprime)
+    support, chosen = loc.support, loc.chosen
     dims = fp.dims
-    namer = _Namer(ring, fp, k)
 
-    y_keys = sorted(
-        {tuple(sorted((i, b))) for i in support for b in chosen if i != unit and b != unit},
-        key=lambda ab: (ab[1], ab[0]),
-    )
     x_keys = set()
     for b in chosen:
         for c in chosen:
@@ -453,24 +452,8 @@ def generate_full(ring: FusionRing, k, sprime) -> LocalSystem:
         atom = namer.x(ms)
         if atom is not None and atom[1] and next(iter(atom[1])).startswith("x_"):
             surviving.append(next(iter(atom[1])))
-    variables = tuple(dict.fromkeys(surviving)) + tuple(
-        y_var_name(namer.tag, ring.labels[a], ring.labels[b]) for a, b in y_keys
-    )
-
-    polys = []
-    provenance = []
-    seen = set()
-
-    def emit(builder, family, args):
-        poly = builder.build()
-        if poly.is_zero():
-            return
-        key = frozenset(poly.monic().terms.items())
-        if key in seen:
-            return
-        seen.add(key)
-        polys.append(poly)
-        provenance.append((family,) + tuple(ring.labels[t] for t in args))
+    variables = tuple(dict.fromkeys(surviving)) + _y_variables(loc)
+    equations = []
 
     for a in chosen:
         for b in chosen:
@@ -482,24 +465,16 @@ def generate_full(ring: FusionRing, k, sprime) -> LocalSystem:
                 lhs = namer.x((a, b, c))
                 if lhs is not None:
                     builder.add((-lhs[0], lhs[1]))
-                emit(builder, "triple-product", (a, b, c))
+                equations.append(("triple-product", (a, b, c), builder))
 
                 builder = _PolyBuilder(variables)
                 for i in support:
                     atom = _mul_atoms(namer.y(i, a), namer.x((i, b, c)))
                     builder.add(atom, Fraction(dims[i]))
                 builder.add(_mul_atoms(namer.y(a, b), namer.y(a, c), (Fraction(-1), {})))
-                emit(builder, "product-expansion", (a, b, c))
+                equations.append(("product-expansion", (a, b, c), builder))
 
-    return LocalSystem(
-        ring_name=ring.name,
-        tag=namer.tag,
-        support=loc.support_labels,
-        chosen=tuple(ring.labels[i] for i in chosen),
-        variables=variables,
-        polys=tuple(polys),
-        provenance=tuple(provenance),
-    )
+    return _local_system(loc, variables, equations, dedupe=True)
 
 
 def extra_link(ring: FusionRing, k, l) -> Polynomial:
@@ -510,8 +485,7 @@ def extra_link(ring: FusionRing, k, l) -> Polynomial:
     the concatenated variable lists of the two reduced subsystems.
     """
     fp = _require_integral(ring)
-    k = _as_index(ring, k)
-    l = _as_index(ring, l)
+    k, l = ring.resolve(k), ring.resolve(l)
     if k == l:
         raise LocalizationError("the two subsystem labels must differ")
     loc_k = localization_sets(ring, k)
@@ -577,12 +551,10 @@ def default_sprime_pair(ring: FusionRing, k, l):
     """Default subsets: {1,k,l} for k; {1,l,m} with m the smallest-
     dimension valid third element of l's support."""
     fp = _require_integral(ring)
-    k = _as_index(ring, k)
-    l = _as_index(ring, l)
     loc_k = localization_sets(ring, k)
     loc_l = localization_sets(ring, l)
-    unit = ring.unit_index
-    sk = _validate_sprime(ring, k, loc_k.support, (unit, k, l))
+    k, l, unit = loc_k.k, loc_l.k, ring.unit_index
+    sk = loc_k.with_chosen((unit, k, l))
     candidates = [
         m
         for m in loc_l.support
@@ -590,11 +562,11 @@ def default_sprime_pair(ring: FusionRing, k, l):
         and _triples_free(ring, (unit, l, m)) is None
     ]
     if not candidates:
-        sl = _validate_sprime(ring, l, loc_l.support, (unit, l))
+        sl = loc_l.with_chosen((unit, l))
     else:
         m = min(candidates, key=lambda t: (fp.dims[t], t))
-        sl = _validate_sprime(ring, l, loc_l.support, (unit, l, m))
-    return sk, sl
+        sl = loc_l.with_chosen((unit, l, m))
+    return sk.chosen, sl.chosen
 
 
 def _combined_ring_vars(sys_k: LocalSystem, sys_l: LocalSystem):
@@ -784,8 +756,6 @@ def two_parallel(
     field: Field = QQ,
     sprime_k=None,
     sprime_l=None,
-    pair_budget=None,
-    term_budget=None,
 ) -> TwoParallelReport:
     """Run the two-subsystem exclusion pipeline.
 
@@ -800,16 +770,15 @@ def two_parallel(
     reported uncertified.
     """
     timings = {}
-    k = _as_index(ring, k)
-    l = _as_index(ring, l)
+    k, l = ring.resolve(k), ring.resolve(l)
     if sprime_k is None or sprime_l is None:
         dk, dl = default_sprime_pair(ring, k, l)
         sprime_k = sprime_k or dk
         sprime_l = sprime_l or dl
 
-    if l not in tuple(_as_index(ring, x) for x in sprime_k):
+    if l not in map(ring.resolve, sprime_k):
         raise LocalizationError("the linking label must belong to the first chosen subset")
-    if l not in tuple(_as_index(ring, x) for x in sprime_l):
+    if l not in map(ring.resolve, sprime_l):
         raise LocalizationError("the linking label must belong to its own chosen subset")
 
     t0 = time.perf_counter()
@@ -818,17 +787,11 @@ def two_parallel(
     link = extra_link(ring, k, l)
     timings["generate"] = time.perf_counter() - t0
 
-    kwargs = {}
-    if pair_budget is not None:
-        kwargs["pair_budget"] = pair_budget
-    if term_budget is not None:
-        kwargs["term_budget"] = term_budget
-
     t0 = time.perf_counter()
-    gb_k = buchberger(specialize(field, sys_k.polys), field=field, **kwargs)
+    gb_k = buchberger(specialize(field, sys_k.polys), field=field)
     timings["gb_k"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    gb_l = buchberger(specialize(field, sys_l.polys), field=field, **kwargs)
+    gb_l = buchberger(specialize(field, sys_l.polys), field=field)
     timings["gb_l"] = time.perf_counter() - t0
 
     allv = _combined_ring_vars(sys_k, sys_l)
@@ -844,7 +807,7 @@ def two_parallel(
     if basis is None:
         combined = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link_in]
         t0 = time.perf_counter()
-        final = buchberger(combined, field=field, **kwargs)
+        final = buchberger(combined, field=field)
         timings["gb_final"] = time.perf_counter() - t0
         basis = final.polys
         stats["final"] = final.stats

@@ -9,6 +9,7 @@ permutation derived from the unit column.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,19 @@ class FusionRing:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown label {label!r}") from None
+
+    def resolve(self, label_or_index) -> int:
+        """Index of a label, or an integer index checked against the rank.
+
+        Raises KeyError for an unknown label or an index outside the rank,
+        and TypeError for anything else that is not an integer.
+        """
+        if isinstance(label_or_index, str):
+            return self.index(label_or_index)
+        i = operator.index(label_or_index)
+        if not 0 <= i < self.rank:
+            raise KeyError(f"index {i} out of range for rank {self.rank}")
+        return i
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.N[i][j][k]

@@ -195,8 +195,7 @@ def zero_witness_check(ring: FusionRing, nonet) -> CheckResult:
 def one_witness_check(ring: FusionRing, nonet, i0) -> CheckResult:
     """Verify the one-spectrum conditions on (nonet, i0)."""
     ix = _resolve_nonet(ring, nonet)
-    if isinstance(i0, str):
-        i0 = ring.index(i0)
+    i0 = ring.resolve(i0)
     star = ring.star
     prem = _premise_values(ring, ix)
     for name, v in prem:
@@ -255,13 +254,7 @@ def _resolve_nonet(ring, nonet):
     vals = list(nonet)
     if len(vals) != 9:
         raise ValueError("a nonet needs exactly nine entries")
-    out = {}
-    for j, v in enumerate(vals, start=1):
-        idx = ring.index(v) if isinstance(v, str) else int(v)
-        if not 0 <= idx < ring.rank:
-            raise ValueError(f"index {idx} out of range")
-        out[f"i{j}"] = idx
-    return out
+    return {f"i{j}": ring.resolve(v) for j, v in enumerate(vals, start=1)}
 
 
 def _witnesses(ring, kind):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QQ
-from .localizer import localization_sets, x_var_name, y_var_name, _validate_sprime
+from .localizer import localization_sets, x_var_name, y_var_name
 from .poly import GREVLEX, MAX_VARS, Polynomial
 from .rings import FusionRing, FpData, fpdim_data
 
@@ -104,9 +104,7 @@ def tetra_admissible(ring: FusionRing, edges) -> bool:
     Raises on multiplicity 2+ or a non-self-dual label; a zero face means
     the scalar vanishes.
     """
-    idx = tuple(
-        ring.index(t) if isinstance(t, str) else int(t) for t in edges
-    )
+    idx = tuple(map(ring.resolve, edges))
     _check_self_dual(ring, idx)
     ok = True
     for face in FACES:
@@ -121,9 +119,7 @@ def tetra_admissible(ring: FusionRing, edges) -> bool:
 
 def tetra_canonical(ring: FusionRing, edges):
     """Canonical edge tuple (least orbit element) plus admissibility flag."""
-    idx = tuple(
-        ring.index(t) if isinstance(t, str) else int(t) for t in edges
-    )
+    idx = tuple(map(ring.resolve, edges))
     adm = tetra_admissible(ring, idx)
     canon = min(orbit(idx))
     return tuple(ring.labels[i] for i in canon), adm
@@ -164,10 +160,8 @@ class LocalizationIdmap:
 
     def add_subsystem(self, k, sprime):
         ring = self.ring
-        loc = localization_sets(ring, k)
-        kk = loc.k
-        chosen = _validate_sprime(ring, kk, loc.support, sprime)
-        tag = ring.labels[kk]
+        loc = localization_sets(ring, k).with_chosen(sprime)
+        kk, chosen, tag = loc.k, loc.chosen, loc.k_label
         unit = ring.unit_index
 
         def register(edges, token):
@@ -353,15 +347,6 @@ _RHS_SHAPES = (
 _VERTEX_TRIPLES = ((3, 0, 5), (4, 1, 3), (5, 2, 4), (8, 0, 6), (6, 1, 7), (7, 2, 8))
 
 
-def _resolve_config(ring, config):
-    idx = tuple(
-        ring.index(t) if isinstance(t, str) else int(t) for t in config
-    )
-    if len(idx) != 9:
-        raise TpeError("a prism configuration needs nine labels")
-    return idx
-
-
 def _config_admissible(ring, idx, strict=True):
     _check_self_dual(ring, idx)
     for a, b, c in _VERTEX_TRIPLES:
@@ -402,7 +387,9 @@ def tpe_equation(
         raise UnsupportedRegimeError(
             "only the indicator-one regime is supported; see module docs"
         )
-    idx = _resolve_config(ring, config)
+    idx = tuple(map(ring.resolve, config))
+    if len(idx) != 9:
+        raise TpeError("a prism configuration needs nine labels")
     _config_admissible(ring, idx, strict=True)
     fp = fp or fpdim_data(ring)
     symbolic = not fp.integral
@@ -471,6 +458,36 @@ class TpeSystem:
     polys: tuple  # deduplicated, over the shared variable tuple
 
 
+def merge_equations(equations) -> TpeSystem:
+    """Merge prism equations into one system over their sorted joint variables.
+
+    A polynomial equal to an earlier one (up to normalization) is dropped,
+    and so is an equation left with none, tautologies included; the rest
+    keep their first-seen order.
+    """
+    kept = []
+    seen = set()
+    polys = []
+    for eq in equations:
+        fresh = []
+        for p in eq.polys:
+            key = frozenset(p.monic().terms.items()), p.vars
+            if key in seen:
+                continue
+            seen.add(key)
+            fresh.append(p)
+        if fresh:
+            kept.append(eq)
+            polys.extend(fresh)
+    allvars = tuple(sorted({v for p in polys for v in p.vars}))
+    if len(allvars) > MAX_VARS:
+        raise TpeError(
+            f"prism system has {len(allvars)} variables; at most {MAX_VARS} supported"
+        )
+    merged = tuple(p.rename(allvars) for p in polys)
+    return TpeSystem(variables=allvars, equations=tuple(kept), polys=merged)
+
+
 def tpe_system(
     ring: FusionRing,
     labels,
@@ -481,49 +498,20 @@ def tpe_system(
     """All prism equations with labels in a subset, deduplicated.
 
     Configurations are canonicalized under the simultaneous rotation of
-    the three prism layers; identical polynomials (up to normalization)
-    are emitted once, in first-seen order.
+    the three prism layers and merged by :func:`merge_equations`.
     """
-    idx_pool = sorted(
-        ring.index(t) if isinstance(t, str) else int(t) for t in labels
-    )
+    idx_pool = sorted(map(ring.resolve, labels))
     _check_self_dual(ring, idx_pool)
     fp = fp or fpdim_data(ring)
     idmap = idmap or SymmetricIdmap(ring)
-    equations = []
-    seen_cfg = set()
-    seen_poly = set()
-    polys = []
-    for cfg in itertools.product(idx_pool, repeat=9):
-        canon = min(cfg, _rotate(cfg), _rotate(_rotate(cfg)))
-        if canon in seen_cfg:
-            continue
-        seen_cfg.add(canon)
-        if not _config_admissible(ring, canon, strict=False):
-            continue
-        eq = tpe_equation(
-            ring, canon, idmap=idmap, fp=fp, fs_indicators_one=fs_indicators_one
-        )
-        if eq.tautology:
-            continue
-        fresh = []
-        for p in eq.polys:
-            key = frozenset(p.monic().terms.items()), p.vars
-            if key in seen_poly:
-                continue
-            seen_poly.add(key)
-            fresh.append(p)
-        if fresh:
-            equations.append(eq)
-            polys.extend(fresh)
-    allvars = sorted({v for p in polys for v in p.vars})
-    if len(allvars) > MAX_VARS:
-        raise TpeError(
-            f"prism system has {len(allvars)} variables; at most {MAX_VARS} supported"
-        )
-    merged = tuple(p.rename(tuple(allvars)) for p in polys)
-    return TpeSystem(
-        variables=tuple(allvars), equations=tuple(equations), polys=merged
+    canon = dict.fromkeys(  # canonical configurations, in first-seen order
+        min(cfg, _rotate(cfg), _rotate(_rotate(cfg)))
+        for cfg in itertools.product(idx_pool, repeat=9)
+    )
+    return merge_equations(
+        tpe_equation(ring, cfg, idmap=idmap, fp=fp, fs_indicators_one=fs_indicators_one)
+        for cfg in canon
+        if _config_admissible(ring, cfg, strict=False)
     )
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from prismring.catalog import CATALOG_NAMES, catalog
+from prismring.localizer import localization_sets, two_parallel
 from prismring.rings import (
     RingFormatError,
     build_ring,
@@ -11,6 +12,8 @@ from prismring.rings import (
     serialize_ring,
     verify_axioms,
 )
+from prismring.spectra import one_witness_check, zero_witness_check
+from prismring.tpegen import tetra_canonical, tpe_equation
 
 
 def test_parse_f210_document(f210):
@@ -143,3 +146,28 @@ def test_serializer_key_order():
     doc = serialize_ring(catalog("Z2"))
     parsed = json.loads(doc)
     assert list(parsed) == ["name", "rank", "labels", "N"]
+
+
+# every entry point that takes labels or indices resolves them through
+# FusionRing.resolve, so an index outside 0..rank-1 fails there, early
+INDEX_CALLS = {
+    "resolve": lambda r, i: r.resolve(i),
+    "tpe_equation": lambda r, i: tpe_equation(r, (i,) * 9),
+    "tetra_canonical": lambda r, i: tetra_canonical(r, (i,) * 6),
+    "localization_sets": localization_sets,
+    "two_parallel": lambda r, i: two_parallel(r, "5_1", i),
+    "zero_witness_check": lambda r, i: zero_witness_check(r, (i,) * 9),
+    "one_witness_check_i0": lambda r, i: one_witness_check(r, ("5_1",) * 9, i),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 7])
+@pytest.mark.parametrize("call", INDEX_CALLS.values(), ids=INDEX_CALLS.keys())
+def test_out_of_range_index_is_key_error(f210, call, bad):
+    with pytest.raises(KeyError, match=f"index {bad} out of range for rank 7"):
+        call(f210, bad)
+
+
+def test_resolve_rejects_a_non_integer(f210):
+    with pytest.raises(TypeError):
+        f210.resolve(1.0)  # not truncated to 1
