@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from itertools import combinations
 
 from . import __version__
 from .catalog import CATALOG_NAMES, catalog
@@ -44,7 +45,14 @@ from .rings import (
     verify_axioms,
 )
 from .spectra import criterion_search
-from .tpegen import TpeError, localization_idmap, merge_equations, tpe_equation, tpe_system
+from .tpegen import (
+    MultiplicityError,
+    TpeError,
+    localization_idmap,
+    merge_equations,
+    tpe_equation,
+    tpe_system,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -345,6 +353,54 @@ def cmd_two_parallel(args):
     return EXIT_OK
 
 
+def _localization_prisms(ring, k, sprime, l, sprime_l):
+    """The prism system of ``tpe --family localization`` on the chosen subset sprime."""
+    idmap = localization_idmap(ring, k, sprime, l, sprime_l)
+    configs = []
+    for a in sprime:
+        for b in sprime:
+            for c in sprime:
+                configs.append((a, b, c, k, k, k, k, k, k))
+                configs.append((k, k, a, b, k, k, c, k, k))
+    if l:
+        configs.append((k, k, l, k, l, l, k, l, l))
+    return merge_equations(tpe_equation(ring, cfg, idmap=idmap) for cfg in configs)
+
+
+def _default_localization_prisms(ring, k, l, sprime_l):
+    """``_localization_prisms`` on the first maximal chosen subset that works.
+
+    A chosen subset is multiplicity-free, but its prism configurations sum
+    over spectrum elements and can still reach a face of multiplicity 2 or
+    more. When that happens for every maximal subset, the usage error names
+    the largest smaller subset that works, for ``--sprime``.
+    """
+    cands = maximal_sprime_candidates(ring, k)
+    failures = []
+    for sprime in cands:
+        try:
+            return _localization_prisms(ring, k, sprime, l, sprime_l)
+        except MultiplicityError as exc:
+            failures.append(f"{','.join(sprime)}: {exc}")
+    unit = ring.labels[ring.unit_index]
+    for size in range(max(map(len, cands)) - 2, -1, -1):
+        for cand in cands:
+            for rest in combinations([a for a in cand if a != unit], size):
+                try:
+                    _localization_prisms(ring, k, (unit, *rest), l, sprime_l)
+                except TpeError:
+                    continue
+                raise CliError(
+                    f"no maximal chosen subset of {k} gives multiplicity-free "
+                    f"prism configurations ({'; '.join(failures)}); pass "
+                    f"--sprime, for example --sprime {','.join((unit, *rest))}"
+                )
+    raise CliError(
+        f"no chosen subset of {k} gives multiplicity-free prism configurations "
+        f"({'; '.join(failures)})"
+    )
+
+
 def cmd_tpe(args):
     t0 = time.perf_counter()
     ring, raw = _load_ring(args.ring)
@@ -352,23 +408,12 @@ def cmd_tpe(args):
         if args.family == "localization":
             if not args.k:
                 raise CliError("--family localization needs --k")
+            sprime_l = _split_labels(args.sprime_l) if args.sprime_l else None
             if args.sprime:
                 sprime = _split_labels(args.sprime)
+                system = _localization_prisms(ring, args.k, sprime, args.l, sprime_l)
             else:
-                cands = maximal_sprime_candidates(ring, args.k)
-                sprime = cands[0]
-            sprime_l = _split_labels(args.sprime_l) if args.sprime_l else None
-            idmap = localization_idmap(ring, args.k, sprime, args.l, sprime_l)
-            k = args.k
-            configs = []
-            for a in sprime:
-                for b in sprime:
-                    for c in sprime:
-                        configs.append((a, b, c, k, k, k, k, k, k))
-                        configs.append((k, k, a, b, k, k, c, k, k))
-            if args.l:
-                configs.append((k, k, args.l, k, args.l, args.l, k, args.l, args.l))
-            system = merge_equations(tpe_equation(ring, cfg, idmap=idmap) for cfg in configs)
+                system = _default_localization_prisms(ring, args.k, args.l, sprime_l)
             legend = [f"identification: localization subsystem {args.k}"]
         else:
             if not args.labels:

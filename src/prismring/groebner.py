@@ -11,7 +11,8 @@ reduced row echelon form of what is left gives the new basis elements,
 each with a new leading monomial. A reduced echelon form is unique, so
 the two kernels give the same rows: matrices of at most ``_SPARSE_CELLS``
 cells are reduced on dicts with the reducer's ``_step``, larger ones in
-numpy (int64 below p = 2^31, object above). Each matrix's rows x columns
+numpy (int64 below p = 2^31, object above; a modular matrix product is
+one int64 product when it cannot overflow). Each matrix's rows x columns
 are charged to the term budget before it is allocated, so the budget also
 bounds the dense kernel's memory.
 
@@ -19,6 +20,8 @@ The fraction-free ZZ runs (the direct QQ attempt and the certificate)
 take one S-pair at a time: normal selection (smallest lcm in the active
 order, ties by pair index). Both kinds of run use Gebauer-Moeller
 elimination, which implements Buchberger's product and chain criteria.
+New pairs are formed with the live basis only: an element leaves it once
+a newer leading monomial divides its own, though it stays a reducer.
 Each pair's lcm is computed once, when the pair is created; live pairs
 sit in a dict keyed ``(i, j)`` that Gebauer-Moeller prunes, and in a heap
 from which pruned pairs are skipped when they come up. Resource caps
@@ -206,7 +209,11 @@ class _PackCtx:
         return sum(self.unpack(key))
 
     def lcm(self, a, b):
-        """Packed lcm, taken digit-wise on the packed integers.
+        """Packed lcm of a and b (see ``lcms``)."""
+        return self.lcms(b, (a,))[0]
+
+    def lcms(self, b, keys):
+        """The packed lcm of b with each of ``keys``, digit-wise on the packed integers.
 
         With the grevlex degree digit masked off, every digit is below
         2^15, so ``(a | H) - b`` (H = ``himask``) borrows across no digit,
@@ -217,19 +224,27 @@ class _PackCtx:
         mod 0xFFFF (2^16 = 1 mod 0xFFFF); the lcm's degree is at most
         2 M < 0xFFFF, so it comes out exact.
         """
-        a &= self.emask
-        b &= self.emask
-        hi = self.himask
-        if (a | b) & hi:  # the borrow trick needs every exponent <= _MAXE
+        emask, hi, low = self.emask, self.himask, _DIGIT - 1
+        b &= emask
+        if b & hi:  # the borrow trick needs every exponent <= _MAXE
             raise ValueError("exponent too large to pack")
-        m = ((((a | hi) - b) & hi) >> (_DIGIT_BITS - 1)) * (_DIGIT - 1)
-        if self.order == LEX:
-            return (a & m) | (b & ~m)
-        e = (b & m) | (a & ~m)
-        deg = (self.n * _MAXE - e % (_DIGIT - 1)) % (_DIGIT - 1)
-        if deg > _MAXE:
-            raise ValueError("total degree too large to pack")
-        return (deg << (_DIGIT_BITS * self.n)) | e
+        lex = self.order == LEX
+        top, nm = _DIGIT_BITS * self.n, self.n * _MAXE
+        out = []
+        for a in keys:
+            a &= emask
+            if a & hi:
+                raise ValueError("exponent too large to pack")
+            m = ((((a | hi) - b) & hi) >> (_DIGIT_BITS - 1)) * low
+            if lex:
+                out.append((a & m) | (b & ~m))
+                continue
+            e = (b & m) | (a & ~m)
+            deg = (nm - e % low) % low
+            if deg > _MAXE:
+                raise ValueError("total degree too large to pack")
+            out.append((deg << top) | e)
+        return out
 
     def check_shift(self, elt, shift):
         """Under lex, raise unless ``elt`` times monomial ``shift`` packs.
@@ -425,31 +440,42 @@ def _monic(d, pmod):
 # ------------------------------------------------------------- core driver
 
 
-def _gm_update(pairs, lms, new_index, ctx):
-    """Gebauer-Moeller update of ``pairs`` ({(i, j): lcm}) for basis element new_index.
+def _gm_update(pairs, lms, live, ctx):
+    """Gebauer-Moeller update of ``pairs`` ({(i, j): lcm}) for the newest element.
 
-    Removes, in place, the old pairs the new leading monomial makes
-    redundant, adds the new pairs that survive, and returns the added ones.
+    The newest element is ``lms[-1]``. ``live`` lists, in index order, the
+    older elements whose leading monomial no newer one divides; new pairs
+    are formed with those only (Gebauer-Moeller's UPDATE), since a dead
+    element's lcm with the new one is a multiple of its killer's. Removes,
+    in place, the old pairs the new leading monomial makes redundant, adds
+    the new pairs that survive, drops from ``live`` the elements the new
+    leading monomial divides, appends the new one, and returns the added
+    pairs.
     """
+    new_index = len(lms) - 1
     lmf = lms[new_index]
     corr, himask = ctx.corr, ctx.himask  # divides(a, b): not (b - a + corr) & himask
-    lcm = ctx.lcm
-    new_lcms = [lcm(lm, lmf) for lm in lms[:new_index]]
-    gone = [
-        ij
-        for ij, lij in pairs.items()
-        if not (lij - lmf + corr) & himask
-        and lij != new_lcms[ij[0]]
-        and lij != new_lcms[ij[1]]
-    ]
-    for ij in gone:
-        del pairs[ij]
-    groups = {}
-    for i, big in enumerate(new_lcms):
+    new_lcms, groups, kept = {}, {}, []
+    for i, big in zip(live, ctx.lcms(lmf, [lms[i] for i in live])):
+        new_lcms[i] = big
         if big in groups:
             groups[big].append(i)
         else:
             groups[big] = [i]
+        if big != lms[i]:  # lcm(a, lmf) == a iff lmf divides a
+            kept.append(i)
+    gone = []
+    for ij, lij in pairs.items():
+        if (lij - lmf + corr) & himask:
+            continue
+        for i in ij:  # the only place a dead element's lcm is needed
+            big = new_lcms[i] if i in new_lcms else ctx.lcm(lms[i], lmf)
+            if lij == big:
+                break
+        else:
+            gone.append(ij)
+    for ij in gone:
+        del pairs[ij]
     minimal = []
     for big in sorted(groups):
         for other in minimal:
@@ -467,6 +493,8 @@ def _gm_update(pairs, lms, new_index, ctx):
         else:
             added[members[0], new_index] = big
     pairs.update(added)
+    live[:] = kept
+    live.append(new_index)
     return added
 
 
@@ -480,19 +508,23 @@ def _make_elt(d, ctx):
 class _Basis:
     """A basis under construction: its elements and their live pairs.
 
-    Live pairs sit in ``pairs`` ({(i, j): lcm}, pruned by Gebauer-Moeller)
-    and in ``heap`` as (rank, lcm, i, j), where rank is the lcm's degree in
-    graded runs (F4 takes every pair of the lowest degree at once) and 0
-    otherwise; pruned entries are skipped when they come up.
+    ``elts`` and ``lms`` only grow; ``live`` indexes the elements whose
+    leading monomial no newer one divides, the ones new pairs are formed
+    with (see ``_gm_update``). Live pairs sit in ``pairs`` ({(i, j): lcm},
+    pruned by Gebauer-Moeller) and in ``heap`` as (rank, lcm, i, j), where
+    rank is the lcm's degree in graded runs (F4 takes every pair of the
+    lowest degree at once) and 0 otherwise; pruned entries are skipped
+    when they come up.
     """
 
-    __slots__ = ("ctx", "graded", "elts", "lms", "pairs", "heap")
+    __slots__ = ("ctx", "graded", "elts", "lms", "live", "pairs", "heap")
 
     def __init__(self, ctx, graded):
         self.ctx = ctx
         self.graded = graded
         self.elts = []
         self.lms = []
+        self.live = []
         self.pairs = {}
         self.heap = []
 
@@ -501,7 +533,7 @@ class _Basis:
         elt = _make_elt(d, ctx)
         self.elts.append(elt)
         self.lms.append(elt.lm)
-        added = _gm_update(self.pairs, self.lms, len(self.elts) - 1, ctx)
+        added = _gm_update(self.pairs, self.lms, self.live, ctx)
         for (i, j), big in added.items():
             heappush(self.heap, (ctx.deg(big) if self.graded else 0, big, i, j))
 
@@ -744,21 +776,25 @@ def _residue_dtype(p):
     return np.int64 if p < 1 << 31 else object
 
 
-# inner terms per int64 product in ``_mulmod``: 2^16 * 2^47 = 2^63
+# inner terms per split int64 product in ``_mulmod``: 2^16 * 2^47 = 2^63
 _MULMOD_CHUNK = 1 << 16
 
 
 def _mulmod(a, b, p):
     """``a @ b`` mod p for residue arrays, exact for any inner dimension.
 
-    Over int64 (p < 2^31) b is split into 16-bit halves, so a product of
-    a residue and a half is below 2^47, and the inner dimension is summed
-    in chunks of 2^16 terms, each below 2^63.
+    Over int64 (p < 2^31) one product is exact when its k inner terms sum
+    below 2^63, that is when k (p - 1)^2 < 2^63. Otherwise b is split into
+    16-bit halves, so a product of a residue and a half is below 2^47, and
+    the inner dimension is summed in chunks of 2^16 terms, each below 2^63.
     """
     if a.dtype == object:
         return a.dot(b) % p
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 < 1 << 63:
+        return a @ b % p
     out = 0
-    for s in range(0, a.shape[-1] or 1, _MULMOD_CHUNK):
+    for s in range(0, k, _MULMOD_CHUNK):
         x, y = a[..., s : s + _MULMOD_CHUNK], b[s : s + _MULMOD_CHUNK]
         out = (out + x @ (y & 0xFFFF) % p + (x @ (y >> 16) % p << 16)) % p
     return out

@@ -1,6 +1,9 @@
+import hashlib
 import importlib.resources as resources
 import json
 import re
+
+import pytest
 
 from prismring.cli import run
 from prismring.poly import read_system
@@ -112,6 +115,34 @@ def test_tpe_localization_family(capsys):
     polys, vars, _ = read_system(out)
     assert any(v.startswith("x_5_1[") for v in vars)
     assert any(v.startswith("y_5_1[") for v in vars)
+
+
+@pytest.mark.parametrize(
+    "k, works", [("5_1", "1,5_1,5_3"), ("5_2", "1,5_1,5_2"), ("5_3", "1,5_2,5_3")]
+)
+def test_tpe_localization_default_needs_sprime(capsys, k, works):
+    """Both maximal chosen subsets of k contain 7_1 or 7_2, and their prism
+    configurations reach a face of multiplicity 2: the usage error says so
+    and names a subset that works."""
+    code, out, err = invoke(capsys, "tpe", "F210", "--family", "localization", "--k", k)
+    assert code == 1 and not out
+    assert "has multiplicity 2" in err
+    assert err.rstrip().endswith(f"pass --sprime, for example --sprime {works}")
+    code, out, _ = invoke(
+        capsys, "tpe", "F210", "--family", "localization", "--k", k, "--sprime", works
+    )
+    assert code == 0 and read_system(out)[0]
+
+
+def test_tpe_localization_default_is_first_maximal_subset(capsys):
+    code, out, _ = invoke(capsys, "tpe", "F210", "--family", "localization", "--k", "6_1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "1b3c82259f64db39"
+    _, explicit, _ = invoke(
+        capsys, "tpe", "F210", "--family", "localization", "--k", "6_1",
+        "--sprime", "1,5_1,5_2,5_3,6_1",
+    )
+    assert out == explicit
 
 
 def test_two_parallel_prime_field(capsys):

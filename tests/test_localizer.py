@@ -254,6 +254,14 @@ def test_mulmod_does_not_overflow_int64():
     n = 70_000
     ones = np.full((1, n), p - 1, dtype=np.int64)
     assert _mulmod(ones, ones.T, p).tolist() == [[n]]
+    # one int64 product when k (p - 1)^2 < 2^63, k inner terms: k = 2 is
+    # the last such k for this p, k = 3 takes the split
+    assert 2 * (p - 1) ** 2 < 2**63 <= 3 * (p - 1) ** 2
+    for k in (1, 2, 3):
+        a = np.full((3, k), p - 1, dtype=np.int64)
+        b = np.full((k, 2), p - 1, dtype=np.int64)
+        exact = a.astype(object).dot(b.astype(object)) % p
+        assert (_mulmod(a, b, p) == exact).all() and exact[0, 0] == k
     q = 2**40 + 15  # object dtype
     big = np.full((1, n), q - 1, dtype=object)
     assert _mulmod(big, big.T, q).tolist() == [[n]]
@@ -284,8 +292,8 @@ def test_two_parallel_gf11_by_fglm(f210):
 # and the link step's: 14 x 14 staircases, corank 4, 91 border monomials a
 # side, 4 staircase monomials and 23 leading monomials taken by FGLM
 GF11_ENGINE_STATS = {
-    "k": {"spairs": 523, "term_ops": 489_390, "matrices": 10, "max_matrix_cells": 218_550},
-    "l": {"spairs": 525, "term_ops": 491_119, "matrices": 10, "max_matrix_cells": 225_600},
+    "k": {"spairs": 523, "term_ops": 491_554, "matrices": 10, "max_matrix_cells": 218_550},
+    "l": {"spairs": 521, "term_ops": 493_022, "matrices": 10, "max_matrix_cells": 225_600},
     "link": {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27},
 }
 
