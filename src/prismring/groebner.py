@@ -12,9 +12,12 @@ each with a new leading monomial. A reduced echelon form is unique, so
 the two kernels give the same rows: matrices of at most ``_SPARSE_CELLS``
 cells are reduced on dicts with the reducer's ``_step``, larger ones in
 numpy (int64 below p = 2^31, object above; a modular matrix product is
-one int64 product when it cannot overflow). Each matrix's rows x columns
-are charged to the term budget before it is allocated, so the budget also
-bounds the dense kernel's memory.
+one int64 product when it cannot overflow). Each matrix is charged to the
+term budget before it is allocated, for what the kernels allocate: pair
+rows x columns plus the pivot rows' terms, so the budget also bounds the
+dense kernel's memory. A zero-dimensional run may stop before its pairs
+run out, once a border-basis certificate proves the basis so far complete
+(see ``_f4``).
 
 The fraction-free ZZ runs (the direct QQ attempt and the certificate)
 take one S-pair at a time: normal selection (smallest lcm in the active
@@ -105,7 +108,7 @@ class _Swell(Exception):
 
 
 class _Budget:
-    __slots__ = ("pair_limit", "op_limit", "pairs", "ops", "matrices", "max_cells")
+    __slots__ = ("pair_limit", "op_limit", "pairs", "ops", "matrices", "max_cells", "left")
 
     def __init__(self, pair_limit, op_limit):
         self.pair_limit = pair_limit
@@ -114,6 +117,7 @@ class _Budget:
         self.ops = 0
         self.matrices = 0
         self.max_cells = 0
+        self.left = 0  # pairs that F4 runs stopped by the border certificate left
 
     def charge_pair(self):
         self.pairs += 1
@@ -132,7 +136,7 @@ class _Budget:
         )
 
     def charge_matrix(self, cells):
-        """Charge an F4 matrix's rows x columns, before it is allocated."""
+        """Charge the cells an F4 matrix allocates, before it is allocated."""
         self.charge_ops(cells)
         self.matrices += 1
         self.max_cells = max(self.max_cells, cells)
@@ -207,6 +211,25 @@ class _PackCtx:
         if self.order == GREVLEX:
             return key >> (_DIGIT_BITS * self.n)
         return sum(self.unpack(key))
+
+    def variables(self):
+        """The packed monomials x_0, ..., x_{n-1}."""
+        n = self.n
+        return [self.pack(tuple(int(i == v) for i in range(n))) for v in range(n)]
+
+    def pure_var(self, key):
+        """The variable of which ``key`` is a power of degree >= 1, else None.
+
+        XOR with ``corr`` turns each grevlex digit M - e into e, so the
+        digits are the exponents, and a pure power has one nonzero digit.
+        """
+        x = (key & self.emask) ^ self.corr
+        if not x:
+            return None
+        k = (x.bit_length() - 1) // _DIGIT_BITS
+        if x & ((1 << (_DIGIT_BITS * k)) - 1):
+            return None
+        return k if self.order == GREVLEX else self.n - 1 - k
 
     def lcm(self, a, b):
         """Packed lcm of a and b (see ``lcms``)."""
@@ -549,13 +572,19 @@ class _Basis:
         """The reduced basis {1} of the whole ring, as packed dicts."""
         return [{self.ctx.pack((0,) * self.ctx.n): 1}]
 
-    def reduced(self, budget, pmod=0, swell_bits=None):
-        """The reduced basis: minimalize, then interreduce the tails."""
+    def minimal(self):
+        """Indices of a minimal basis: the first element of each minimal
+        leading monomial, in ascending order of leading monomial."""
         ctx, lms = self.ctx, self.lms
         minimal = []
         for i in sorted(range(len(lms)), key=lms.__getitem__):
             if not any(ctx.divides(lms[j], lms[i]) for j in minimal):
                 minimal.append(i)
+        return minimal
+
+    def reduced(self, minimal, budget, pmod=0, swell_bits=None):
+        """The reduced basis: the ``minimal`` elements, tails interreduced."""
+        ctx = self.ctx
         kept = [self.elts[i] for i in minimal]
         out = []
         for pos in range(len(kept)):
@@ -597,7 +626,7 @@ def _core(seeds, ctx, budget, swell_bits=None, freeze=False):
             return gb.unit()
         gb.add(r)
     if not freeze:
-        return gb.reduced(budget, swell_bits=swell_bits)
+        return gb.reduced(gb.minimal(), budget, swell_bits=swell_bits)
 
 
 # ---------------------------------------------------------------- F4 (GF(p))
@@ -611,14 +640,33 @@ _SPARSE_CELLS = 4096
 def _f4(seeds, ctx, budget, pmod):
     """Reduced basis of monic seeds over GF(pmod) by F4, as packed dicts.
 
-    Each round takes every live pair whose lcm has the lowest degree and
-    reduces them together in one Macaulay matrix (``_f4_matrix``). Every
-    row of the reduced echelon form that is left has a new leading
-    monomial and joins the basis.
+    Returns ``(basis, quotient)``. Each round takes every live pair whose
+    lcm has the lowest degree and reduces them together in one Macaulay
+    matrix (``_f4_matrix``). Every row of the reduced echelon form that is
+    left has a new leading monomial and joins the basis.
+
+    A zero-dimensional run may stop before its pairs run out. After a round
+    whose matrix went to the numpy kernel ((pivot rows + pair rows) x
+    columns above ``_SPARSE_CELLS``), that added elements and that leaves
+    pairs, ``_border_certificate`` is tried. When every variable has a pure
+    power among the leading monomials, it takes the reduced basis R of the
+    elements so far, checks that every seed minimalization dropped reduces
+    to 0 modulo R, and builds R's staircase and border multiplication
+    matrices mod p. If those commute pairwise, the border prebasis they
+    define is a border basis (Mourrain, "A new criterion for normal form
+    algorithms", AAECC-13, 1999; Kehrein-Kreuzer-Robbiano, "An algebraist's
+    view on border bases", 2005), so the staircase is a vector-space basis
+    of the quotient by <R>, R is a Groebner basis, and by the seed check
+    <R> is the input ideal: R is returned, with ``quotient`` = (staircase,
+    matrices, border vectors built), and the pairs still pending are left
+    unreduced and counted in ``budget.left`` (the ``pairs_left`` stat).
+    The check is skipped when n s^2 (n variables, s staircase monomials)
+    exceeds the round's matrix cells, so it never allocates more than that
+    round did. A run that empties its heap returns ``quotient`` None.
     """
     gb = _Basis(ctx, graded=True)
     if gb.seed(seeds):
-        return gb.unit()
+        return gb.unit(), None
     memo = ({}, {})  # divisor cache of the symbolic preprocessing (see _reduce)
     heap, pairs = gb.heap, gb.pairs
     while heap:
@@ -630,22 +678,141 @@ def _f4(seeds, ctx, budget, pmod):
                 batch.append((big, i, j))
         if not batch:
             break
-        for d in _f4_matrix(batch, gb.elts, ctx, budget, pmod, memo):
+        new, cells = _f4_matrix(batch, gb.elts, ctx, budget, pmod, memo)
+        for d in new:
             if ctx.deg(max(d)) == 0:
-                return gb.unit()
+                return gb.unit(), None
             gb.add(d)
-    return gb.reduced(budget, pmod)
+        if new and pairs and cells > _SPARSE_CELLS:
+            done = _border_certificate(gb, len(seeds), budget, pmod, cells)
+            if done is not None:
+                budget.left += len(pairs)
+                return done
+    return gb.reduced(gb.minimal(), budget, pmod), None
+
+
+def _border_certificate(gb, nseeds, budget, pmod, cells):
+    """``(R, (staircase, matrices, border vectors))`` when the elements of
+    ``gb`` so far prove their reduced basis R complete, else None (see
+    ``_f4``); ``gb.elts[:nseeds]`` are the seeds.
+
+    The staircase walk stops once n s^2 would exceed ``cells``.
+    """
+    ctx = gb.ctx
+    if not {ctx.pure_var(m) for m in gb.lms}.issuperset(range(ctx.n)):
+        return None  # a variable has no pure power: the staircase is infinite
+    minimal = gb.minimal()
+    try:
+        stair = _staircase([gb.lms[i] for i in minimal], ctx, isqrt(cells // ctx.n))
+    except GroebnerResourceError:
+        return None
+    out = gb.reduced(minimal, budget, pmod)
+    elts = [_make_elt(d, ctx) for d in out]
+    memo = ({}, {})  # one divisor cache, as R does not change (see _reduce)
+    for i in sorted(set(range(nseeds)) - set(minimal)):
+        if _reduce(dict(gb.elts[i].terms), elts, budget, ctx, pmod, memo=memo):
+            return None
+    xs, border = _border_matrices(out, stair, ctx, pmod)
+    for v, a in enumerate(xs):
+        for b in xs[v + 1 :]:
+            if (_mulmod(a, b, pmod) != _mulmod(b, a, pmod)).any():
+                return None
+    return out, (stair, xs, border)
+
+
+def _staircase(lms, ctx, limit):
+    """The packed monomials no leading monomial of ``lms`` divides, ascending.
+
+    None when the staircase is infinite: some variable has no pure power
+    among ``lms``. Raises :class:`GroebnerResourceError` past ``limit``
+    monomials. The walk goes up by degree from the monomial 1: each
+    standard monomial of the next degree is a variable times one of this
+    degree.
+    """
+    if any(ctx.deg(m) == 0 for m in lms):
+        return []
+    if not {ctx.pure_var(m) for m in lms}.issuperset(range(ctx.n)):
+        return None
+    one = ctx.pack((0,) * ctx.n)
+    steps = [x - one for x in ctx.variables()]
+    seen, frontier = {one}, [one]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for step in steps:
+                c = m + step
+                if c in seen or any(ctx.divides(lm, c) for lm in lms):
+                    continue
+                seen.add(c)
+                nxt.append(c)
+                if len(seen) > limit:
+                    raise GroebnerResourceError("staircase enumeration limit hit")
+        frontier = nxt
+    return sorted(seen)
+
+
+def _border_matrices(basis, stair, ctx, p):
+    """Matrices of multiplication by each variable on a finite staircase.
+
+    ``basis`` is a reduced basis over GF(p) as monic packed dicts, ``stair``
+    its staircase sorted ascending; column j of the matrix of x_v is the
+    normal form of x_v*stair[j] on the staircase. Returns the matrices and
+    the number of border vectors built.
+
+    The border monomials b = x_v*s, s in the staircase, b outside it, are
+    taken in increasing order (FGLM's construction, no division). A leading
+    monomial b of an element g has the vector -tail(g). Any other b has a
+    variable x_w with b/x_w outside the staircase, so on the border: its
+    normal form has only terms t below b/x_w, and the vector of b is the
+    sum of its coefficients times the vectors of x_w*t, all below b, so the
+    columns of M_w filled so far suffice.
+    """
+    dtype = _residue_dtype(p)
+    n, size = ctx.n, len(stair)
+    one = ctx.pack((0,) * n)
+    var = ctx.variables()
+    row = {s: i for i, s in enumerate(stair)}
+    lead = {max(d): d for d in basis}
+    xs = [np.zeros((size, size), dtype) for _ in range(n)]
+    border = set()
+    for s, j in row.items():
+        for v in range(n):
+            b = s + var[v] - one
+            if b in row:
+                xs[v][row[b], j] = 1
+            else:
+                border.add(b)
+    vec = {}  # border monomial -> its normal form, on the staircase
+    for b in sorted(border):
+        # b / x_v for each variable x_v that divides b
+        down = {v: b - var[v] + one for v in range(n) if ctx.divides(var[v], b)}
+        if b in lead:
+            u = np.zeros(size, dtype)
+            for e, c in lead[b].items():
+                if e != b:
+                    u[row[e]] = -c % p
+        else:
+            w = next(v for v, d in down.items() if d not in row)
+            u = _mulmod(xs[w], vec[down[w]], p)
+        vec[b] = u
+        for v, d in down.items():
+            if d in row:
+                xs[v][:, row[d]] = u
+    return xs, len(border)
 
 
 def _f4_matrix(batch, elts, ctx, budget, pmod, memo):
-    """Reduce the S-pairs of ``batch`` together; returns the new elements' dicts.
+    """Reduce the S-pairs of ``batch`` together.
 
-    The rows are both shifted elements of each pair. Symbolic preprocessing
-    gives every monomial of the matrix that some leading monomial divides a
-    pivot row: its first divisor in list order, shifted onto it. A pair row
-    equal to the pivot row of its own leading monomial is left out, since
-    it would reduce to zero. The matrix's rows x columns are charged to the
-    term budget before either kernel runs.
+    Returns the new elements' dicts and the matrix's (pivot rows + pair
+    rows) x columns, which picks the kernel. The rows are both shifted
+    elements of each pair. Symbolic preprocessing gives every monomial of
+    the matrix that some leading monomial divides a pivot row: its first
+    divisor in list order, shifted onto it. A pair row equal to the pivot
+    row of its own leading monomial is left out, since it would reduce to
+    zero. Before either kernel runs, the term budget is charged what the
+    kernels allocate: a dense residue array of pair rows x columns, and
+    the pivot rows' terms.
     """
     lex = ctx.order == LEX
     hit, upto = memo
@@ -667,6 +834,7 @@ def _f4_matrix(batch, elts, ctx, budget, pmod, memo):
             rows.append(row)
     todo = list(cols)
     piv = {}
+    piv_terms = 0
     n = len(elts)
     low = min(f.lm for f in elts)  # a divisor of m is at most m in every order
     for m in todo:  # grows while it is walked
@@ -678,6 +846,7 @@ def _f4_matrix(batch, elts, ctx, budget, pmod, memo):
             if red is None:
                 continue
         piv[m] = red
+        piv_terms += len(red.terms)
         shift = m - red.lm
         if lex:
             ctx.check_shift(red, shift)
@@ -686,10 +855,10 @@ def _f4_matrix(batch, elts, ctx, budget, pmod, memo):
             if e not in cols:
                 cols.add(e)
                 todo.append(e)
+    budget.charge_matrix(len(rows) * len(cols) + piv_terms)
     cells = (len(piv) + len(rows)) * len(cols)
-    budget.charge_matrix(cells)
     kernel = _sparse_echelon if cells <= _SPARSE_CELLS else _dense_echelon
-    return kernel(rows, piv, cols, pmod)
+    return kernel(rows, piv, cols, pmod), cells
 
 
 def _sparse_echelon(rows, piv, cols, pmod):
@@ -941,7 +1110,7 @@ def _modular_qq(system, order, budget, stats):
             seeds = [
                 _monic({e: c % p for e, c in d.items() if c % p}, p) for d in gens_int
             ]
-            out = _f4(seeds, ctx, budget, p)
+            out, _ = _f4(seeds, ctx, budget, p)
             shape = tuple(sorted(max(d) for d in out))
             runs.append((p, shape, {max(d): d for d in out}))
         batch = 2
@@ -1027,6 +1196,9 @@ class GroebnerBasis:
         self.order = order
         self.generators = list(generators or [])
         self.stats = stats or {}
+        # (staircase, multiplication matrices, border vectors) that a GF(p)
+        # run stopped by the border certificate kept; None otherwise
+        self.quotient = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -1052,38 +1224,33 @@ class GroebnerBasis:
         """Standard monomials (not divisible by any leading monomial).
 
         Returns a sorted list of exponent tuples, or ``None`` when the
-        staircase is unbounded.
+        staircase is unbounded. A certified GF(p) run kept its staircase.
         """
-        n = len(self.vars)
-        lms = self.leading_monomials()
-        if any(sum(lm) == 0 for lm in lms):
-            return []
-        if not lms:
-            return None if n else [()]
-        for i in range(n):
-            if not any(
-                lm[i] > 0 and all(lm[j] == 0 for j in range(n) if j != i)
-                for lm in lms
-            ):
-                return None
-        key = order_key(self.order)
-        seen = {(0,) * n}
-        frontier = [(0,) * n]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for i in range(n):
-                    cand = m[:i] + (m[i] + 1,) + m[i + 1:]
-                    if cand in seen:
-                        continue
-                    if any(monomial_divides(lm, cand) for lm in lms):
-                        continue
-                    seen.add(cand)
-                    nxt.append(cand)
-                    if len(seen) > limit:
-                        raise GroebnerResourceError("staircase enumeration limit hit")
-            frontier = nxt
-        return sorted(seen, key=key)
+        if self.quotient is not None:
+            return list(self.quotient[0])
+        ctx = _PackCtx(len(self.vars), self.order)
+        stair = _staircase([ctx.pack(lm) for lm in self.leading_monomials()], ctx, limit)
+        return None if stair is None else [ctx.unpack(m) for m in stair]
+
+    def multiplication_matrices(self, field):
+        """The matrices of multiplication by each variable on the staircase,
+        over the prime field ``field``, and the number of border vectors
+        built (see ``_border_matrices``); None when the staircase is infinite.
+
+        A basis over QQ is taken mod p first, which raises
+        :class:`~prismring.fields.NonInvertibleError` when p divides a
+        denominator. A certified GF(p) run kept its certificate's matrices.
+        """
+        if self.quotient is not None and field == self.field:
+            return self.quotient[1:]
+        stair = self.staircase()
+        if stair is None:
+            return None
+        ctx = _PackCtx(len(self.vars), self.order)
+        basis = [
+            {ctx.pack(e): field.coerce(c) for e, c in g.terms.items()} for g in self.polys
+        ]
+        return _border_matrices(basis, [ctx.pack(m) for m in stair], ctx, field.p)
 
     def quotient_dimension(self):
         """Number of standard monomials, or ``math.inf`` when unbounded."""
@@ -1197,6 +1364,7 @@ def buchberger(
         if stats.get("mode") != "direct":  # the GF(p) runs reduced F4 matrices
             stats["matrices"] = budget.matrices
             stats["max_matrix_cells"] = budget.max_cells
+            stats["pairs_left"] = budget.left
         polys = [Polynomial(vars, d, field, order) for d in dicts]
         return GroebnerBasis(polys, vars, field, order, system, stats)
 
@@ -1228,8 +1396,12 @@ def buchberger(
     seeds = [
         _monic({ctx.pack(e): c for e, c in p.terms.items()}, pmod) for p in nonzero
     ]
-    out = _f4(seeds, ctx, budget, pmod)
-    return finish([{ctx.unpack(e): c for e, c in d.items()} for d in out])
+    out, quotient = _f4(seeds, ctx, budget, pmod)
+    gb = finish([{ctx.unpack(e): c for e, c in d.items()} for d in out])
+    if quotient is not None:
+        stair, xs, border = quotient
+        gb.quotient = ([ctx.unpack(m) for m in stair], xs, border)
+    return gb
 
 
 def ideal_is_trivial(gb: GroebnerBasis) -> bool:

@@ -32,7 +32,7 @@ from .groebner import (
     normal_form,  # unused here; perfbench/spans.py patches it by name
     specialize,
 )
-from .poly import GREVLEX, Polynomial, grevlex_key, monomial_divides, order_key
+from .poly import GREVLEX, Polynomial, grevlex_key, monomial_divides
 from .rings import FpData, FusionRing, fpdim_data
 
 
@@ -576,55 +576,9 @@ def _combined_ring_vars(sys_k: LocalSystem, sys_l: LocalSystem):
     return sys_k.variables + sys_l.variables
 
 
-def _shift(m, v, d):
-    """The monomial m times x_v^d (d = 1 or -1)."""
-    return m[:v] + (m[v] + d,) + m[v + 1 :]
-
-
-def _multiplication_matrices(polys, stair, order, p):
-    """Matrices of multiplication by each variable on a finite staircase.
-
-    ``polys`` is a reduced basis over GF(p), ``stair`` its staircase sorted
-    ascending in ``order``; column j of the matrix of x_v is the normal
-    form of x_v*stair[j] on the staircase. Returns the matrices and the
-    number of border vectors built.
-
-    The border monomials b = x_v*s, s in the staircase, b outside it, are
-    taken in increasing order (FGLM's construction, no division). A leading
-    monomial b of an element g has the vector -tail(g). Any other b has a
-    variable x_w with b/x_w outside the staircase, so on the border: its
-    normal form has only terms t below b/x_w, and the vector of b is the
-    sum of its coefficients times the vectors of x_w*t, all below b, so the
-    columns of M_w filled so far suffice.
-    """
-    dtype = _residue_dtype(p)
-    n, size = len(polys[0].vars), len(stair)
-    row = {s: i for i, s in enumerate(stair)}
-    lead = {g.leading_monomial(order): g for g in polys}
-    xs = [np.zeros((size, size), dtype) for _ in range(n)]
-    border = set()
-    for s, j in row.items():
-        for v in range(n):
-            b = _shift(s, v, 1)
-            if b in row:
-                xs[v][row[b], j] = 1
-            else:
-                border.add(b)
-    vec = {}  # border monomial -> its normal form, on the staircase
-    for b in sorted(border, key=order_key(order)):
-        if b in lead:
-            u = np.zeros(size, dtype)
-            for e, c in lead[b].terms.items():
-                if e != b:
-                    u[row[e]] = -c % p
-        else:
-            w = next(w for w in range(n) if b[w] and _shift(b, w, -1) not in row)
-            u = _mulmod(xs[w], vec[_shift(b, w, -1)], p)
-        vec[b] = u
-        for v in range(n):
-            if b[v] and _shift(b, v, -1) in row:
-                xs[v][:, row[_shift(b, v, -1)]] = u
-    return xs, len(border)
+def _shift(m, v):
+    """The monomial m times x_v."""
+    return m[:v] + (m[v] + 1,) + m[v + 1 :]
 
 
 def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
@@ -640,8 +594,10 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     and the link specialize.
 
     The multiplication matrices of the variables come from the border of
-    each staircase (``_multiplication_matrices``), and the matrix of a link
-    monomial is the product of its variables' matrices. These are ring
+    each staircase (``GroebnerBasis.multiplication_matrices``); over GF(p),
+    a basis whose run the border certificate stopped hands over the
+    certificate's matrices, so they are not built twice. The matrix of a
+    link monomial is the product of its variables' matrices. These are ring
     operations on the monic bases, with no division, so over QQ the
     matrices mod p are the images of the rational ones, and corank 0 mod p
     proves the link a unit over QQ.
@@ -661,23 +617,20 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     ``border`` vectors built and the ``fglm_candidates`` whose vectors were
     reduced. ``(None, None, None)`` when a staircase is infinite.
     """
-    stairs = (gb_k.staircase(), gb_l.staircase())
-    if None in stairs:
-        return None, None, None
     for F in [link.field] if link.field.p else map(GF, _prime_stream()):
         try:
-            parts = [specialize(F, f) for f in (gb_k.polys, gb_l.polys, [link])]
+            sides = [gb.multiplication_matrices(F) for gb in (gb_k, gb_l)]
+            (link_p,) = [link] if link.field.p else specialize(F, [link])
             break
         except NonInvertibleError:
             continue
+    if None in sides:
+        return None, None, None
+    (xk, bk), (xl, bl) = sides
     p = F.p
     dtype = _residue_dtype(p)
     cut = len(gb_k.vars)
-    link_terms = parts[2][0].terms
-
-    xk, bk = _multiplication_matrices(parts[0], stairs[0], gb_k.order, p)
-    xl, bl = _multiplication_matrices(parts[1], stairs[1], gb_l.order, p)
-    nk, nl = len(stairs[0]), len(stairs[1])
+    nk, nl = len(xk[0]), len(xl[0])
 
     def power(xs, e, size):
         m = np.eye(size, dtype=dtype)
@@ -687,7 +640,7 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
         return m
 
     a = np.zeros((nk * nl, nk * nl), dtype)
-    for e, c in link_terms.items():
+    for e, c in link_p.terms.items():
         mk, ml = power(xk, e[:cut], nk), power(xl, e[cut:], nl)
         a = (a + c * (np.kron(mk, ml) % p)) % p
     xs = xk + xl
@@ -742,7 +695,7 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
         stair.append(m)
         vecs[m] = w.reshape(nk, nl)
         for v in range(n):
-            c = _shift(m, v, 1)
+            c = _shift(m, v)
             if c not in pred:
                 pred[c] = (m, v)
                 heapq.heappush(heap, (grevlex_key(c), c))

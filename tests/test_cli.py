@@ -160,7 +160,8 @@ def test_two_parallel_prime_field(capsys):
     assert "gb_final" not in report["result"]["timings"]
     stats = report["result"]["stats"]
     assert set(stats) == {"k", "l", "link"}
-    assert [stats[s]["matrices"] for s in "kl"] == [10, 10]
+    assert [stats[s]["matrices"] for s in "kl"] == [7, 7]
+    assert [stats[s]["pairs_left"] for s in "kl"] == [77, 77]
     assert stats["link"] == {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27}
     code, out, _ = invoke(
         capsys, "two-parallel", "F210", "--k", "5_1", "--l", "5_3", "--field", "GF(32003)"

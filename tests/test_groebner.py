@@ -1,17 +1,22 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prismring import groebner
+from prismring.catalog import catalog
 from prismring.fields import GF, QQ, NonInvertibleError
 from prismring.groebner import (
     GroebnerBasis,
     GroebnerResourceError,
+    _Basis,
+    _border_certificate,
+    _border_matrices,
     _Budget,
     _certify_qq,
     _dense_echelon,
@@ -26,6 +31,7 @@ from prismring.groebner import (
     _residue_dtype,
     _rref_mod_p,
     _sparse_echelon,
+    _staircase,
     buchberger,
     ideal_equal,
     ideal_is_trivial,
@@ -237,20 +243,22 @@ def test_modular_path_used_for_swelling_system(gb_e1):
     text = "\n".join(format_polynomial(g) for g in gb.polys)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7abb78f0ad1758f4"
     # six GF(p) runs, the abandoned direct ZZ run and the certificate
-    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (3250, 3_049_644)
-    # 10 F4 matrices per prime
-    assert (gb.stats["matrices"], gb.stats["max_matrix_cells"]) == (60, 219_486)
+    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (2788, 999_144)
+    # 7 F4 matrices per prime, each run stopped by the border certificate
+    # with 77 pairs left
+    assert (gb.stats["matrices"], gb.stats["max_matrix_cells"]) == (42, 75_283)
+    assert gb.stats["pairs_left"] == 6 * 77
 
 
 # ------------------------------------------------------- pinned engine work
 
 
-F4_STATS = ("spairs", "term_ops", "matrices", "max_matrix_cells")
+F4_STATS = ("spairs", "term_ops", "matrices", "max_matrix_cells", "pairs_left")
 
 
 @pytest.mark.parametrize(
     "p, work",
-    [(1073741789, (523, 494_736, 10, 219_486)), (11, (523, 491_554, 10, 218_550))],
+    [(1073741789, (446, 152_986, 7, 75_283, 77)), (11, (446, 150_356, 7, 74_280, 77))],
     ids=["GF1073741789", "GF11"],
 )
 def test_gf_engine_work_on_ek(ek, p, work):
@@ -280,19 +288,32 @@ def test_lex_engine_work_on_corpus():
         gf.append(buchberger(specialize(F, lex), order=LEX, field=F).stats)
     work = [(1, 2), (1, 2), (0, 0), (5, 0), (2, 6)]
     assert zz == [{"mode": "direct", "spairs": s, "term_ops": t} for s, t in work]
-    # F4 charges each matrix's cells, and interreduction its steps
-    f4 = [(1, 9, 1, 9), (1, 12, 1, 12), (0, 0, 0, 0), (5, 40, 4, 24), (2, 30, 2, 15)]
+    # F4 charges what each matrix allocates, and interreduction its steps;
+    # no run reaches the dense kernel, so none is stopped early
+    f4 = [(1, 7, 1, 7, 0), (1, 8, 1, 8, 0), (0, 0, 0, 0, 0), (5, 30, 4, 16, 0),
+          (2, 22, 2, 11, 0)]
     assert gf == [dict(zip(F4_STATS, w)) for w in f4]
 
 
-def test_three_label_prism_system_over_gf11_hits_the_default_budget(f210):
-    """Unbounded, this run ends in a 90-element basis after charging
-    417,066,467 matrix cells (the largest matrix 171,702,997); the default
-    term budget of 10^8, charged before each matrix is allocated, stops it."""
-    system = tpe_system(f210, ["1", "5_1", "5_3"]).polys
+def test_f4_charges_what_the_kernels_allocate(monkeypatch, ek):
+    """Each F4 matrix is charged, before a kernel runs, its pair rows x
+    columns (the dense kernel's residue array) plus its pivot rows' terms.
+    Charged (pivot rows + pair rows) x columns instead, the 3-label prism
+    system of F210 over GF(11) ran past the default term budget of 10^8
+    (417,066,467 cells); charged this way it finishes under it, with a
+    90-element basis, 8,166,416 term ops and 2,123,079 cells at most."""
+    charges = []
+    for name in ("_sparse_echelon", "_dense_echelon"):
+        def spy(rows, piv, cols, pmod, kernel=getattr(groebner, name)):
+            charges.append(len(rows) * len(cols) + sum(len(r.terms) for r in piv.values()))
+            return kernel(rows, piv, cols, pmod)
+
+        monkeypatch.setattr(groebner, name, spy)
     F = GF(11)
-    with pytest.raises(GroebnerResourceError, match="term-operation"):
-        buchberger(specialize(F, system), field=F)
+    stats = buchberger(specialize(F, ek.polys), field=F).stats
+    assert stats["matrices"] == len(charges)
+    assert stats["max_matrix_cells"] == max(charges)
+    assert sum(charges) <= stats["term_ops"]
 
 
 @pytest.mark.parametrize("p", [32003, 101, 1073741789])
@@ -304,7 +325,7 @@ def test_three_label_prism_system_is_trivial(f210, p):
     gb = buchberger(specialize(F, system), field=F)
     assert [format_polynomial(g) for g in gb.polys] == ["1"]
     if p == 32003:
-        assert gb.stats == dict(zip(F4_STATS, (2021, 10_329_716, 21, 2_961_504)))
+        assert gb.stats == dict(zip(F4_STATS, (2021, 2_467_036, 21, 575_148, 0)))
 
 
 def test_exponent_overflow_is_loud():
@@ -475,6 +496,36 @@ def test_packed_lcm_is_digitwise_max(order, case):
     assert ctx.lcm(b, a) == big
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@PROPERTY_SETTINGS
+@given(case=_packable_pair())
+def test_pure_var_names_the_one_nonzero_exponent(order, case):
+    n, e, _ = case
+    ctx = _PackCtx(n, order)
+    support = [i for i, x in enumerate(e) if x]
+    assert ctx.pure_var(ctx.pack(e)) == (support[0] if len(support) == 1 else None)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@PROPERTY_SETTINGS
+@given(lms=st.lists(_EXPS, max_size=5), pure=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+def test_staircase_is_the_complement_of_the_monomial_ideal(order, lms, pure):
+    """The packed walk gives the monomials no leading monomial divides, in
+    ascending order; when x, y and z all have a pure power they lie in the
+    box of those powers. Without z's power the staircase is infinite, and
+    with the constant monomial it is empty."""
+    ctx = _PackCtx(3, order)
+    key = order_key(order)
+    lms = [m for m in lms if m[0] or m[1]] + [(pure[0], 0, 0), (0, pure[1], 0)]
+    assert _staircase([ctx.pack(m) for m in lms], ctx, 100) is None
+    lms.append((0, 0, pure[2]))
+    box = [(a, b, c) for a in range(pure[0]) for b in range(pure[1]) for c in range(pure[2])]
+    want = sorted((m for m in box if not any(monomial_divides(lm, m) for lm in lms)), key=key)
+    got = _staircase([ctx.pack(m) for m in lms], ctx, 100)
+    assert [ctx.unpack(m) for m in got] == want
+    assert _staircase([ctx.pack(m) for m in lms + [(0, 0, 0)]], ctx, 100) == []
+
+
 # ------------------------------------------- divisor memo and pending heap
 
 
@@ -595,6 +646,85 @@ def test_f4_matches_naive_buchberger(order, p, data):
     system = [Polynomial(XYZ, t, F, order) for t in system]
     gb = buchberger(system, order, F)
     assert gb.polys == naive_buchberger(system, order)
+
+
+# ---------------------------------------------------- border certificate
+
+
+def test_border_certificate_refuses_incomplete_bases():
+    """Seeds x^2, y^2, x^2 + y: minimalization keeps x^2 and y^2, whose
+    multiplication matrices commute, and drops x^2 + y, which reduces to
+    y, not 0. <x^2, y^2> is not the input ideal <x^2, y>, so the
+    certificate must refuse; with x^2 + y^2 as the third seed it holds.
+    It also refuses a basis whose matrices do not commute."""
+    p = 32003
+    ctx = _PackCtx(2, GREVLEX)
+    x2, y2, y = (ctx.pack(e) for e in ((2, 0), (0, 2), (0, 1)))
+
+    def state(third):
+        gb = _Basis(ctx, graded=True)
+        assert not gb.seed([{x2: 1}, {y2: 1}, third])
+        return gb
+
+    budget = _Budget(10**6, 10**8)
+    gb = state({x2: 1, y: 1})
+    assert [gb.lms[i] for i in gb.minimal()] == [y2, x2]
+    kept = gb.reduced(gb.minimal(), budget, p)
+    xs, _ = _border_matrices(kept, _staircase([y2, x2], ctx, 10), ctx, p)
+    assert (xs[0] @ xs[1] % p == xs[1] @ xs[0] % p).all()
+    assert _border_certificate(gb, 3, budget, p, 10**6) is None
+    basis, _ = _border_certificate(state({x2: 1, y2: 1}), 3, budget, p, 10**6)
+    assert basis == [{y2: 1}, {x2: 1}]
+    # x^2, xy - 1, y^2: no seed is dropped, but the S-pair of the first two
+    # gives x, so the ideal is the whole ring, and the matrices on the
+    # staircase 1, y, x do not commute
+    gb = state({ctx.pack((1, 1)): 1, ctx.pack((0, 0)): p - 1})
+    assert _border_certificate(gb, 3, budget, p, 10**6) is None
+    XY = ("x", "y")
+    F = GF(p)
+    gb = buchberger([P(t, XY, F) for t in ("x^2", "y^2", "x^2 + y")], field=F)
+    assert [format_polynomial(g) for g in gb] == ["y", "x^2"]
+
+
+def small_bases_systems():
+    """The fixed systems of the small-bases benchmark workload: the five
+    systems of ``small_corpus`` and four prism systems."""
+    prism = [("Fib", ("1", "tau")), ("RepS3", ("1", "t")), ("RepS3", ("1", "s", "t")),
+             ("F210", ("1", "5_1"))]
+    return small_corpus() + [tpe_system(catalog(r), labels).polys for r, labels in prism]
+
+
+_FORCED = [(order, f"small{i}", 32003) for order in (GREVLEX, LEX) for i in range(9)]
+# E_k under lex takes minutes, so it runs under grevlex only
+_FORCED += [(GREVLEX, "ek", 11), (GREVLEX, "ek", 2**40 + 15)]
+
+
+@pytest.mark.parametrize(
+    "order, system, p", _FORCED, ids=[f"{o}-{s}-GF{p}" for o, s, p in _FORCED]
+)
+def test_forced_border_certificate_keeps_every_basis(monkeypatch, ek, order, system, p):
+    """With ``_SPARSE_CELLS`` at 0 the certificate is tried after every
+    round that adds elements and leaves pairs; at infinity every matrix
+    goes to the dict kernel and no run stops early. Both give the same
+    basis, and a stopped run keeps the staircase and multiplication
+    matrices of the full run's basis. RepS3's prism system on 1, t is the
+    case a certificate without the dropped-seed check gets wrong."""
+    polys = ek.polys if system == "ek" else small_bases_systems()[int(system[5:])]
+    F = GF(p)
+    polys = [q.with_order(order) for q in specialize(F, polys)]
+    monkeypatch.setattr(groebner, "_SPARSE_CELLS", inf)
+    full = buchberger(polys, order, F)
+    assert full.stats["pairs_left"] == 0 and full.quotient is None
+    monkeypatch.setattr(groebner, "_SPARSE_CELLS", 0)
+    forced = buchberger(polys, order, F)
+    assert forced.polys == full.polys
+    if system in ("small6", "ek"):
+        assert forced.stats["pairs_left"] > 0
+    if forced.stats["pairs_left"]:
+        assert forced.staircase() == full.staircase()
+        got, want = forced.multiplication_matrices(F), full.multiplication_matrices(F)
+        assert got[1] == want[1]
+        assert all((a == b).all() for a, b in zip(got[0], want[0]))
 
 
 def _matrix(ctx, basis, rows):

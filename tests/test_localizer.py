@@ -19,7 +19,6 @@ from prismring.localizer import (
     NOT_EXCLUDED,
     LocalizationError,
     _link_quotient,
-    _multiplication_matrices,
     default_sprime_pair,
     extra_link,
     generate_Ek,
@@ -289,11 +288,14 @@ def test_two_parallel_gf11_by_fglm(f210):
 
 
 # F4 counters of gb_k and gb_l for two_parallel(F210, 5_1, 5_3) over GF(11),
-# and the link step's: 14 x 14 staircases, corank 4, 91 border monomials a
+# each run stopped by the border certificate after 7 of its 10 rounds, and
+# the link step's: 14 x 14 staircases, corank 4, 91 border monomials a
 # side, 4 staircase monomials and 23 leading monomials taken by FGLM
 GF11_ENGINE_STATS = {
-    "k": {"spairs": 523, "term_ops": 491_554, "matrices": 10, "max_matrix_cells": 218_550},
-    "l": {"spairs": 521, "term_ops": 493_022, "matrices": 10, "max_matrix_cells": 225_600},
+    "k": {"spairs": 446, "term_ops": 150_356, "matrices": 7, "max_matrix_cells": 74_280,
+          "pairs_left": 77},
+    "l": {"spairs": 444, "term_ops": 151_130, "matrices": 7, "max_matrix_cells": 74_378,
+          "pairs_left": 77},
     "link": {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27},
 }
 
@@ -314,24 +316,25 @@ def _first_prime_of(polys):
 @pytest.mark.parametrize("side", ["k", "l"])
 def test_border_matrices_match_normal_forms(p, side, ek, el, gb_ek):
     """Column j of the matrix of x_v, built from the border, is the normal
-    form of x_v * stair[j] on the staircase. Over QQ the rational basis is
-    taken mod the first prime into which it specializes, as the link step
-    does. The border is larger than the set of leading monomials, so the
-    walk also takes its second branch."""
+    form of x_v * stair[j] on the staircase. Over GF(p) the run stopped at
+    the border certificate and kept its matrices; over QQ the rational
+    basis is taken mod the first prime into which it specializes, as the
+    link step does. The border is larger than the set of leading
+    monomials, so the walk also takes its second branch."""
     system = {"k": ek, "l": el}[side]
     if p is None:
         gb = gb_ek if side == "k" else buchberger(system.polys)
         polys = _first_prime_of(gb.polys)
-        p = polys[0].field.p
+        assert gb.quotient is None
     else:
-        F = GF(p)
-        gb = buchberger(specialize(F, system.polys), field=F)
+        gb = buchberger(specialize(GF(p), system.polys), field=GF(p))
         polys = gb.polys
+        assert gb.quotient is not None and gb.stats["pairs_left"] > 0
+    F = polys[0].field
     stair = gb.staircase()
-    xs, border = _multiplication_matrices(polys, stair, gb.order, p)
+    xs, border = gb.multiplication_matrices(F)
     assert border > len(polys)
     row = {s: i for i, s in enumerate(stair)}
-    F = polys[0].field
     n = len(gb.vars)
     for v in range(n):
         shifted = [
