@@ -271,9 +271,19 @@ def _parse_field_arg(text):
     raise CliError(f"bad field {text!r}; use Q or GF(p)")
 
 
+def _write_system_file(args, text, count):
+    """Write a system file to ``-o`` (and say so) or to stdout."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+        print(f"wrote {count} equations to {args.output}")
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def cmd_localize(args):
-    t0 = time.perf_counter()
-    ring, raw = _load_ring(args.ring)
+    ring, _ = _load_ring(args.ring)
     try:
         if args.sprime:
             sprime = _split_labels(args.sprime)
@@ -297,13 +307,7 @@ def cmd_localize(args):
         "aliases " + " ".join(f"{alias[v]}={v}" for v in system.variables),
     ] + [f"eq {i}: {' '.join(p)}" for i, p in enumerate(system.provenance)]
     text = write_system(system.polys, system.variables, QQ, comments=comments)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(system.polys)} equations to {args.output}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_system_file(args, text, len(system.polys))
 
 
 def cmd_two_parallel(args):
@@ -402,8 +406,7 @@ def _default_localization_prisms(ring, k, l, sprime_l):
 
 
 def cmd_tpe(args):
-    t0 = time.perf_counter()
-    ring, raw = _load_ring(args.ring)
+    ring, _ = _load_ring(args.ring)
     try:
         if args.family == "localization":
             if not args.k:
@@ -424,13 +427,7 @@ def cmd_tpe(args):
         raise CliError(str(exc))
     comments = [f"ring {ring.name}"] + legend
     text = write_system(system.polys, system.variables, QQ, comments=comments)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(system.polys)} equations to {args.output}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_system_file(args, text, len(system.polys))
 
 
 def cmd_groebner(args):
@@ -446,9 +443,9 @@ def cmd_groebner(args):
         raise CliError(f"bad system file: {exc}")
     polys = [p.with_order(args.order) for p in polys]
     kwargs = {}
-    if args.pair_budget:
+    if args.pair_budget is not None:
         kwargs["pair_budget"] = args.pair_budget
-    if args.term_budget:
+    if args.term_budget is not None:
         kwargs["term_budget"] = args.term_budget
     gb = buchberger(polys, order=args.order, field=field, **kwargs)
     payload = {
@@ -467,6 +464,13 @@ def cmd_groebner(args):
         lines.append(f"# quotient dimension: {payload['quotient_dimension']}")
     _emit(args, "groebner", payload, text.encode(), t0, text="\n".join(lines))
     return EXIT_OK
+
+
+def _positive_int(text):
+    """argparse type of the budget flags: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser():
@@ -546,8 +550,8 @@ def build_parser():
     p.add_argument("system")
     p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
     p.add_argument("--quotient-dim", action="store_true")
-    p.add_argument("--pair-budget", type=int, default=None)
-    p.add_argument("--term-budget", type=int, default=None)
+    p.add_argument("--pair-budget", type=_positive_int, default=None)
+    p.add_argument("--term-budget", type=_positive_int, default=None)
     p.set_defaults(func=cmd_groebner)
 
     return ap

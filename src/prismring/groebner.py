@@ -19,32 +19,30 @@ dense kernel's memory. A zero-dimensional run may stop before its pairs
 run out, once a border-basis certificate proves the basis so far complete
 (see ``_f4``).
 
-The fraction-free ZZ runs (the direct QQ attempt and the certificate)
-take one S-pair at a time: normal selection (smallest lcm in the active
-order, ties by pair index). Both kinds of run use Gebauer-Moeller
-elimination, which implements Buchberger's product and chain criteria.
-New pairs are formed with the live basis only: an element leaves it once
-a newer leading monomial divides its own, though it stays a reducer.
-Each pair's lcm is computed once, when the pair is created; live pairs
-sit in a dict keyed ``(i, j)`` that Gebauer-Moeller prunes, and in a heap
-from which pruned pairs are skipped when they come up. Resource caps
-bound the number of processed S-pairs and coefficient operations;
-exceeding one raises :class:`GroebnerResourceError`, never a wrong answer.
+The direct fraction-free ZZ run (the first QQ attempt) takes one S-pair
+at a time: normal selection (smallest lcm in the active order, ties by
+pair index). It and F4 use Gebauer-Moeller elimination, which implements
+Buchberger's product and chain criteria, and so does the QQ certificate's
+closure check, a loop over the pairs it keeps. New pairs are formed
+with the live basis only: an element leaves it once a newer leading
+monomial divides its own, though it stays a reducer. Each pair's lcm is
+computed once, when the pair is created; live pairs sit in a dict keyed
+``(i, j)`` that Gebauer-Moeller prunes, and in a heap from which pruned
+pairs are skipped when they come up. Resource caps bound the number of
+processed S-pairs and coefficient operations; exceeding one raises
+:class:`GroebnerResourceError`, never a wrong answer.
 
 Exponent vectors are packed into single integers (16-bit digits, degree
 first for grevlex) so that monomial comparison is integer comparison,
 divisibility is one masked subtraction, and the lcm is taken digit-wise
 on the packed integers.
 
-The reducer takes each next term from a heap of pending monomials (lazy
-deletion: keys no longer in the remainder are skipped), since every term
-a step creates lies below the one it cancels. Both kinds of run only
-append to the basis, so a run shares one divisor memo among its S-pair
-reductions (ZZ) or symbolic preprocessing (F4): a monomial's first match
-in list order, once found, stays its first match, and a miss only
-rescans the elements appended since. Reductions over a fixed list
-(interreduction, the certificate's generator check, ``normal_forms``)
-search afresh on each call.
+The reducer is a plain loop: each step takes the largest term left
+(``max`` over the remainder's keys) and cancels it with the first element
+in list order whose leading monomial divides it. Only F4's symbolic
+preprocessing keeps a divisor memo across lookups (see ``_scan``): its
+basis only grows by appending, so a monomial's first match, once found,
+stays its first match.
 
 One reducer and one S-polynomial routine serve every coefficient domain.
 A step subtracts a monic divisor ``c`` times, where ``c`` is the
@@ -74,7 +72,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import islice
 from math import gcd, inf, isqrt
 
@@ -313,16 +311,14 @@ def _content_strip(*dicts):
                 d[e] //= g
 
 
-def _step(r, lt, red, pmod, pend, aside=()):
+def _step(r, lt, red, pmod, aside=()):
     """Cancel the term ``lt`` of r with ``red`` shifted onto it; returns term ops.
 
     A monic divisor is subtracted ``r[lt]`` times. Over ZZ a non-monic
     divisor first scales r, and the terms set ``aside`` with it, by
     lc(red)/g with g = gcd(lc(red), r[lt]), so the step stays fraction-free.
-    Each key the step inserts into r is pushed, negated, onto the heap
-    ``pend``; keys it updates or cancels are already there. A new term's
-    coefficient is -mult * cg, never zero: both factors are nonzero
-    (nonzero residues mod a prime in GF(p) runs).
+    A new term's coefficient is -mult * cg, never zero: both factors are
+    nonzero (nonzero residues mod a prime in GF(p) runs).
     """
     c = r[lt]
     ops = len(red.terms)
@@ -344,7 +340,6 @@ def _step(r, lt, red, pmod, pend, aside=()):
             old = r.get(ee)
             if old is None:
                 r[ee] = -mult * cg % pmod
-                heappush(pend, -ee)
             else:
                 v = (old - mult * cg) % pmod
                 if v:
@@ -357,7 +352,6 @@ def _step(r, lt, red, pmod, pend, aside=()):
             old = r.get(ee)
             if old is None:
                 r[ee] = -mult * cg
-                heappush(pend, -ee)
             else:
                 v = old - mult * cg
                 if v:
@@ -373,8 +367,14 @@ _STRIP_EVERY = 8
 def _scan(lt, basis, hit, upto, corr, himask):
     """First element of ``basis`` whose leading monomial divides ``lt``, or None.
 
-    Resumes at ``upto[lt]`` and records the answer in ``hit`` or ``upto``
-    (the divisor memo, see ``_reduce``).
+    This is the divisor memo of F4's symbolic preprocessing (see
+    ``_f4_matrix``), one (hit, upto) per run, since a run only appends to
+    its basis: ``hit[m]`` is m's first match in list order, which later
+    appends cannot change, and ``upto[m]`` is how far the basis was scanned
+    without one, so a miss resumes there and rescans only the elements
+    appended since. The scan records its answer in one of the two. In the
+    F4 run of E_k of F210 over GF(11), 867 of 1887 lookups hit, and 42
+    more are misses known without a scan.
     """
     k = upto.get(lt, 0)
     # an islice costs more than most first scans; take one only to resume
@@ -386,48 +386,34 @@ def _scan(lt, basis, hit, upto, corr, himask):
     return None
 
 
-def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None, memo=None):
+def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
     """Reduce the dict r by ``basis`` (first match in list order), in place.
 
-    Without ``full`` only leading terms are reduced; with it every term is,
-    and terms no divisor reaches are set aside (they all exceed the terms
-    still to be reduced). ``swell_bits`` marks the direct ZZ run: the
-    content is stripped every few steps, a coefficient longer than
-    ``swell_bits`` bits raises :class:`_Swell`, and the remainder comes back
-    primitive with a positive leading coefficient.
-
-    The next term comes from ``pend``, a heap of negated keys built once
-    from r, to which ``_step`` pushes every key it inserts; entries no
-    longer in r are skipped. This is exact because a step only creates
-    terms below the one it cancels, so a key once taken never returns.
-
-    ``memo`` = (hit, upto) caches the divisor search across calls on one
-    basis that only grows by appending, as in ``_core``'s S-pair loop:
-    ``hit[m]`` is m's first match, which later appends cannot change, and
-    ``upto[m]`` is how far the basis was scanned without one, so a miss
-    rescans only the elements appended since. Without ``memo`` the cache
-    lives for this call only.
+    Each step cancels the largest term of r with the first element whose
+    leading monomial divides it. Without ``full`` only leading terms are
+    reduced; with it every term is, and terms no divisor reaches are set
+    aside (they all exceed the terms still to be reduced). ``swell_bits``
+    marks the direct ZZ run: the content is stripped every few steps, a
+    coefficient longer than ``swell_bits`` bits raises :class:`_Swell`, and
+    the remainder comes back primitive with a positive leading coefficient.
     """
-    hit, upto = memo or ({}, {})
     corr, himask = ctx.corr, ctx.himask
     lex = ctx.order == LEX
     aside = {}
     steps = 0
-    pend = [-e for e in r]
-    heapify(pend)
     while r:
-        lt = -heappop(pend)
-        if lt not in r:
-            continue
-        red = hit.get(lt) or _scan(lt, basis, hit, upto, corr, himask)
-        if red is None:
+        lt = max(r)
+        for red in basis:
+            if not (lt - red.lm + corr) & himask:
+                break
+        else:  # no divisor
             if not full:
                 break
             aside[lt] = r.pop(lt)
             continue
         if lex:
             ctx.check_shift(red, lt - red.lm)
-        budget.charge_ops(_step(r, lt, red, pmod, pend, aside))
+        budget.charge_ops(_step(r, lt, red, pmod, aside))
         steps += 1
         if swell_bits is not None and steps % _STRIP_EVERY == 0:
             _content_strip(r, aside)
@@ -447,11 +433,17 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None, memo=Non
     return r
 
 
-def _spoly(f, g, big):
-    """S-polynomial of ZZ engine elements: f shifted to ``big`` = lcm, one step by g."""
+def _spoly(f, g, big, ctx):
+    """S-polynomial of ZZ engine elements: f shifted to ``big`` = lcm, one step by g.
+
+    Under lex, raises unless both shifted elements pack.
+    """
+    if ctx.order == LEX:
+        for h in (f, g):
+            ctx.check_shift(h, big - h.lm)
     shift = big - f.lm
     s = {e + shift: c for e, c in f.terms}
-    _step(s, big, g, 0, [])
+    _step(s, big, g, 0)
     return s
 
 
@@ -595,38 +587,28 @@ class _Basis:
         return out
 
 
-def _core(seeds, ctx, budget, swell_bits=None, freeze=False):
+def _core(seeds, ctx, budget, swell_bits=None):
     """Run Buchberger on fraction-free ZZ dicts; returns the reduced basis as dicts.
 
-    One S-pair at a time, the smallest lcm first. With ``freeze`` set, any
-    surviving S-pair that does not reduce to zero raises ValueError instead
-    of growing the basis, and nothing is returned (used to certify
-    candidates).
+    One S-pair at a time, the smallest lcm first.
     """
     gb = _Basis(ctx, graded=False)
     if gb.seed(seeds):
         return gb.unit()
     engine = gb.elts
-    memo = ({}, {})  # divisor cache of the S-pair reductions (see _reduce)
     while gb.heap:
         _, big, i, j = heappop(gb.heap)
         if gb.pairs.pop((i, j), None) is None:
             continue
         budget.charge_pair()
-        if ctx.order == LEX:
-            for f in (engine[i], engine[j]):
-                ctx.check_shift(f, big - f.lm)
-        s = _spoly(engine[i], engine[j], big)
-        r = _reduce(s, engine, budget, ctx, swell_bits=swell_bits, memo=memo)
+        s = _spoly(engine[i], engine[j], big, ctx)
+        r = _reduce(s, engine, budget, ctx, swell_bits=swell_bits)
         if not r:
             continue
-        if freeze:
-            raise ValueError("candidate basis is not closed under S-polynomials")
         if ctx.deg(max(r)) == 0:
             return gb.unit()
         gb.add(r)
-    if not freeze:
-        return gb.reduced(gb.minimal(), budget, swell_bits=swell_bits)
+    return gb.reduced(gb.minimal(), budget, swell_bits=swell_bits)
 
 
 # ---------------------------------------------------------------- F4 (GF(p))
@@ -667,7 +649,7 @@ def _f4(seeds, ctx, budget, pmod):
     gb = _Basis(ctx, graded=True)
     if gb.seed(seeds):
         return gb.unit(), None
-    memo = ({}, {})  # divisor cache of the symbolic preprocessing (see _reduce)
+    memo = ({}, {})  # divisor memo of the symbolic preprocessing (see _scan)
     heap, pairs = gb.heap, gb.pairs
     while heap:
         batch, rank = [], None
@@ -708,9 +690,8 @@ def _border_certificate(gb, nseeds, budget, pmod, cells):
         return None
     out = gb.reduced(minimal, budget, pmod)
     elts = [_make_elt(d, ctx) for d in out]
-    memo = ({}, {})  # one divisor cache, as R does not change (see _reduce)
     for i in sorted(set(range(nseeds)) - set(minimal)):
-        if _reduce(dict(gb.elts[i].terms), elts, budget, ctx, pmod, memo=memo):
+        if _reduce(dict(gb.elts[i].terms), elts, budget, ctx, pmod):
             return None
     xs, border = _border_matrices(out, stair, ctx, pmod)
     for v, a in enumerate(xs):
@@ -872,18 +853,17 @@ def _sparse_echelon(rows, piv, cols, pmod):
     order of leading monomial. The rows are reduced in place; ``cols``
     (every column of the matrix) is only used by ``_dense_echelon``.
     """
-    scratch = []  # _step's pushes; the sweep goes by column, not by heap
     for m in sorted(piv, reverse=True):
         for r in rows:
             if m in r:
-                _step(r, m, piv[m], pmod, scratch)
+                _step(r, m, piv[m], pmod)
     # leading monomial -> monic row, of the echelon form so far; a row goes
     # to _step as an _Elt over its dict items, which _step only iterates
     ech = {}
     for r in rows:
         for lm, d in ech.items():
             if lm in r:
-                _step(r, lm, _Elt(lm, 1, d.items(), None), pmod, scratch)
+                _step(r, lm, _Elt(lm, 1, d.items(), None), pmod)
         if not r:
             continue
         lm = max(r)
@@ -892,7 +872,7 @@ def _sparse_echelon(rows, piv, cols, pmod):
         red = _Elt(lm, 1, new.items(), None)
         for d in ech.values():
             if lm in d:
-                _step(d, lm, red, pmod, scratch)
+                _step(d, lm, red, pmod)
         ech[lm] = new
     return [ech[lm] for lm in sorted(ech)]
 
@@ -1159,27 +1139,35 @@ def _modular_qq(system, order, budget, stats):
 def _certify_qq(candidate, gens_int, ctx, budget):
     """Exact certificate: candidate is a GB and contains the generators.
 
+    Every generator must reduce to zero modulo the candidate, and so must
+    the S-polynomial of every pair that Gebauer-Moeller keeps among the
+    candidate's elements (``_Basis.seed``), each charged as an S-pair.
     Success proves the candidate is the reduced basis of an ideal that
     contains the input ideal; the leading-term shape was already matched
     against several independent mod-p reduced bases of the input. Only
     zero remainders are tested, which scaling cannot change, so the checks
     run fraction-free on the candidate with its denominators cleared.
-    The trivial candidate {1} passes vacuously: ``_core`` stops on a
-    constant seed before the closure test, and every generator reduces to
-    zero modulo 1. ``two_parallel``'s QQ exclusion does not rely on it.
+    The trivial candidate {1} passes vacuously: every generator reduces to
+    zero modulo 1, and a constant seed leaves no pair to check.
+    ``two_parallel``'s QQ exclusion does not rely on it.
     """
     cand_int = [_int_dicts_from_frac(d) for d in candidate]
     elts = [_make_elt(d, ctx) for d in cand_int]
     if any(_reduce(dict(d), elts, budget, ctx) for d in gens_int):
         return False
-    try:
-        _core(cand_int, ctx, budget, freeze=True)
-    except ValueError:
-        return False
+    gb = _Basis(ctx, graded=False)
+    if gb.seed(cand_int):
+        return True
+    for (i, j), big in gb.pairs.items():
+        budget.charge_pair()
+        if _reduce(_spoly(gb.elts[i], gb.elts[j], big, ctx), gb.elts, budget, ctx):
+            return False
     return True
 
 
 # ------------------------------------------------------------- public API
+
+_STAIRCASE_LIMIT = 1_000_000  # standard monomials ``staircase`` enumerates at most
 
 
 class GroebnerBasis:
@@ -1220,16 +1208,19 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.polys, self.order)
 
-    def staircase(self, limit=1_000_000):
+    def staircase(self):
         """Standard monomials (not divisible by any leading monomial).
 
         Returns a sorted list of exponent tuples, or ``None`` when the
-        staircase is unbounded. A certified GF(p) run kept its staircase.
+        staircase is unbounded; raises :class:`GroebnerResourceError` past
+        ``_STAIRCASE_LIMIT`` monomials. A certified GF(p) run kept its
+        staircase.
         """
         if self.quotient is not None:
             return list(self.quotient[0])
         ctx = _PackCtx(len(self.vars), self.order)
-        stair = _staircase([ctx.pack(lm) for lm in self.leading_monomials()], ctx, limit)
+        lms = [ctx.pack(lm) for lm in self.leading_monomials()]
+        stair = _staircase(lms, ctx, _STAIRCASE_LIMIT)
         return None if stair is None else [ctx.unpack(m) for m in stair]
 
     def multiplication_matrices(self, field):

@@ -99,11 +99,34 @@ def test_groebner_resource_cap_exit_code(capsys, tmp_path):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize("flag", ["--pair-budget", "--term-budget"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_groebner_budget_below_one_is_usage_error(capsys, tmp_path, flag, value):
+    """A budget below 1 is refused by the parser, not replaced by the
+    default cap (0) or reported as a resource cap (negative)."""
+    sysfile = tmp_path / "small.sys"
+    sysfile.write_text("vars: x y\nfield: Q\nx^2 - y\ny^2 - 1\n")
+    code, out, err = invoke(capsys, "groebner", str(sysfile), flag, value)
+    assert code == 1
+    assert "positive integer" in err and "resource cap" not in err
+    assert out == ""
+
+
 def test_tpe_labels_output_parses(capsys):
     code, out, _ = invoke(capsys, "tpe", "Fib", "--labels", "1,tau")
     assert code == 0
     polys, vars, _ = read_system(out)
     assert polys and "d_tau" in vars
+
+
+def test_tpe_output_file_matches_stdout(capsys, tmp_path):
+    out_file = tmp_path / "fib.sys"
+    code, out, _ = invoke(capsys, "tpe", "Fib", "--labels", "1,tau", "-o", str(out_file))
+    assert code == 0
+    polys, vars, _ = read_system(out_file.read_text())
+    assert out == f"wrote {len(polys)} equations to {out_file}\n"
+    _, stdout, _ = invoke(capsys, "tpe", "Fib", "--labels", "1,tau")
+    assert out_file.read_text() == stdout
 
 
 def test_tpe_localization_family(capsys):

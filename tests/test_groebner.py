@@ -133,11 +133,15 @@ def test_ideal_equal_examples():
         ideal_equal([x], [P("x", ("x", "z"))])
 
 
-def test_quotient_dimension_examples():
+def test_quotient_dimension_examples(monkeypatch):
     x1 = Polynomial.variable(("x",), "x")
     assert buchberger([x1 * x1 - 1]).quotient_dimension() == 2
     XY = ("x", "y")
     assert buchberger([P("x*y", XY)]).quotient_dimension() == float("inf")
+    # a staircase past the enumeration limit fails loudly
+    monkeypatch.setattr(groebner, "_STAIRCASE_LIMIT", 1)
+    with pytest.raises(GroebnerResourceError):
+        buchberger([x1 * x1 - 1]).quotient_dimension()
 
 
 def test_specialize_examples():
@@ -242,7 +246,9 @@ def test_modular_path_used_for_swelling_system(gb_e1):
     assert gb.quotient_dimension() == 14
     text = "\n".join(format_polynomial(g) for g in gb.polys)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7abb78f0ad1758f4"
-    # six GF(p) runs, the abandoned direct ZZ run and the certificate
+    # six GF(p) runs of 446 S-pairs each and the certificate's 112 closure
+    # pairs; the abandoned direct ZZ attempt is not counted (83 S-pairs and
+    # 540,999 term ops that neither reach ``stats`` nor the caller's budget)
     assert (gb.stats["spairs"], gb.stats["term_ops"]) == (2788, 999_144)
     # 7 F4 matrices per prime, each run stopped by the border certificate
     # with 77 pairs left
@@ -334,6 +340,10 @@ def test_exponent_overflow_is_loud():
     lex = [P("x - y^20000", XY, order=LEX), P("x^2 - 1", XY, order=LEX)]
     with pytest.raises(ValueError):
         buchberger(lex, order=LEX)
+    # the S-pair's lcm x*y^5000 shifts x*y + y^30000 to y^34999, above _MAXE
+    with pytest.raises(ValueError):
+        buchberger([P("x*y + y^30000", XY, order=LEX), P("y^5000 + 1", XY, order=LEX)],
+                   order=LEX)
     # normal_form checks every step: y^40000 and y^90000 do not pack, and
     # y^90000 would otherwise carry into x's digit; y^32766 still packs
     for power in ("x^2", "x^3"):
@@ -391,9 +401,9 @@ def test_gm_update_pair_dict():
 # ------------------------------------------------------ modular certificate
 
 
-def certify(candidate, generators):
-    """Run the exact QQ certificate on polynomial lists."""
-    ctx = _PackCtx(len(generators[0].vars), "grevlex")
+def certify(candidate, generators, order=GREVLEX):
+    """Run the exact QQ certificate on polynomial lists under ``order``."""
+    ctx = _PackCtx(len(generators[0].vars), order)
 
     def pack(p):
         return {ctx.pack(e): Fraction(c) for e, c in p.terms.items()}
@@ -406,17 +416,30 @@ def test_certificate_accepts_modular_basis(e1, gb_e1):
     assert certify(gb_e1.polys, e1)
 
 
+@pytest.mark.parametrize("order, basis", [
+    (GREVLEX, ["x^2 - y", "x*y - 1", "y^2 - x"]),
+    (LEX, ["y^3 - 1", "x - y^2"]),
+])
+def test_certificate_accepts_reduced_basis(order, basis):
+    XY = ("x", "y")
+    gens = [P("x*y - 1", XY, order=order), P("y^2 - x", XY, order=order)]
+    assert certify([P(t, XY, order=order) for t in basis], gens, order)
+
+
 def test_certificate_rejects_candidate_missing_a_generator():
     XY = ("x", "y")
     # a single polynomial is closed under S-polynomials; y^2 - 1 is not in its ideal
-    assert not certify([P("x^2 - y", XY)], [P("x^2 - y", XY), P("y^2 - 1", XY)])
+    for order in (GREVLEX, LEX):
+        cand = [P("x^2 - y", XY, order=order)]
+        assert not certify(cand, cand + [P("y^2 - 1", XY, order=order)], order)
 
 
 def test_certificate_rejects_candidate_not_closed():
     XY = ("x", "y")
-    # both generators reduce to zero, but S(xy - 1, y^2 - x) leaves x^2 - y
-    gens = [P("x*y - 1", XY), P("y^2 - x", XY)]
-    assert not certify(gens, gens)
+    # both generators reduce to zero, but S(xy - 1, y^2 - x) does not
+    for order in (GREVLEX, LEX):
+        gens = [P("x*y - 1", XY, order=order), P("y^2 - x", XY, order=order)]
+        assert not certify(gens, gens, order)
 
 
 # ------------------------------------------------------ property tests
@@ -526,12 +549,13 @@ def test_staircase_is_the_complement_of_the_monomial_ideal(order, lms, pure):
     assert _staircase([ctx.pack(m) for m in lms + [(0, 0, 0)]], ctx, 100) == []
 
 
-# ------------------------------------------- divisor memo and pending heap
+# ------------------------------------------------- reducer against an oracle
 
 
 def _plain_reduce(r, basis, ctx, pmod, full):
-    """The reducer without memo or heap: ``max(r)`` on every step, and the
-    divisor by a fresh first-match scan. Returns (remainder, term ops)."""
+    """The reducer written out from its definition: ``max(r)`` on every
+    step, and the divisor by a first-match scan. Returns (remainder, term
+    ops)."""
     aside, ops = {}, 0
     while r:
         lt = max(r)
@@ -562,7 +586,7 @@ def _plain_reduce(r, basis, ctx, pmod, full):
     return r, ops
 
 
-_MEMO_EXPS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+_SMALL_EXPS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
 _ZZ_COEFFS = st.integers(-9, 9).filter(bool)
 
 
@@ -571,27 +595,27 @@ _ZZ_COEFFS = st.integers(-9, 9).filter(bool)
 @pytest.mark.parametrize("pmod", [32003, 0], ids=["GF32003", "ZZ"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_memo_and_heap_match_plain_scan(pmod, order, full, data):
-    """One memo shared by reductions over a basis that grows by appending,
-    as in ``_core``'s S-pair loop, gives the plain scan's remainders and
-    term-op charges. The same dicts are reduced again after each append,
-    so their monomials come back as memo hits and as misses to rescan.
-    Over ZZ the elements are not monic, so the steps scale (fraction-free)."""
+def test_reduce_matches_plain_scan(pmod, order, full, data):
+    """``_reduce`` gives the plain scan's remainders and term-op charges
+    over a basis that grows by appending, as in ``_core``'s S-pair loop.
+    The same dicts are reduced again after each append, so a later element
+    can become a monomial's divisor. Over ZZ the elements are not monic, so
+    the steps scale (fraction-free)."""
     ctx = _PackCtx(3, order)
     coeffs = _GF_COEFFS if pmod else _ZZ_COEFFS
 
     def packed(min_size, max_size):
-        d = data.draw(st.dictionaries(_MEMO_EXPS, coeffs, min_size=min_size,
+        d = data.draw(st.dictionaries(_SMALL_EXPS, coeffs, min_size=min_size,
                                       max_size=max_size))
         return {ctx.pack(e): c for e, c in d.items()}
 
     probes = [packed(0, 8) for _ in range(data.draw(st.integers(1, 3)))]
-    basis, memo, budget = [], ({}, {}), _Budget(10**9, 10**12)
+    basis, budget = [], _Budget(10**9, 10**12)
     for rounds_left in range(data.draw(st.integers(1, 6)), -1, -1):
         for r in probes:
             want = _plain_reduce(dict(r), basis, ctx, pmod, full)
             before = budget.ops
-            got = _reduce(dict(r), basis, budget, ctx, pmod, full, memo=memo)
+            got = _reduce(dict(r), basis, budget, ctx, pmod, full)
             assert (got, budget.ops - before) == want
         if rounds_left:
             d = packed(1, 4)
@@ -756,7 +780,7 @@ def test_dense_and_sparse_kernels_agree(order, p, data):
     coeffs = st.integers(1, p - 1)
 
     def packed(min_size, max_size):
-        d = data.draw(st.dictionaries(_MEMO_EXPS, coeffs, min_size=min_size,
+        d = data.draw(st.dictionaries(_SMALL_EXPS, coeffs, min_size=min_size,
                                       max_size=max_size))
         return {ctx.pack(e): c for e, c in d.items()}
 
