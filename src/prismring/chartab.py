@@ -51,9 +51,6 @@ class CharacterTable:
     def row(self, i: int):
         return tuple(self.values[i])
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=complex)
-
 
 def character_table(ring: FusionRing, tol: float = DEFAULT_TOL) -> CharacterTable:
     """Simultaneous eigenvalue table via a seeded generic combination.

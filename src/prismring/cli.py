@@ -35,7 +35,7 @@ from .localizer import (
     maximal_sprime_candidates,
     two_parallel,
 )
-from .poly import read_system, write_system, format_polynomial, parse_field
+from .poly import format_field, format_polynomial, parse_field, read_system, write_system
 from .rings import (
     PowerIterationError,
     RingFormatError,
@@ -329,7 +329,7 @@ def cmd_two_parallel(args):
         raise CliError(f"field specialization failed: {exc}")
     payload = {
         "verdict": rep.verdict,
-        "field": "Q" if field.is_rational else f"GF({field.p})",
+        "field": format_field(field),
         "k": rep.k_system.tag,
         "l": rep.l_system.tag,
         "sprime_k": list(rep.k_system.chosen),

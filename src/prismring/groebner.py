@@ -50,13 +50,16 @@ coefficient being cancelled: GF(p) runs keep their basis monic and reduce
 every touched coefficient mod p, and ``normal_forms`` over QQ makes its
 divisors monic with Fraction coefficients. Over ZZ the step is
 fraction-free: it scales the remainder by lc/g and subtracts the divisor
-c/g times, with g = gcd(lc, c). The direct ZZ run also strips the content
-every few steps and gives up when a coefficient outgrows its swell guard.
+c/g times, with g = gcd(lc, c).
 
-Over QQ a direct ZZ run on the generators with denominators cleared is
-attempted first under the swell guard; systems whose intermediates swell
-(the final reduced basis is typically tiny even when intermediates
-explode) switch to a modular pipeline: reduced bases are computed modulo
+Over QQ the generators are packed once, with denominators cleared, and a
+direct fraction-free ZZ run (``_core``) is attempted first. It divides
+each nonzero remainder by its content, makes its leading coefficient
+positive, and gives up once a coefficient passes ``_SWELL_BITS`` bits or
+the attempt passes its caps; its work is charged to the caller's budget
+either way. Systems whose intermediates swell (the final reduced basis is
+typically tiny even when intermediates explode) switch, on the same
+packed generators, to a modular pipeline: reduced bases are computed modulo
 a deterministic stream of 30-bit primes, the majority leading-term shape
 is kept, coefficients are combined by CRT and lifted by rational
 reconstruction, and the candidate is certified exactly, fraction-free on
@@ -297,18 +300,16 @@ class _Elt:
 # ``_certify_qq``, also pmod 0).
 
 
-def _content_strip(*dicts):
-    """Divide the dicts, taken as one polynomial, by their integer content."""
+def _content_strip(d):
+    """Divide the ZZ dict d by its integer content, in place."""
     g = 0
-    for d in dicts:
-        for c in d.values():
-            g = gcd(g, c)
-            if g == 1:
-                return
+    for c in d.values():
+        g = gcd(g, c)
+        if g == 1:
+            return
     if g > 1:
-        for d in dicts:
-            for e in d:
-                d[e] //= g
+        for e in d:
+            d[e] //= g
 
 
 def _step(r, lt, red, pmod, aside=()):
@@ -361,9 +362,6 @@ def _step(r, lt, red, pmod, aside=()):
     return ops
 
 
-_STRIP_EVERY = 8
-
-
 def _scan(lt, basis, hit, upto, corr, himask):
     """First element of ``basis`` whose leading monomial divides ``lt``, or None.
 
@@ -386,21 +384,19 @@ def _scan(lt, basis, hit, upto, corr, himask):
     return None
 
 
-def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
+def _reduce(r, basis, budget, ctx, pmod=0, full=False):
     """Reduce the dict r by ``basis`` (first match in list order), in place.
 
     Each step cancels the largest term of r with the first element whose
     leading monomial divides it. Without ``full`` only leading terms are
     reduced; with it every term is, and terms no divisor reaches are set
-    aside (they all exceed the terms still to be reduced). ``swell_bits``
-    marks the direct ZZ run: the content is stripped every few steps, a
-    coefficient longer than ``swell_bits`` bits raises :class:`_Swell`, and
-    the remainder comes back primitive with a positive leading coefficient.
+    aside (they all exceed the terms still to be reduced). Over ZZ the
+    remainder is some nonzero integer multiple of the reduced one; the
+    direct ZZ run normalizes it (``_primitive``).
     """
     corr, himask = ctx.corr, ctx.himask
     lex = ctx.order == LEX
     aside = {}
-    steps = 0
     while r:
         lt = max(r)
         for red in basis:
@@ -414,36 +410,22 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False, swell_bits=None):
         if lex:
             ctx.check_shift(red, lt - red.lm)
         budget.charge_ops(_step(r, lt, red, pmod, aside))
-        steps += 1
-        if swell_bits is not None and steps % _STRIP_EVERY == 0:
-            _content_strip(r, aside)
-            if any(
-                abs(c).bit_length() > swell_bits
-                for d in (r, aside)
-                for c in d.values()
-            ):
-                raise _Swell
     r.update(aside)
-    if swell_bits is not None and r:
-        _content_strip(r)
-        lt = max(r)
-        if r[lt] < 0:
-            for e in r:
-                r[e] = -r[e]
     return r
 
 
-def _spoly(f, g, big, ctx):
+def _spoly(f, g, big, budget, ctx):
     """S-polynomial of ZZ engine elements: f shifted to ``big`` = lcm, one step by g.
 
-    Under lex, raises unless both shifted elements pack.
+    The step is charged to ``budget``. Under lex, raises unless both
+    shifted elements pack.
     """
     if ctx.order == LEX:
         for h in (f, g):
             ctx.check_shift(h, big - h.lm)
     shift = big - f.lm
     s = {e + shift: c for e, c in f.terms}
-    _step(s, big, g, 0)
+    budget.charge_ops(_step(s, big, g, 0))
     return s
 
 
@@ -574,7 +556,7 @@ class _Basis:
                 minimal.append(i)
         return minimal
 
-    def reduced(self, minimal, budget, pmod=0, swell_bits=None):
+    def reduced(self, minimal, budget, pmod=0):
         """The reduced basis: the ``minimal`` elements, tails interreduced."""
         ctx = self.ctx
         kept = [self.elts[i] for i in minimal]
@@ -582,33 +564,61 @@ class _Basis:
         for pos in range(len(kept)):
             others = kept[:pos] + kept[pos + 1:]
             d = dict(kept[pos].terms)
-            out.append(_reduce(d, others, budget, ctx, pmod, True, swell_bits))
+            out.append(_reduce(d, others, budget, ctx, pmod, True))
         out.sort(key=max)
         return out
 
 
-def _core(seeds, ctx, budget, swell_bits=None):
-    """Run Buchberger on fraction-free ZZ dicts; returns the reduced basis as dicts.
+# The direct ZZ run gives up on a coefficient longer than this, in bits.
+_SWELL_BITS = 4096
 
-    One S-pair at a time, the smallest lcm first.
+
+def _primitive(r):
+    """Make a nonzero ZZ dict of the direct run primitive with a positive
+    leading coefficient, in place; raises :class:`_Swell` when a
+    coefficient is still longer than ``_SWELL_BITS`` bits."""
+    _content_strip(r)
+    if r[max(r)] < 0:
+        for e in r:
+            r[e] = -r[e]
+    if any(c.bit_length() > _SWELL_BITS for c in r.values()):
+        raise _Swell
+    return r
+
+
+def _core(seeds, ctx, budget):
+    """The direct fraction-free ZZ attempt at a QQ basis: Buchberger on the
+    primitive integer ``seeds``, one S-pair at a time, the smallest lcm
+    first. Every nonzero remainder and every element of the interreduced
+    basis goes through ``_primitive``. Returns the reduced basis as
+    primitive ZZ dicts, or None on :class:`_Swell` or past the attempt's
+    caps (the caller's, clipped to 20,000 S-pairs and 2 * 10^6 term ops).
+    Its work is added to ``budget`` either way.
     """
+    attempt = _Budget(min(budget.pair_limit, 20_000), min(budget.op_limit, 2_000_000))
     gb = _Basis(ctx, graded=False)
-    if gb.seed(seeds):
-        return gb.unit()
-    engine = gb.elts
-    while gb.heap:
-        _, big, i, j = heappop(gb.heap)
-        if gb.pairs.pop((i, j), None) is None:
-            continue
-        budget.charge_pair()
-        s = _spoly(engine[i], engine[j], big, ctx)
-        r = _reduce(s, engine, budget, ctx, swell_bits=swell_bits)
-        if not r:
-            continue
-        if ctx.deg(max(r)) == 0:
+    try:
+        if gb.seed(seeds):
             return gb.unit()
-        gb.add(r)
-    return gb.reduced(gb.minimal(), budget, swell_bits=swell_bits)
+        engine = gb.elts
+        while gb.heap:
+            _, big, i, j = heappop(gb.heap)
+            if gb.pairs.pop((i, j), None) is None:
+                continue
+            attempt.charge_pair()
+            s = _spoly(engine[i], engine[j], big, attempt, ctx)
+            r = _reduce(s, engine, attempt, ctx)
+            if not r:
+                continue
+            if ctx.deg(max(r)) == 0:
+                return gb.unit()
+            gb.add(_primitive(r))
+        return [_primitive(d) for d in gb.reduced(gb.minimal(), attempt)]
+    except (_Swell, GroebnerResourceError):
+        return None
+    finally:
+        budget.pairs += attempt.pairs
+        budget.ops += attempt.ops
 
 
 # ---------------------------------------------------------------- F4 (GF(p))
@@ -1061,20 +1071,14 @@ def _int_dicts_from_frac(terms):
     return d
 
 
-def _modular_qq(system, order, budget, stats):
+def _modular_qq(gens_int, ctx, budget, stats):
     """Reduced GB over QQ via multi-modular runs with exact certification.
 
-    A trivial candidate {1} passes ``_certify_qq`` vacuously, so a modular
-    {1} rests on the agreement of the primes alone.
+    ``gens_int`` are the generators as primitive ZZ dicts; returns the
+    basis as packed dicts with Fraction coefficients, ascending by leading
+    monomial. A trivial candidate {1} passes ``_certify_qq`` vacuously, so
+    a modular {1} rests on the agreement of the primes alone.
     """
-    vars = system[0].vars
-    ctx = _PackCtx(len(vars), order)
-
-    gens_int = [
-        _int_dicts_from_frac({ctx.pack(e): Fraction(c) for e, c in p.terms.items()})
-        for p in system
-    ]
-
     runs = []  # (prime, shape, {lm: {mono: residue}})
     stream = _prime_stream()
     max_primes = 256
@@ -1129,10 +1133,7 @@ def _modular_qq(system, order, budget, stats):
 
         if _certify_qq(candidate, gens_int, ctx, budget):
             stats["primes"] = [p for p, _, _ in good]
-            candidate.sort(key=max)
-            return [
-                {ctx.unpack(e): c for e, c in d.items()} for d in candidate
-            ]
+            return sorted(candidate, key=max)
     raise GroebnerResourceError("modular reconstruction did not converge")
 
 
@@ -1160,7 +1161,7 @@ def _certify_qq(candidate, gens_int, ctx, budget):
         return True
     for (i, j), big in gb.pairs.items():
         budget.charge_pair()
-        if _reduce(_spoly(gb.elts[i], gb.elts[j], big, ctx), gb.elts, budget, ctx):
+        if _reduce(_spoly(gb.elts[i], gb.elts[j], big, budget, ctx), gb.elts, budget, ctx):
             return False
     return True
 
@@ -1350,37 +1351,33 @@ def buchberger(
 
     ctx = _PackCtx(len(vars), order)
 
-    def finish(dicts):
+    def finish(out):
         stats.update({"spairs": budget.pairs, "term_ops": budget.ops})
         if stats.get("mode") != "direct":  # the GF(p) runs reduced F4 matrices
             stats["matrices"] = budget.matrices
             stats["max_matrix_cells"] = budget.max_cells
             stats["pairs_left"] = budget.left
-        polys = [Polynomial(vars, d, field, order) for d in dicts]
+        polys = [
+            Polynomial(vars, {ctx.unpack(e): c for e, c in d.items()}, field, order)
+            for d in out
+        ]
         return GroebnerBasis(polys, vars, field, order, system, stats)
 
     if field.is_rational:
-        # direct run with a swell guard; fall back to the modular pipeline
-        try:
-            seeds = [
-                _int_dicts_from_frac({ctx.pack(e): c for e, c in p.terms.items()})
-                for p in nonzero
-            ]
-            sub_budget = _Budget(
-                min(budget.pair_limit, 20_000), min(budget.op_limit, 2_000_000)
-            )
-            out = _core(seeds, ctx, sub_budget, swell_bits=4096)
-            budget.pairs += sub_budget.pairs
-            budget.ops += sub_budget.ops
-            stats["mode"] = "direct"
-            dicts = []
-            for d in out:
-                lc = d[max(d)]
-                dicts.append({ctx.unpack(e): Fraction(c, lc) for e, c in d.items()})
-            return finish(dicts)
-        except (_Swell, GroebnerResourceError):
-            stats["mode"] = "modular"
-        return finish(_modular_qq(nonzero, order, budget, stats))
+        # the direct ZZ attempt first, then the modular pipeline
+        seeds = [
+            _int_dicts_from_frac({ctx.pack(e): c for e, c in p.terms.items()})
+            for p in nonzero
+        ]
+        out = _core(seeds, ctx, budget)
+        stats["mode"] = "modular" if out is None else "direct"
+        if out is None:
+            out = _modular_qq(seeds, ctx, budget, stats)
+        monic = []
+        for d in out:
+            lc = d[max(d)]
+            monic.append({e: Fraction(c, lc) for e, c in d.items()})
+        return finish(monic)
 
     # prime field: direct computation
     pmod = field.p
@@ -1388,7 +1385,7 @@ def buchberger(
         _monic({ctx.pack(e): c for e, c in p.terms.items()}, pmod) for p in nonzero
     ]
     out, quotient = _f4(seeds, ctx, budget, pmod)
-    gb = finish([{ctx.unpack(e): c for e, c in d.items()} for d in out])
+    gb = finish(out)
     if quotient is not None:
         stair, xs, border = quotient
         gb.quotient = ([ctx.unpack(m) for m in stair], xs, border)

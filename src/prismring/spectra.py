@@ -28,9 +28,6 @@ class SpectrumSet:
     def __len__(self):
         return len(self.indices)
 
-    def __contains__(self, idx):
-        return idx in self.indices
-
 
 @dataclass(frozen=True)
 class CriterionWitness:
@@ -138,7 +135,7 @@ def _premise_values(ring, ix):
     return out
 
 
-def _or_group(ring, star, triples):
+def _or_group(ring, triples):
     """Return the first 1-based route whose sum equals 1, else None."""
     for route, (a, b, c, d) in enumerate(triples, start=1):
         if _dot(ring, a, b, c, d) == 1:
@@ -162,24 +159,18 @@ def zero_witness_check(ring: FusionRing, nonet) -> CheckResult:
         return CheckResult(
             False, f"pair coefficient N(i2,i1;i3) = {ring.N[i2][i1][i3]} != 1"
         )
-    r1 = _or_group(
-        ring, star,
-        [
-            (i5, i4, i3, star[i1]),
-            (i2, star[i4], i3, star[i6]),
-            (star[i5], i2, i6, star[i1]),
-        ],
-    )
+    r1 = _or_group(ring, [
+        (i5, i4, i3, star[i1]),
+        (i2, star[i4], i3, star[i6]),
+        (star[i5], i2, i6, star[i1]),
+    ])
     if r1 is None:
         return CheckResult(False, "first one-dimensionality condition fails")
-    r2 = _or_group(
-        ring, star,
-        [
-            (i2, i7, i3, star[i9]),
-            (i8, star[i7], i3, star[i1]),
-            (star[i2], i8, i1, star[i9]),
-        ],
-    )
+    r2 = _or_group(ring, [
+        (i2, i7, i3, star[i9]),
+        (i8, star[i7], i3, star[i1]),
+        (star[i2], i8, i1, star[i9]),
+    ])
     if r2 is None:
         return CheckResult(False, "second one-dimensionality condition fails")
     witness = CriterionWitness(
@@ -236,7 +227,7 @@ def one_witness_check(ring: FusionRing, nonet, i0) -> CheckResult:
     ]
     routes = []
     for gname, triples in groups:
-        route = _or_group(ring, star, triples)
+        route = _or_group(ring, triples)
         if route is None:
             return CheckResult(False, f"{gname} one-dimensionality condition fails")
         routes.append((gname, route))

@@ -246,14 +246,30 @@ def test_modular_path_used_for_swelling_system(gb_e1):
     assert gb.quotient_dimension() == 14
     text = "\n".join(format_polynomial(g) for g in gb.polys)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7abb78f0ad1758f4"
-    # six GF(p) runs of 446 S-pairs each and the certificate's 112 closure
-    # pairs; the abandoned direct ZZ attempt is not counted (83 S-pairs and
-    # 540,999 term ops that neither reach ``stats`` nor the caller's budget)
-    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (2788, 999_144)
+    # the abandoned direct ZZ attempt's 83 S-pairs, six GF(p) runs of 446
+    # each and the certificate's 112 closure pairs; the attempt's 491,771
+    # term ops are in the total, and every S-polynomial step is charged
+    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (2871, 1_493_741)
     # 7 F4 matrices per prime, each run stopped by the border certificate
     # with 77 pairs left
     assert (gb.stats["matrices"], gb.stats["max_matrix_cells"]) == (42, 75_283)
     assert gb.stats["pairs_left"] == 6 * 77
+
+
+def test_direct_attempt_is_charged_to_the_caller(e1):
+    """The direct ZZ attempt that swells on E1 is charged to the caller's
+    budget: its 83 S-pairs and the modular run's 2788 must both fit."""
+    with pytest.raises(GroebnerResourceError, match="^S-pair budget exceeded"):
+        buchberger(e1, pair_budget=2870)
+    gb = buchberger(e1, pair_budget=2871)
+    assert gb.stats["spairs"] == 2871
+    # so is an attempt stopped by its cap: the modular run's first pair is
+    # then the 52nd
+    with pytest.raises(GroebnerResourceError, match=r"^S-pair budget exceeded \(50\) "
+                       r"at spairs=52,"):
+        buchberger(e1, pair_budget=50)
+    text = "\n".join(format_polynomial(g) for g in gb.polys)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7abb78f0ad1758f4"
 
 
 # ------------------------------------------------------- pinned engine work
@@ -277,11 +293,11 @@ def test_gf_engine_work_on_ek(ek, p, work):
 def test_direct_zz_engine_work_on_corpus():
     got = [buchberger(system).stats for system in small_corpus()]
     assert got == [
-        {"mode": "direct", "spairs": 1, "term_ops": 2},
-        {"mode": "direct", "spairs": 1, "term_ops": 2},
+        {"mode": "direct", "spairs": 1, "term_ops": 3},
+        {"mode": "direct", "spairs": 1, "term_ops": 5},
         {"mode": "direct", "spairs": 0, "term_ops": 0},
-        {"mode": "direct", "spairs": 8, "term_ops": 22},
-        {"mode": "direct", "spairs": 2, "term_ops": 8},
+        {"mode": "direct", "spairs": 8, "term_ops": 38},
+        {"mode": "direct", "spairs": 2, "term_ops": 13},
     ]
 
 
@@ -292,7 +308,7 @@ def test_lex_engine_work_on_corpus():
         lex = [p.with_order(LEX) for p in system]
         zz.append(buchberger(lex, order=LEX).stats)
         gf.append(buchberger(specialize(F, lex), order=LEX, field=F).stats)
-    work = [(1, 2), (1, 2), (0, 0), (5, 0), (2, 6)]
+    work = [(1, 3), (1, 5), (0, 0), (5, 10), (2, 11)]
     assert zz == [{"mode": "direct", "spairs": s, "term_ops": t} for s, t in work]
     # F4 charges what each matrix allocates, and interreduction its steps;
     # no run reaches the dense kernel, so none is stopped early
