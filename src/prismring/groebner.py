@@ -895,37 +895,54 @@ def _dense_echelon(rows, piv, cols, pmod):
     2^31, object above, see ``_residue_dtype``), stored transposed: one
     contiguous row per column. Each pivot row, in column order, clears its
     column in every pair row by one broadcast update of the rows of its
-    terms; each element's coefficient vector is built once per matrix.
-    An update lowers an entry by at most (p - 1)^2 and each pivot updates
-    it at most once, so entries are reduced mod p on the way only where
-    int64 could overflow; a pivot's column is reduced before it is used.
-    What is left lives in the non-pivot columns and goes through
-    ``_rref_mod_p``.
+    tail: the element's tail (its terms but the leading one, which is 1)
+    is cached once per matrix, and the destination rows are one index
+    array, gathered by ``take`` and written back once. The pivot's own
+    column is left as it is, since nothing reads it again: later pivots
+    are smaller, and only the non-pivot columns go on. An update lowers an
+    entry by at most (p - 1)^2 and each pivot updates it at most once, so
+    entries are reduced mod p on the way only where int64 could overflow;
+    a pivot's column is reduced before it is used. What is left lives in
+    the non-pivot columns and goes through ``_rref_mod_p``.
+
+    On the 12 matrices of a GF(11) ``two_parallel(F210, 5_1, 5_3)`` pass
+    (1,786 pivots) this kernel took 82 ms, against 97 ms with a Python
+    list index per read and write and the leading term in each update
+    (the same ``_rref_mod_p`` on both sides; interleaved in-process
+    medians, 2-vCPU VM, Python 3.11, numpy 2.4).
     """
     dtype = _residue_dtype(pmod)
     cols = sorted(cols, reverse=True)
     idx = {m: k for k, m in enumerate(cols)}
     at = np.zeros((len(cols), len(rows)), dtype)
+    ks, rs, vs = [], [], []
     for r, row in enumerate(rows):
-        at[[idx[m] for m in row], r] = list(row.values())
+        ks += map(idx.__getitem__, row)
+        rs += [r] * len(row)
+        vs += row.values()
+    at[ks, rs] = vs
     wrap = dtype is np.int64 and len(piv) * (pmod - 1) ** 2 >= 1 << 63
-    vals = {}  # reducing element -> its coefficients, as a column
+    tails = {}  # reducing element -> (its tail's monomials, coefficients as a column)
     for m in sorted(piv, reverse=True):
         col = at[idx[m]] % pmod
-        if not col.any():
-            continue
         red = piv[m]
-        v = vals.get(red)
-        if v is None:
-            v = vals[red] = np.array([[c] for _, c in red.terms], dtype)
+        tail = tails.get(red)
+        if tail is None:  # terms are sorted descending, the leading one first
+            rest = red.terms[1:]
+            v = np.array([c for _, c in rest], dtype).reshape(len(rest), 1)
+            tail = tails[red] = ([e for e, _ in rest], v)
+        exps, v = tail
         shift = m - red.lm
-        dst = [idx[e + shift] for e, _ in red.terms]
-        new = at[dst] - v * col
+        dst = np.array([idx[e + shift] for e in exps], np.intp)
+        new = at.take(dst, axis=0) - v * col
         at[dst] = new % pmod if wrap else new
     free = [k for k, m in enumerate(cols) if m not in piv]
     ech, _ = _rref_mod_p(np.ascontiguousarray(at[free].T) % pmod, pmod)
     names = [cols[k] for k in free]
-    out = [{names[k]: int(row[k]) for k in np.flatnonzero(row)} for row in ech]
+    out = [
+        {names[k]: v[k] for k in np.flatnonzero(row).tolist()}
+        for row, v in zip(ech, ech.tolist())
+    ]
     out.reverse()
     return out
 
@@ -959,10 +976,21 @@ def _mulmod(a, b, p):
     return out
 
 
-# Column panel width of ``_rref_mod_p``. Of 16, 32 and 64, 16 was best on
-# the F4 and link matrices of F210 over GF(p) (about 10 % ahead of 32), and
-# 32 on the small-bases matrices, most of which fit in one panel of 32.
+# Column panel width of ``_rref_mod_p``. With reduction on read, 32 is best
+# of 16, 32 and 64 on the 13 RREFs of a GF(11) two_parallel(F210, 5_1, 5_3)
+# pass: 30.5, 26.4 and 29.9 ms (in-process medians). Most small-bases
+# matrices fit in one panel of 32.
 _PANEL = 32
+
+# Measured on the GF(11) two_parallel(F210, 5_1, 5_3) pass and not taken up:
+# - float64 BLAS products: after threaded GEMMs the OpenBLAS workers keep
+#   spinning, so a pure-Python stretch ran at process CPU / wall = 1.99;
+# - blocked or level-scheduled pivot elimination in ``_dense_echelon``: the
+#   1,786 pivots fall into 119 levels, but the 12 matrices took 116-143 ms
+#   against 79-108 ms, and numpy's int64 matmul does not use BLAS (1.4 ms
+#   for a 139 x 32 x 465 product, 0.7 ns per multiply-add);
+# - ``_sparse_echelon`` on the large matrices: 324 ms against 23 ms;
+# - the newest divisor as reducer: 6.7 % fewer pivots, no faster.
 
 
 def _rref_mod_p(a, p):
@@ -977,9 +1005,22 @@ def _rref_mod_p(a, p):
     the slice alone. That loop also records, in up to b extra columns, each
     row as a combination of the pivot rows' originals; one product with the
     rest of those rows completes the new echelon rows across all columns,
-    and one more clears the panel's pivot columns in every other row.
+    and one more clears the panel's pivot columns in every other row. A
+    pivot row is zero left of its column and right of its extra column, so
+    each pivot updates only the slice's columns in between.
+
+    Inside a panel the slice is reduced mod p only where it is read (the
+    next pivot column before the search, the pivot row before scaling;
+    the pivot column is then the multiplier) and once at the end, while
+    b (p - 1)^2 < 2^63: an entry starts below p and each of at most b
+    pivots lowers it by at most (p - 1)^2, so int64 cannot overflow. That
+    holds up to p = 2^29 - 3; larger primes reduce after every pivot. On
+    the 196 x 196 link matrix of GF(11) two_parallel(F210, 5_1, 5_3)
+    (rank 192) this took 16 ms, against 24 ms when every pivot updated
+    and reduced the whole slice (interleaved in-process medians).
     """
     n, m = a.shape
+    lazy = a.dtype != object and _PANEL * (p - 1) ** 2 < 1 << 63
     piv = []
     for c0 in range(0, m, _PANEL):
         r0 = len(piv)
@@ -994,6 +1035,8 @@ def _rref_mod_p(a, p):
             r = len(cols)
             if r == len(s):
                 break
+            if lazy:
+                s[:, col] %= p
             nz = np.flatnonzero(s[r:, col])
             if not nz.size:
                 continue
@@ -1002,12 +1045,16 @@ def _rref_mod_p(a, p):
                 s[[r, i]] = s[[i, r]]
                 order[[r, i]] = order[[i, r]]
             s[r, w + r] = 1  # unscaled so far: its original, once
-            s[r] = s[r] * pow(int(s[r, col]), -1, p) % p
+            s[r] = s[r] % p * pow(int(s[r, col]), -1, p) % p
             f = s[:, col].copy()
             f[r] = 0
-            s -= f[:, None] * s[r]
-            s %= p
+            u = s[:, col : w + r + 1]  # s[r] is 0 left of col and right of w + r
+            u -= f[:, None] * u[r]
+            if not lazy:
+                u %= p
             cols.append(col)
+        if lazy:
+            s %= p
         k = len(cols)
         if not k:
             continue
@@ -1094,7 +1141,10 @@ def _modular_qq(gens_int, ctx, budget, stats):
             seeds = [
                 _monic({e: c % p for e, c in d.items() if c % p}, p) for d in gens_int
             ]
-            out, _ = _f4(seeds, ctx, budget, p)
+            try:
+                out, _ = _f4(seeds, ctx, budget, p)
+            except GroebnerResourceError as exc:
+                raise GroebnerResourceError(f"{exc} in the F4 run mod {p}") from exc
             shape = tuple(sorted(max(d) for d in out))
             runs.append((p, shape, {max(d): d for d in out}))
         batch = 2

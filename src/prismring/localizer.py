@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -24,6 +25,7 @@ import numpy as np
 from .fields import GF, Field, NonInvertibleError, QQ
 from .groebner import (
     GroebnerBasis,
+    GroebnerResourceError,
     _mulmod,
     _prime_stream,
     _residue_dtype,
@@ -702,6 +704,18 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     return corank, basis, counts
 
 
+@contextmanager
+def _stage(name, timings):
+    """Time one basis of ``two_parallel`` into ``timings[name]``, and
+    prefix a budget error raised inside it with ``name``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except GroebnerResourceError as exc:
+        raise GroebnerResourceError(f"{name}: {exc}") from exc
+    timings[name] = time.perf_counter() - t0
+
+
 def two_parallel(
     ring: FusionRing,
     k,
@@ -720,7 +734,8 @@ def two_parallel(
     union of both bases and the link (``gb_final``) only when a staircase
     is infinite, or over QQ when the matrix is singular mod p; a rational
     verdict of that run rests on the modular basis computation and is
-    reported uncertified.
+    reported uncertified. A budget error raised by one of the three bases
+    is prefixed with its name: ``gb_k``, ``gb_l`` or ``gb_final``.
     """
     timings = {}
     k, l = ring.resolve(k), ring.resolve(l)
@@ -740,12 +755,10 @@ def two_parallel(
     link = extra_link(ring, k, l)
     timings["generate"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    gb_k = buchberger(specialize(field, sys_k.polys), field=field)
-    timings["gb_k"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    gb_l = buchberger(specialize(field, sys_l.polys), field=field)
-    timings["gb_l"] = time.perf_counter() - t0
+    with _stage("gb_k", timings):
+        gb_k = buchberger(specialize(field, sys_k.polys), field=field)
+    with _stage("gb_l", timings):
+        gb_l = buchberger(specialize(field, sys_l.polys), field=field)
 
     allv = _combined_ring_vars(sys_k, sys_l)
     (link_in,) = specialize(field, [link.rename(allv)])
@@ -759,9 +772,8 @@ def two_parallel(
         stats["link"] = counts
     if basis is None:
         combined = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link_in]
-        t0 = time.perf_counter()
-        final = buchberger(combined, field=field)
-        timings["gb_final"] = time.perf_counter() - t0
+        with _stage("gb_final", timings):
+            final = buchberger(combined, field=field)
         basis = final.polys
         stats["final"] = final.stats
         dim = final.quotient_dimension()

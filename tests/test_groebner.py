@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from prismring import groebner
 from prismring.catalog import catalog
-from prismring.fields import GF, QQ, NonInvertibleError
+from prismring.fields import GF, QQ, NonInvertibleError, is_prime
 from prismring.groebner import (
     GroebnerBasis,
     GroebnerResourceError,
@@ -27,6 +27,7 @@ from prismring.groebner import (
     _monic,
     _PANEL,
     _PackCtx,
+    _prime_stream,
     _reduce,
     _residue_dtype,
     _rref_mod_p,
@@ -270,6 +271,15 @@ def test_direct_attempt_is_charged_to_the_caller(e1):
         buchberger(e1, pair_budget=50)
     text = "\n".join(format_polynomial(g) for g in gb.polys)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7abb78f0ad1758f4"
+
+
+def test_budget_error_names_the_prime(e1):
+    """The direct ZZ attempt spends 83 S-pairs of 200, so the first prime's
+    F4 run hits the cap, and the message names that prime."""
+    first = next(_prime_stream())
+    with pytest.raises(GroebnerResourceError, match=r"^S-pair budget exceeded \(200\) "
+                       rf"at spairs=201, .* in the F4 run mod {first}$"):
+        buchberger(e1, pair_budget=200)
 
 
 # ------------------------------------------------------- pinned engine work
@@ -829,6 +839,22 @@ def test_dense_kernel_exact_when_updates_pile_up(p):
     assert _dense_echelon([dict(row)], piv, cols, p) == want
 
 
+def test_dense_kernel_one_term_reducer():
+    """A pivot row with no tail (x, shifted onto x and x*y) only clears its
+    column; the pivot row y + 4 also updates the constant column."""
+    ctx = _PackCtx(2, GREVLEX)
+    one, x, y = ctx.pack((0, 0)), ctx.pack((1, 0)), ctx.pack((0, 1))
+    xy = ctx.pack((1, 1))
+    basis = [_make_elt({x: 1}, ctx), _make_elt({y: 1, one: 4}, ctx)]
+    rows = [{x: 3, y: 2}, {xy: 5, x: 1, one: 1}, {y: 6, one: 7}]
+    piv, cols = _matrix(ctx, basis, rows)
+    assert piv[x] is piv[xy] is basis[0] and piv[y] is basis[1]
+    p = 11
+    want = [{one: 1}]
+    assert _sparse_echelon([dict(r) for r in rows], piv, cols, p) == want
+    assert _dense_echelon([dict(r) for r in rows], piv, cols, p) == want
+
+
 def _single_pivot_rref(a, p):
     """Reference: Gauss-Jordan one column at a time over all rows."""
     a = a.copy()
@@ -847,7 +873,17 @@ def _single_pivot_rref(a, p):
     return a[: len(piv)], piv
 
 
-@pytest.mark.parametrize("p", [11, 32003, 2**31 - 1, 2**40 + 15])
+def test_rref_reduce_on_read_bound():
+    """``_rref_mod_p`` reduces mod p only where it reads while _PANEL steps
+    of (p - 1)^2 cannot pass 2^63: 2^29 - 3 is the largest such prime and
+    2^29 + 11 the next one, so both are among the primes tested below."""
+    lo, hi = 2**29 - 3, 2**29 + 11
+    assert is_prime(lo) and is_prime(hi)
+    assert not any(is_prime(q) for q in range(lo + 1, hi))
+    assert _PANEL * (lo - 1) ** 2 < 2**63 <= _PANEL * (hi - 1) ** 2
+
+
+@pytest.mark.parametrize("p", [11, 32003, 2**29 - 3, 2**29 + 11, 2**31 - 1, 2**40 + 15])
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_blocked_rref_matches_single_pivot(p, data):

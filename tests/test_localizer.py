@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from prismring import localizer
 from prismring.catalog import catalog
 from prismring.fields import GF, QQ, NonInvertibleError
 from prismring.groebner import (
+    GroebnerResourceError,
     _mulmod,
     _prime_stream,
     buchberger,
@@ -285,6 +287,25 @@ def test_two_parallel_gf11_by_fglm(f210):
     assert rep.certified
     assert "gb_final" not in rep.timings
     assert rep.stats == GF11_ENGINE_STATS
+
+
+@pytest.mark.parametrize("stage", ["gb_k", "gb_l", "gb_final"])
+def test_two_parallel_budget_error_names_its_stage(f210, monkeypatch, stage):
+    """A budget error inside one of the bases of ``two_parallel`` is
+    prefixed with that basis's name. The third basis runs only when the
+    link step gives no basis, so that is forced here."""
+    calls = []
+
+    def capped(polys, **kw):
+        calls.append(None)
+        if len(calls) == ("gb_k", "gb_l", "gb_final").index(stage) + 1:
+            kw["pair_budget"] = 1
+        return buchberger(polys, **kw)
+
+    monkeypatch.setattr(localizer, "buchberger", capped)
+    monkeypatch.setattr(localizer, "_link_quotient", lambda *args: (None, None, None))
+    with pytest.raises(GroebnerResourceError, match=rf"^{stage}: S-pair budget exceeded \(1\) "):
+        two_parallel(f210, "5_1", "5_3", field=GF(11))
 
 
 # F4 counters of gb_k and gb_l for two_parallel(F210, 5_1, 5_3) over GF(11),
