@@ -70,6 +70,8 @@ class Field:
         """
         if self.p == 0:
             return Fraction(value)
+        if type(value) is int:  # the common case, without a Fraction
+            return value % self.p
         frac = Fraction(value)
         den = frac.denominator % self.p
         if den == 0:

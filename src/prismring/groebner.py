@@ -1,14 +1,15 @@
 """Groebner engine: reduced Groebner bases over QQ and GF(p).
 
 Every GF(p) run (``buchberger`` over GF(p), and each prime of the modular
-QQ pipeline) is F4 (Faugere, JPAA 139, 1999): each round takes every
-live pair whose lcm has the lowest degree and reduces them together in
-one Macaulay matrix. The rows are both shifted elements of each pair;
-symbolic preprocessing gives every monomial of the matrix that some
-leading monomial divides a pivot row, its first divisor in list order
-shifted onto it. The pair rows are cleared in every pivot column, and the
-reduced row echelon form of what is left gives the new basis elements,
-each with a new leading monomial. A reduced echelon form is unique, so
+QQ pipeline) is F4 (Faugere, JPAA 139, 1999): each round takes the live
+pairs whose lcm has the lowest degree, smallest lcm first and at most
+``_ROUND_PAIRS`` of them, and reduces them together in one Macaulay
+matrix. The rows are both shifted elements of each pair; symbolic
+preprocessing gives every monomial of the matrix that some leading
+monomial divides a pivot row, its first divisor in list order shifted
+onto it. The pair rows are cleared in every pivot column, and the reduced
+row echelon form of what is left gives the new basis elements, each with
+a new leading monomial. A reduced echelon form is unique, so
 the two kernels give the same rows: matrices of at most ``_SPARSE_CELLS``
 cells are reduced on dicts with the reducer's ``_step``, larger ones in
 numpy (int64 below p = 2^31, object above; a modular matrix product is
@@ -371,7 +372,7 @@ def _scan(lt, basis, hit, upto, corr, himask):
     appends cannot change, and ``upto[m]`` is how far the basis was scanned
     without one, so a miss resumes there and rescans only the elements
     appended since. The scan records its answer in one of the two. In the
-    F4 run of E_k of F210 over GF(11), 867 of 1887 lookups hit, and 42
+    F4 run of E_k of F210 over GF(11), 633 of 1470 lookups hit, and 48
     more are misses known without a scan.
     """
     k = upto.get(lt, 0)
@@ -509,8 +510,8 @@ class _Basis:
     leading monomial no newer one divides, the ones new pairs are formed
     with (see ``_gm_update``). Live pairs sit in ``pairs`` ({(i, j): lcm},
     pruned by Gebauer-Moeller) and in ``heap`` as (rank, lcm, i, j), where
-    rank is the lcm's degree in graded runs (F4 takes every pair of the
-    lowest degree at once) and 0 otherwise; pruned entries are skipped
+    rank is the lcm's degree in graded runs (an F4 round takes pairs of
+    the lowest degree only) and 0 otherwise; pruned entries are skipped
     when they come up.
     """
 
@@ -628,14 +629,36 @@ def _core(seeds, ctx, budget):
 # (measured on the small-bases systems and on E_k of F210 over GF(p)).
 _SPARSE_CELLS = 4096
 
+# An F4 round takes at most this many of the live pairs of the lowest lcm
+# degree, smallest lcm first; F4 is correct for any non-empty selection.
+# The pairs left wait in the heap, where the round's new elements can still
+# prune them. S-pairs / term ops by cap (E_k of F210 over GF(11); the
+# 3-label F210 prism system over GF(32003), over GF(11) and over QQ), and
+# the median f210-gf11 pass (caps interleaved in one process, process time,
+# 2-vCPU VM, Python 3.11):
+#   24:  209 /  54,181;  821 /   823,355; 3628 / 10,814,299; 3403 / 5,294,937; 0.123 s
+#   32:  228 /  57,518;  816 /   723,106; 1607 /  3,709,699; 3383 / 4,893,485; 0.123 s
+#   48:  251 /  60,531;  972 /   920,785; 1707 /  4,146,671; 4007 / 5,684,201; 0.119 s
+#   64:  251 /  68,372;  999 /   883,509; 1779 /  4,068,159; 4115 / 5,535,097; 0.123 s
+#   96:  346 /  96,244; 1099 / 1,067,380; 1917 /  5,068,965; 4515 / 6,270,717; 0.134 s
+#  128:  411 / 123,935; 1301 / 1,271,843; 2130 /  5,911,428; 5323 / 7,088,577; 0.148 s
+#  all:  446 / 150,356; 2021 / 2,467,036; 2768 /  8,166,416; 8203 / 11,869,357; 0.157 s
+# Below 32 the prism system falls off cliffs (28: 2724 and 3675 S-pairs over
+# GF(32003) and GF(11)), so the cap sits inside the flat 32-64 range. No
+# round of the small-bases systems takes more than 30 pairs (seeds 1, 2).
+_ROUND_PAIRS = 48
+
 
 def _f4(seeds, ctx, budget, pmod):
     """Reduced basis of monic seeds over GF(pmod) by F4, as packed dicts.
 
-    Returns ``(basis, quotient)``. Each round takes every live pair whose
-    lcm has the lowest degree and reduces them together in one Macaulay
+    Returns ``(basis, quotient)``. Each round pops the live pairs whose
+    lcm has the lowest degree, smallest lcm first, but at most
+    ``_ROUND_PAIRS`` of them, and reduces them together in one Macaulay
     matrix (``_f4_matrix``). Every row of the reduced echelon form that is
-    left has a new leading monomial and joins the basis.
+    left has a new leading monomial and joins the basis. Pairs past the
+    cap stay in the heap for a later round, where Gebauer-Moeller may
+    prune them with this round's new elements.
 
     A zero-dimensional run may stop before its pairs run out. After a round
     whose matrix went to the numpy kernel ((pivot rows + pair rows) x
@@ -663,7 +686,7 @@ def _f4(seeds, ctx, budget, pmod):
     heap, pairs = gb.heap, gb.pairs
     while heap:
         batch, rank = [], None
-        while heap and (not batch or heap[0][0] == rank):
+        while heap and len(batch) < _ROUND_PAIRS and (not batch or heap[0][0] == rank):
             rank, big, i, j = heappop(heap)
             if pairs.pop((i, j), None) is not None:
                 budget.charge_pair()
@@ -906,7 +929,8 @@ def _dense_echelon(rows, piv, cols, pmod):
     the non-pivot columns and goes through ``_rref_mod_p``.
 
     On the 12 matrices of a GF(11) ``two_parallel(F210, 5_1, 5_3)`` pass
-    (1,786 pivots) this kernel took 82 ms, against 97 ms with a Python
+    whose rounds took every pair of the lowest degree (1,786 pivots; see
+    ``_ROUND_PAIRS``) this kernel took 82 ms, against 97 ms with a Python
     list index per read and write and the leading term in each update
     (the same ``_rref_mod_p`` on both sides; interleaved in-process
     medians, 2-vCPU VM, Python 3.11, numpy 2.4).
@@ -978,11 +1002,12 @@ def _mulmod(a, b, p):
 
 # Column panel width of ``_rref_mod_p``. With reduction on read, 32 is best
 # of 16, 32 and 64 on the 13 RREFs of a GF(11) two_parallel(F210, 5_1, 5_3)
-# pass: 30.5, 26.4 and 29.9 ms (in-process medians). Most small-bases
-# matrices fit in one panel of 32.
+# pass with uncapped rounds: 30.5, 26.4 and 29.9 ms (in-process medians).
+# Most small-bases matrices fit in one panel of 32.
 _PANEL = 32
 
-# Measured on the GF(11) two_parallel(F210, 5_1, 5_3) pass and not taken up:
+# Measured on the GF(11) two_parallel(F210, 5_1, 5_3) pass and not taken up
+# (all but the last with uncapped rounds):
 # - float64 BLAS products: after threaded GEMMs the OpenBLAS workers keep
 #   spinning, so a pure-Python stretch ran at process CPU / wall = 1.99;
 # - blocked or level-scheduled pivot elimination in ``_dense_echelon``: the
@@ -990,7 +1015,14 @@ _PANEL = 32
 #   against 79-108 ms, and numpy's int64 matmul does not use BLAS (1.4 ms
 #   for a 139 x 32 x 465 product, 0.7 ns per multiply-add);
 # - ``_sparse_echelon`` on the large matrices: 324 ms against 23 ms;
-# - the newest divisor as reducer: 6.7 % fewer pivots, no faster.
+# - the newest divisor as reducer: 6.7 % fewer pivots, no faster;
+# - numbering each matrix's columns as symbolic preprocessing meets them,
+#   keeping each pivot monomial's shifted tail for the run and handing the
+#   dense kernel each pivot row's column ids (no sort of every column, no
+#   per-pivot index list): in the two F4 runs of a pass the kernel got 7-8
+#   ms faster and the preprocessing 4.5-5 ms slower; they took 90.6 against
+#   90.9 ms (60 interleaved rounds), and whole passes won 6 of 10
+#   interleaved batches.
 
 
 def _rref_mod_p(a, p):

@@ -9,6 +9,8 @@ from prismring.catalog import catalog
 from prismring.poly import Polynomial, monomial_div, monomial_divides
 from prismring.rings import build_ring, verify_axioms
 
+pytest_plugins = ["pytester"]  # test_settings runs pytest on a throwaway test
+
 # Reference form of the two reduced localization subsystems of the rank-7
 # FPdim-210 ring (u/v and w/z short variable names) and the linking equation.
 E1_TEXT = [

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prismring.fields import GF, QQ, Field, NonInvertibleError, is_prime
 from prismring.groebner import _prime_stream
@@ -45,6 +47,22 @@ def test_coerce_rational_into_prime_field():
     assert GF(7).coerce(Fraction(1, 5)) == 3
     with pytest.raises(NonInvertibleError):
         GF(5).coerce(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("p", [2, 11, 32003, 2**31 - 1, 2**61 - 1])
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(-(2**70), 2**70), k=st.integers(1, 2**40))
+def test_coerce_int_fast_path_agrees_with_fractions(p, n, k):
+    """A plain int takes the fast path ``n % p``; the Fraction route gives
+    the same residue, and a denominator divisible by p still raises."""
+    F = GF(p)
+    assert F.coerce(n) == F.coerce(Fraction(n)) == n % p
+    assert type(F.coerce(n)) is int
+    if k % p:
+        assert F.coerce(Fraction(n, k)) == n * pow(k, -1, p) % p
+    assume(n % p)
+    with pytest.raises(NonInvertibleError):
+        F.coerce(Fraction(n, k * p))
 
 
 def test_rational_ops_are_fractions():

@@ -247,23 +247,23 @@ def test_modular_path_used_for_swelling_system(gb_e1):
     assert gb.quotient_dimension() == 14
     text = "\n".join(format_polynomial(g) for g in gb.polys)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7abb78f0ad1758f4"
-    # the abandoned direct ZZ attempt's 83 S-pairs, six GF(p) runs of 446
+    # the abandoned direct ZZ attempt's 83 S-pairs, six GF(p) runs of 251
     # each and the certificate's 112 closure pairs; the attempt's 491,771
     # term ops are in the total, and every S-polynomial step is charged
-    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (2871, 1_493_741)
-    # 7 F4 matrices per prime, each run stopped by the border certificate
-    # with 77 pairs left
-    assert (gb.stats["matrices"], gb.stats["max_matrix_cells"]) == (42, 75_283)
-    assert gb.stats["pairs_left"] == 6 * 77
+    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (1701, 950_699)
+    # 8 F4 matrices per prime, each run stopped by the border certificate
+    # with 88 pairs left
+    assert (gb.stats["matrices"], gb.stats["max_matrix_cells"]) == (48, 18_315)
+    assert gb.stats["pairs_left"] == 6 * 88
 
 
 def test_direct_attempt_is_charged_to_the_caller(e1):
     """The direct ZZ attempt that swells on E1 is charged to the caller's
-    budget: its 83 S-pairs and the modular run's 2788 must both fit."""
+    budget: its 83 S-pairs and the modular run's 1618 must both fit."""
     with pytest.raises(GroebnerResourceError, match="^S-pair budget exceeded"):
-        buchberger(e1, pair_budget=2870)
-    gb = buchberger(e1, pair_budget=2871)
-    assert gb.stats["spairs"] == 2871
+        buchberger(e1, pair_budget=1700)
+    gb = buchberger(e1, pair_budget=1701)
+    assert gb.stats["spairs"] == 1701
     # so is an attempt stopped by its cap: the modular run's first pair is
     # then the 52nd
     with pytest.raises(GroebnerResourceError, match=r"^S-pair budget exceeded \(50\) "
@@ -290,7 +290,7 @@ F4_STATS = ("spairs", "term_ops", "matrices", "max_matrix_cells", "pairs_left")
 
 @pytest.mark.parametrize(
     "p, work",
-    [(1073741789, (446, 152_986, 7, 75_283, 77)), (11, (446, 150_356, 7, 74_280, 77))],
+    [(1073741789, (251, 62_479, 8, 18_315, 88)), (11, (251, 60_531, 8, 17_865, 88))],
     ids=["GF1073741789", "GF11"],
 )
 def test_gf_engine_work_on_ek(ek, p, work):
@@ -332,8 +332,9 @@ def test_f4_charges_what_the_kernels_allocate(monkeypatch, ek):
     columns (the dense kernel's residue array) plus its pivot rows' terms.
     Charged (pivot rows + pair rows) x columns instead, the 3-label prism
     system of F210 over GF(11) ran past the default term budget of 10^8
-    (417,066,467 cells); charged this way it finishes under it, with a
-    90-element basis, 8,166,416 term ops and 2,123,079 cells at most."""
+    (417,066,467 cells, in rounds of every lowest-degree pair); charged
+    this way it finishes under it, with a 90-element basis, 4,146,671 term
+    ops and 522,840 cells at most."""
     charges = []
     for name in ("_sparse_echelon", "_dense_echelon"):
         def spy(rows, piv, cols, pmod, kernel=getattr(groebner, name)):
@@ -357,7 +358,7 @@ def test_three_label_prism_system_is_trivial(f210, p):
     gb = buchberger(specialize(F, system), field=F)
     assert [format_polynomial(g) for g in gb.polys] == ["1"]
     if p == 32003:
-        assert gb.stats == dict(zip(F4_STATS, (2021, 2_467_036, 21, 575_148, 0)))
+        assert gb.stats == dict(zip(F4_STATS, (972, 920_785, 27, 105_190, 0)))
 
 
 def test_exponent_overflow_is_loud():
@@ -690,12 +691,49 @@ F4_PRIMES = [11, 32003, 2**31 - 1, 2**40 + 15]  # 2^31 - 1: largest int64 prime
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(data=st.data())
 def test_f4_matches_naive_buchberger(order, p, data):
+    """F4 is correct for any non-empty selection of pairs, so rounds of at
+    most one or two pairs give the reduced basis too."""
     F = GF(p)
     terms = st.dictionaries(_EXPS, st.integers(1, p - 1), min_size=1, max_size=3)
     system = data.draw(st.lists(terms, min_size=1, max_size=3))
     system = [Polynomial(XYZ, t, F, order) for t in system]
-    gb = buchberger(system, order, F)
+    cap = data.draw(st.sampled_from([1, 2, groebner._ROUND_PAIRS]), label="round cap")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_ROUND_PAIRS", cap)
+        gb = buchberger(system, order, F)
     assert gb.polys == naive_buchberger(system, order)
+
+
+def test_f4_rounds_take_at_most_the_cap(monkeypatch, ek):
+    """No F4 round of E_k takes more pairs than ``_ROUND_PAIRS``, some
+    round takes exactly that many, and the border certificate still stops
+    the run with pairs left."""
+    rounds = []
+
+    def spy(batch, *args, f4_matrix=groebner._f4_matrix):
+        rounds.append(len(batch))
+        return f4_matrix(batch, *args)
+
+    monkeypatch.setattr(groebner, "_f4_matrix", spy)
+    F = GF(11)
+    gb = buchberger(specialize(F, ek.polys), field=F)
+    assert max(rounds) == groebner._ROUND_PAIRS
+    assert len(rounds) == gb.stats["matrices"] and sum(rounds) == gb.stats["spairs"]
+    assert gb.stats["pairs_left"] > 0
+
+
+@pytest.mark.parametrize("system", ["ek", "prism"])
+def test_uncapped_rounds_give_the_same_basis(monkeypatch, f210, ek, system):
+    """Rounds of every lowest-degree pair give the same reduced basis over
+    GF(32003) as capped rounds, for E_k and the 3-label prism system."""
+    polys = ek.polys if system == "ek" else tpe_system(f210, ["1", "5_1", "5_3"]).polys
+    F = GF(32003)
+    polys = specialize(F, polys)
+    capped = buchberger(polys, field=F)
+    monkeypatch.setattr(groebner, "_ROUND_PAIRS", inf)
+    uncapped = buchberger(polys, field=F)
+    assert capped.polys == uncapped.polys
+    assert uncapped.stats["spairs"] > capped.stats["spairs"]
 
 
 # ---------------------------------------------------- border certificate

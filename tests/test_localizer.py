@@ -309,14 +309,14 @@ def test_two_parallel_budget_error_names_its_stage(f210, monkeypatch, stage):
 
 
 # F4 counters of gb_k and gb_l for two_parallel(F210, 5_1, 5_3) over GF(11),
-# each run stopped by the border certificate after 7 of its 10 rounds, and
+# each run stopped by the border certificate after 8 of its 12 rounds, and
 # the link step's: 14 x 14 staircases, corank 4, 91 border monomials a
 # side, 4 staircase monomials and 23 leading monomials taken by FGLM
 GF11_ENGINE_STATS = {
-    "k": {"spairs": 446, "term_ops": 150_356, "matrices": 7, "max_matrix_cells": 74_280,
-          "pairs_left": 77},
-    "l": {"spairs": 444, "term_ops": 151_130, "matrices": 7, "max_matrix_cells": 74_378,
-          "pairs_left": 77},
+    "k": {"spairs": 251, "term_ops": 60_531, "matrices": 8, "max_matrix_cells": 17_865,
+          "pairs_left": 88},
+    "l": {"spairs": 247, "term_ops": 60_032, "matrices": 8, "max_matrix_cells": 16_859,
+          "pairs_left": 95},
     "link": {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27},
 }
 
