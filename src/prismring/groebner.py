@@ -17,8 +17,12 @@ one int64 product when it cannot overflow). Each matrix is charged to the
 term budget before it is allocated, for what the kernels allocate: pair
 rows x columns plus the pivot rows' terms, so the budget also bounds the
 dense kernel's memory. A zero-dimensional run may stop before its pairs
-run out, once a border-basis certificate proves the basis so far complete
-(see ``_f4``).
+run out, once a border-basis certificate proves the basis so far complete:
+one walk up from the staircase of the elements' minimal leading monomials
+gives every border monomial, and every monomial of those elements and of
+the seeds left out, its normal-form vector, with no reduction; the
+multiplication matrices it fills must commute and the left-out seeds'
+vectors must vanish (see ``_f4`` and ``_border_certificate``).
 
 The direct fraction-free ZZ run (the first QQ attempt) takes one S-pair
 at a time: normal selection (smallest lcm in the active order, ties by
@@ -550,11 +554,16 @@ class _Basis:
     def minimal(self):
         """Indices of a minimal basis: the first element of each minimal
         leading monomial, in ascending order of leading monomial."""
-        ctx, lms = self.ctx, self.lms
-        minimal = []
+        corr, himask, lms = self.ctx.corr, self.ctx.himask, self.lms
+        minimal, kept = [], []
         for i in sorted(range(len(lms)), key=lms.__getitem__):
-            if not any(ctx.divides(lms[j], lms[i]) for j in minimal):
+            b = lms[i]
+            for a in kept:
+                if not (b - a + corr) & himask:
+                    break
+            else:
                 minimal.append(i)
+                kept.append(b)
         return minimal
 
     def reduced(self, minimal, budget, pmod=0):
@@ -635,7 +644,8 @@ _SPARSE_CELLS = 4096
 # prune them. S-pairs / term ops by cap (E_k of F210 over GF(11); the
 # 3-label F210 prism system over GF(32003), over GF(11) and over QQ), and
 # the median f210-gf11 pass (caps interleaved in one process, process time,
-# 2-vCPU VM, Python 3.11):
+# 2-vCPU VM, Python 3.11; term ops as measured while the border certificate
+# still charged its reductions, 3,217 of E_k's at 48):
 #   24:  209 /  54,181;  821 /   823,355; 3628 / 10,814,299; 3403 / 5,294,937; 0.123 s
 #   32:  228 /  57,518;  816 /   723,106; 1607 /  3,709,699; 3383 / 4,893,485; 0.123 s
 #   48:  251 /  60,531;  972 /   920,785; 1707 /  4,146,671; 4007 / 5,684,201; 0.119 s
@@ -664,20 +674,23 @@ def _f4(seeds, ctx, budget, pmod):
     whose matrix went to the numpy kernel ((pivot rows + pair rows) x
     columns above ``_SPARSE_CELLS``), that added elements and that leaves
     pairs, ``_border_certificate`` is tried. When every variable has a pure
-    power among the leading monomials, it takes the reduced basis R of the
-    elements so far, checks that every seed minimalization dropped reduces
-    to 0 modulo R, and builds R's staircase and border multiplication
-    matrices mod p. If those commute pairwise, the border prebasis they
-    define is a border basis (Mourrain, "A new criterion for normal form
-    algorithms", AAECC-13, 1999; Kehrein-Kreuzer-Robbiano, "An algebraist's
-    view on border bases", 2005), so the staircase is a vector-space basis
-    of the quotient by <R>, R is a Groebner basis, and by the seed check
-    <R> is the input ideal: R is returned, with ``quotient`` = (staircase,
-    matrices, border vectors built), and the pairs still pending are left
-    unreduced and counted in ``budget.left`` (the ``pairs_left`` stat).
-    The check is skipped when n s^2 (n variables, s staircase monomials)
-    exceeds the round's matrix cells, so it never allocates more than that
-    round did. A run that empties its heap returns ``quotient`` None.
+    power among the leading monomials, it takes the first element of each
+    minimal leading monomial, as it is (no interreduction), and walks once
+    up from their staircase (``_border_walk``): every border monomial,
+    every monomial of those elements' tails and of the seeds that
+    minimalization dropped gets its vector on the staircase mod p, and the
+    border vectors fill the multiplication matrices. If the matrices
+    commute and every dropped seed's vector is 0, the border prebasis is a
+    border basis of the input ideal (Mourrain, "A new criterion for normal
+    form algorithms", AAECC-13, 1999; Kehrein-Kreuzer-Robbiano, "An
+    algebraist's view on border bases", 2005; the proof is at
+    ``_border_certificate``), and the reduced basis R is read off the
+    vectors of the minimal leading monomials: R is returned, with
+    ``quotient`` = (staircase, matrices, border vectors built), and the
+    pairs still pending are left unreduced and counted in ``budget.left``
+    (the ``pairs_left`` stat). The check is skipped when n s^2 (n
+    variables, s staircase monomials) exceeds the round's matrix cells. A
+    run that empties its heap returns ``quotient`` None.
     """
     gb = _Basis(ctx, graded=True)
     if gb.seed(seeds):
@@ -699,38 +712,67 @@ def _f4(seeds, ctx, budget, pmod):
                 return gb.unit(), None
             gb.add(d)
         if new and pairs and cells > _SPARSE_CELLS:
-            done = _border_certificate(gb, len(seeds), budget, pmod, cells)
+            done = _border_certificate(gb, len(seeds), pmod, cells)
             if done is not None:
                 budget.left += len(pairs)
                 return done
     return gb.reduced(gb.minimal(), budget, pmod), None
 
 
-def _border_certificate(gb, nseeds, budget, pmod, cells):
-    """``(R, (staircase, matrices, border vectors))`` when the elements of
-    ``gb`` so far prove their reduced basis R complete, else None (see
-    ``_f4``); ``gb.elts[:nseeds]`` are the seeds.
+def _border_certificate(gb, nseeds, pmod, cells):
+    """``(R, (staircase, matrices, border vectors built))`` when the elements
+    of ``gb`` so far prove R the reduced basis of the input ideal I, else
+    None (see ``_f4``); ``gb.elts[:nseeds]`` are the seeds.
 
-    The staircase walk stops once n s^2 would exceed ``cells``.
+    L holds the first element of each minimal leading monomial b, and S is
+    the staircase of those b. ``_border_walk`` gives each monomial t it
+    takes a vector vec(t) on S: minus the vectors of the tail, when t
+    leads an element of L, else M_w vec(t/x_w). By induction on t, t -
+    vec(t) lies in I and in the ideal <J'> of the border prebasis J' =
+    {b - vec(b): b on the border}, so <J'> is in I. Each element of L lies
+    in <J'>, since its vector, vec(b) plus its tail's, is 0 by
+    construction, and every other seed does when its vector is 0; then
+    I = <J'>. If the matrices M_v commute, J' is a border basis
+    (Mourrain, "A new criterion for normal form algorithms", AAECC-13,
+    1999; Kehrein-Kreuzer-Robbiano, "An algebraist's view on border
+    bases", 2005), so S is a vector-space basis of the quotient by I.
+    Every vec(t) has terms below t only, so every monomial off S leads an
+    element of I, S is I's staircase, and R is {b - vec(b)} over the
+    minimal b, in ascending order. The walk does no reduction, so it
+    charges no term ops.
+
+    The walk is skipped when n s^2 (n variables, s staircase monomials)
+    would exceed ``cells``, so the matrices hold at most as many entries
+    as that round's matrix, and the one product that checks that they
+    commute, over all ordered pairs, n times that.
     """
     ctx = gb.ctx
     if not {ctx.pure_var(m) for m in gb.lms}.issuperset(range(ctx.n)):
         return None  # a variable has no pure power: the staircase is infinite
     minimal = gb.minimal()
+    leads = {gb.lms[i]: gb.elts[i].terms[1:] for i in minimal}
     try:
-        stair = _staircase([gb.lms[i] for i in minimal], ctx, isqrt(cells // ctx.n))
+        stair = _staircase(list(leads), ctx, isqrt(cells // ctx.n))
     except GroebnerResourceError:
         return None
-    out = gb.reduced(minimal, budget, pmod)
-    elts = [_make_elt(d, ctx) for d in out]
-    for i in sorted(set(range(nseeds)) - set(minimal)):
-        if _reduce(dict(gb.elts[i].terms), elts, budget, ctx, pmod):
-            return None
-    xs, border = _border_matrices(out, stair, ctx, pmod)
-    for v, a in enumerate(xs):
-        for b in xs[v + 1 :]:
-            if (_mulmod(a, b, pmod) != _mulmod(b, a, pmod)).any():
-                return None
+    kept = set(minimal)
+    dropped = [gb.elts[i].terms for i in range(nseeds) if i not in kept]
+    extra = [t for terms in dropped for t, _ in terms]
+    xs, vec, border = _border_walk(leads, stair, ctx, pmod, extra)
+    row = {s: j for j, s in enumerate(stair)}
+    if any(_combine(terms, vec, row, pmod).any() for terms in dropped):
+        return None
+    n, s = ctx.n, len(stair)
+    # block (i, j) is M_i M_j
+    prod = _mulmod(np.concatenate(xs), np.concatenate(xs, axis=1), pmod)
+    prod = prod.reshape(n, s, n, s)
+    if (prod != prod.transpose(2, 1, 0, 3)).any():
+        return None
+    out = []
+    for b in sorted(leads):
+        d = {b: 1}
+        d.update((stair[j], c) for j, c in enumerate((-vec[b] % pmod).tolist()) if c)
+        out.append(d)
     return out, (stair, xs, border)
 
 
@@ -747,6 +789,7 @@ def _staircase(lms, ctx, limit):
         return []
     if not {ctx.pure_var(m) for m in lms}.issuperset(range(ctx.n)):
         return None
+    corr, himask = ctx.corr, ctx.himask
     one = ctx.pack((0,) * ctx.n)
     steps = [x - one for x in ctx.variables()]
     seen, frontier = {one}, [one]
@@ -755,64 +798,100 @@ def _staircase(lms, ctx, limit):
         for m in frontier:
             for step in steps:
                 c = m + step
-                if c in seen or any(ctx.divides(lm, c) for lm in lms):
+                if c in seen:
                     continue
-                seen.add(c)
-                nxt.append(c)
-                if len(seen) > limit:
-                    raise GroebnerResourceError("staircase enumeration limit hit")
+                for lm in lms:
+                    if not (c - lm + corr) & himask:
+                        break
+                else:
+                    seen.add(c)
+                    nxt.append(c)
+                    if len(seen) > limit:
+                        raise GroebnerResourceError("staircase enumeration limit hit")
         frontier = nxt
     return sorted(seen)
 
 
-def _border_matrices(basis, stair, ctx, p):
-    """Matrices of multiplication by each variable on a finite staircase.
+def _combine(terms, vec, row, p):
+    """The vector of sum(c t) over ``terms`` on the staircase ``row`` (a
+    monomial's index), mod p: a staircase monomial is its own unit vector,
+    any other t has ``vec[t]``."""
+    u = np.zeros(len(row), _residue_dtype(p))
+    cs, vs = [], []
+    for t, c in terms:
+        if t in row:
+            u[row[t]] = c
+        else:
+            cs.append(c)
+            vs.append(vec[t])
+    if cs:
+        u += _mulmod(np.array(cs, u.dtype), np.stack(vs), p)
+    return u % p
 
-    ``basis`` is a reduced basis over GF(p) as monic packed dicts, ``stair``
-    its staircase sorted ascending; column j of the matrix of x_v is the
-    normal form of x_v*stair[j] on the staircase. Returns the matrices and
-    the number of border vectors built.
 
-    The border monomials b = x_v*s, s in the staircase, b outside it, are
-    taken in increasing order (FGLM's construction, no division). A leading
-    monomial b of an element g has the vector -tail(g). Any other b has a
-    variable x_w with b/x_w outside the staircase, so on the border: its
-    normal form has only terms t below b/x_w, and the vector of b is the
-    sum of its coefficients times the vectors of x_w*t, all below b, so the
-    columns of M_w filled so far suffice.
+def _border_walk(leads, stair, ctx, p, extra=()):
+    """Vectors on a finite staircase by one walk, and the multiplication matrices.
+
+    ``leads`` maps each minimal leading monomial b to the tail of a monic
+    element that b leads, over GF(p); ``stair`` is their staircase,
+    ascending. The walk gives a vector on the staircase to each border
+    monomial x_v s (s on the staircase, x_v s off it), to each monomial off
+    the staircase of a tail or of ``extra``, and, closing the set, to t/x_w
+    for each of these t that is not a lead, with x_w the first variable
+    such that t/x_w is off the staircase. It takes them in increasing order
+    (FGLM's construction, no division). A lead b gets minus the sum of c
+    vec(t) over its tail's terms c t. Any other t gets M_w vec(t/x_w):
+    vec(t/x_w) has terms s below t/x_w only, so each x_w s is below t, on
+    the staircase or on the border, and its column of M_w is filled
+    already. A border monomial x_v s fills column s of M_v.
+
+    Returns the matrices, the vectors (a dict of monomial to residue array)
+    and the number of border monomials. For a reduced basis the tails lie
+    on the staircase and only the border is walked, so column j of M_v is
+    the normal form of x_v stair[j].
     """
     dtype = _residue_dtype(p)
+    corr, himask = ctx.corr, ctx.himask
     n, size = ctx.n, len(stair)
     one = ctx.pack((0,) * n)
     var = ctx.variables()
     row = {s: i for i, s in enumerate(stair)}
-    lead = {max(d): d for d in basis}
     xs = [np.zeros((size, size), dtype) for _ in range(n)]
-    border = set()
+    border = {}  # border monomial x_v stair[j] -> its [(v, j)]
     for s, j in row.items():
         for v in range(n):
             b = s + var[v] - one
             if b in row:
                 xs[v][row[b], j] = 1
             else:
-                border.add(b)
-    vec = {}  # border monomial -> its normal form, on the staircase
-    for b in sorted(border):
-        # b / x_v for each variable x_v that divides b
-        down = {v: b - var[v] + one for v in range(n) if ctx.divides(var[v], b)}
-        if b in lead:
-            u = np.zeros(size, dtype)
-            for e, c in lead[b].items():
-                if e != b:
-                    u[row[e]] = -c % p
+                border.setdefault(b, []).append((v, j))
+    todo = list(border)
+    todo += (t for tail in leads.values() for t, _ in tail)
+    todo += extra
+    down, seen = {}, set()  # a non-lead t -> (w, t/x_w)
+    for t in todo:  # grows while it is walked
+        if t in row or t in seen:
+            continue
+        seen.add(t)
+        if t not in leads:
+            w = next(
+                w for w, x in enumerate(var)
+                if not (t - x + corr) & himask and t - x + one not in row
+            )
+            d = t - var[w] + one
+            down[t] = w, d
+            todo.append(d)
+    vec = {}
+    for t in sorted(seen):
+        if t in leads:
+            u = -_combine(leads[t], vec, row, p) % p
         else:
-            w = next(v for v, d in down.items() if d not in row)
-            u = _mulmod(xs[w], vec[down[w]], p)
-        vec[b] = u
-        for v, d in down.items():
-            if d in row:
-                xs[v][:, row[d]] = u
-    return xs, len(border)
+            w, d = down[t]
+            u = _mulmod(xs[w], vec[d], p)
+        vec[t] = u
+        for v, j in border.get(t, ()):
+            xs[v][:, j] = u
+    return xs, vec, len(border)
 
 
 def _f4_matrix(batch, elts, ctx, budget, pmod, memo):
@@ -1309,7 +1388,7 @@ class GroebnerBasis:
     def multiplication_matrices(self, field):
         """The matrices of multiplication by each variable on the staircase,
         over the prime field ``field``, and the number of border vectors
-        built (see ``_border_matrices``); None when the staircase is infinite.
+        built (see ``_border_walk``); None when the staircase is infinite.
 
         A basis over QQ is taken mod p first, which raises
         :class:`~prismring.fields.NonInvertibleError` when p divides a
@@ -1321,10 +1400,13 @@ class GroebnerBasis:
         if stair is None:
             return None
         ctx = _PackCtx(len(self.vars), self.order)
-        basis = [
-            {ctx.pack(e): field.coerce(c) for e, c in g.terms.items()} for g in self.polys
-        ]
-        return _border_matrices(basis, [ctx.pack(m) for m in stair], ctx, field.p)
+        leads = {}
+        for g in self.polys:
+            terms = sorted(((ctx.pack(e), field.coerce(c)) for e, c in g.terms.items()),
+                           reverse=True)
+            leads[terms[0][0]] = terms[1:]
+        xs, _, border = _border_walk(leads, [ctx.pack(m) for m in stair], ctx, field.p)
+        return xs, border
 
     def quotient_dimension(self):
         """Number of standard monomials, or ``math.inf`` when unbounded."""
@@ -1439,9 +1521,11 @@ def buchberger(
             stats["matrices"] = budget.matrices
             stats["max_matrix_cells"] = budget.max_cells
             stats["pairs_left"] = budget.left
+        # each monomial unpacked once: a reduced basis's tails share the
+        # staircase (E_k over GF(11): 364 terms, 45 monomials)
+        names = {e: ctx.unpack(e) for e in set().union(*out)}
         polys = [
-            Polynomial(vars, {ctx.unpack(e): c for e, c in d.items()}, field, order)
-            for d in out
+            Polynomial(vars, {names[e]: c for e, c in d.items()}, field, order) for d in out
         ]
         return GroebnerBasis(polys, vars, field, order, system, stats)
 

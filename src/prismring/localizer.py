@@ -27,6 +27,7 @@ from .groebner import (
     GroebnerBasis,
     GroebnerResourceError,
     _mulmod,
+    _PackCtx,
     _prime_stream,
     _residue_dtype,
     _rref_mod_p,
@@ -34,7 +35,7 @@ from .groebner import (
     normal_form,  # unused here; perfbench/spans.py patches it by name
     specialize,
 )
-from .poly import GREVLEX, Polynomial, grevlex_key, monomial_divides
+from .poly import GREVLEX, Polynomial
 from .rings import FpData, FusionRing, fpdim_data
 
 
@@ -578,11 +579,6 @@ def _combined_ring_vars(sys_k: LocalSystem, sys_l: LocalSystem):
     return sys_k.variables + sys_l.variables
 
 
-def _shift(m, v):
-    """The monomial m times x_v."""
-    return m[:v] + (m[v] + 1,) + m[v + 1 :]
-
-
 def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     """Corank of the link on A_k (x) A_l and, where it can, the linked basis.
 
@@ -609,7 +605,9 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     ideal then comes from FGLM (Faugere-Gianni-Lazard-Mora, JSC 16(4),
     1993): candidate monomials x_v*s, s in the new staircase, are taken in
     increasing grevlex order, multiples of leading monomials found so far
-    are skipped, and each candidate's vector is its predecessor's times
+    are skipped (on packed monomials, so the heap orders them by integer
+    comparison and divisibility is one masked subtraction, as in the
+    engine), and each candidate's vector is its predecessor's times
     M_v, reduced modulo im(L) and then against the accepted vectors. A
     dependent vector gives the basis element m - sum c_i s_i.
 
@@ -654,8 +652,10 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     if corank and not link.field.p:
         return corank, None, counts
 
-    n = len(link.vars)
-    one = (0,) * n
+    ctx = _PackCtx(len(link.vars), GREVLEX)
+    corr, himask = ctx.corr, ctx.himask
+    one = ctx.pack((0,) * ctx.n)
+    steps = [x - one for x in ctx.variables()]
     start = np.zeros((nk, nl), dtype)
     if nk and nl:
         start[0, 0] = 1  # the staircases are sorted, so 1 comes first
@@ -663,10 +663,10 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     vecs = {}  # staircase monomial -> its vector reduced modulo im(L)
     stair, lms, basis = [], [], []
     rows = []  # accepted vectors: (pivot, row, row as a combination of stair)
-    heap = [(grevlex_key(one), one)]
+    heap = [one]
     while heap:
-        _, m = heapq.heappop(heap)
-        if any(monomial_divides(lm, m) for lm in lms):
+        m = heapq.heappop(heap)
+        if any(not (m - lm + corr) & himask for lm in lms):
             continue
         counts["fglm_candidates"] += 1
         if pred[m] is None:
@@ -685,7 +685,7 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
                 comb = (comb + f * t) % p
         nz = np.flatnonzero(u)
         if not nz.size:
-            terms = {m: 1}
+            terms = {ctx.unpack(m): 1}
             terms.update({stair[j]: (-int(comb[j])) % p for j in np.flatnonzero(comb)})
             basis.append(Polynomial(link.vars, terms, link.field, GREVLEX))
             lms.append(m)
@@ -694,13 +694,13 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
         t = (-comb) * inv % p
         t[len(stair)] = inv
         rows.append((nz[0], u * inv % p, t))
-        stair.append(m)
+        stair.append(ctx.unpack(m))
         vecs[m] = w.reshape(nk, nl)
-        for v in range(n):
-            c = _shift(m, v)
+        for v, step in enumerate(steps):
+            c = m + step
             if c not in pred:
                 pred[c] = (m, v)
-                heapq.heappush(heap, (grevlex_key(c), c))
+                heapq.heappush(heap, c)
     return corank, basis, counts
 
 

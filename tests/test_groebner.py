@@ -16,7 +16,7 @@ from prismring.groebner import (
     GroebnerResourceError,
     _Basis,
     _border_certificate,
-    _border_matrices,
+    _border_walk,
     _Budget,
     _certify_qq,
     _dense_echelon,
@@ -250,7 +250,7 @@ def test_modular_path_used_for_swelling_system(gb_e1):
     # the abandoned direct ZZ attempt's 83 S-pairs, six GF(p) runs of 251
     # each and the certificate's 112 closure pairs; the attempt's 491,771
     # term ops are in the total, and every S-polynomial step is charged
-    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (1701, 950_699)
+    assert (gb.stats["spairs"], gb.stats["term_ops"]) == (1701, 929_243)
     # 8 F4 matrices per prime, each run stopped by the border certificate
     # with 88 pairs left
     assert (gb.stats["matrices"], gb.stats["max_matrix_cells"]) == (48, 18_315)
@@ -290,7 +290,7 @@ F4_STATS = ("spairs", "term_ops", "matrices", "max_matrix_cells", "pairs_left")
 
 @pytest.mark.parametrize(
     "p, work",
-    [(1073741789, (251, 62_479, 8, 18_315, 88)), (11, (251, 60_531, 8, 17_865, 88))],
+    [(1073741789, (251, 58_903, 8, 18_315, 88)), (11, (251, 57_314, 8, 17_865, 88))],
     ids=["GF1073741789", "GF11"],
 )
 def test_gf_engine_work_on_ek(ek, p, work):
@@ -754,24 +754,73 @@ def test_border_certificate_refuses_incomplete_bases():
         assert not gb.seed([{x2: 1}, {y2: 1}, third])
         return gb
 
-    budget = _Budget(10**6, 10**8)
     gb = state({x2: 1, y: 1})
-    assert [gb.lms[i] for i in gb.minimal()] == [y2, x2]
-    kept = gb.reduced(gb.minimal(), budget, p)
-    xs, _ = _border_matrices(kept, _staircase([y2, x2], ctx, 10), ctx, p)
+    minimal = gb.minimal()
+    assert [gb.lms[i] for i in minimal] == [y2, x2]
+    leads = {gb.lms[i]: gb.elts[i].terms[1:] for i in minimal}
+    xs, _, border = _border_walk(leads, _staircase([y2, x2], ctx, 10), ctx, p)
+    assert border == 4
     assert (xs[0] @ xs[1] % p == xs[1] @ xs[0] % p).all()
-    assert _border_certificate(gb, 3, budget, p, 10**6) is None
-    basis, _ = _border_certificate(state({x2: 1, y2: 1}), 3, budget, p, 10**6)
+    assert _border_certificate(gb, 3, p, 10**6) is None
+    basis, _ = _border_certificate(state({x2: 1, y2: 1}), 3, p, 10**6)
     assert basis == [{y2: 1}, {x2: 1}]
     # x^2, xy - 1, y^2: no seed is dropped, but the S-pair of the first two
     # gives x, so the ideal is the whole ring, and the matrices on the
     # staircase 1, y, x do not commute
     gb = state({ctx.pack((1, 1)): 1, ctx.pack((0, 0)): p - 1})
-    assert _border_certificate(gb, 3, budget, p, 10**6) is None
+    assert _border_certificate(gb, 3, p, 10**6) is None
     XY = ("x", "y")
     F = GF(p)
     gb = buchberger([P(t, XY, F) for t in ("x^2", "y^2", "x^2 + y")], field=F)
     assert [format_polynomial(g) for g in gb] == ["y", "x^2"]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_border_certificate_walks_beyond_the_border(order):
+    """Seeds x^2, y^2 and a dropped seed led by x^3, which lies beyond the
+    border of the staircase 1, y, x, xy. The walk gives x^3 the vector of
+    x times that of x^2, which is 0, so x^3 + y has the vector of y and the
+    certificate refuses: the ideal is <x^2, y>. x^3 + 5xy^2 has vector 0
+    (xy^2 is x times y^2), and the certificate holds with basis y^2, x^2."""
+    p = 32003
+    ctx = _PackCtx(2, order)
+    x3, x2, y2, xy2, y = (ctx.pack(e) for e in ((3, 0), (2, 0), (0, 2), (1, 2), (0, 1)))
+
+    def certificate(third):
+        gb = _Basis(ctx, graded=True)
+        assert not gb.seed([{x2: 1}, {y2: 1}, third])
+        assert [gb.lms[i] for i in gb.minimal()] == [y2, x2]
+        return _border_certificate(gb, 3, p, 10**6)
+
+    assert certificate({x3: 1, y: 1}) is None
+    basis, (stair, _, border) = certificate({x3: 1, xy2: 5})
+    assert basis == [{y2: 1}, {x2: 1}]
+    assert (stair, border) == (sorted(ctx.pack(e) for e in ((0, 0), (0, 1), (1, 0), (1, 1))), 4)
+    F = GF(p)
+    for third, want in (("x^3 + y", ["y", "x^2"]), ("x^3 + 5*x*y^2", ["y^2", "x^2"])):
+        gb = buchberger([P(t, ("x", "y"), F, order) for t in ("x^2", "y^2", third)], order, F)
+        assert [format_polynomial(g) for g in gb] == want
+
+
+def test_certifying_run_does_not_reduce(monkeypatch, ek):
+    """A GF(11) run of E_k that the border certificate stops calls neither
+    the reducer nor the interreduction: the certificate reads the basis,
+    and the dropped seeds' normal forms, off its one walk."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(groebner, "_reduce", spy("_reduce", groebner._reduce))
+    monkeypatch.setattr(_Basis, "reduced", spy("reduced", _Basis.reduced))
+    F = GF(11)
+    gb = buchberger(specialize(F, ek.polys), field=F)
+    assert gb.quotient is not None and gb.stats["pairs_left"] > 0
+    assert len(gb) == 31
+    assert calls == []
 
 
 def small_bases_systems():
