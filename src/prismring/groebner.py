@@ -24,6 +24,12 @@ the seeds left out, its normal-form vector, with no reduction; the
 multiplication matrices it fills must commute and the left-out seeds'
 vectors must vanish (see ``_f4`` and ``_border_certificate``).
 
+``fglm`` (Faugere-Gianni-Lazard-Mora, JSC 16(4), 1993) reads the reduced
+grevlex basis of a zero-dimensional ideal off the multiplication matrices
+of its quotient and the vector of 1, in any basis of the quotient: the
+link step of ``localizer.two_parallel`` hands it the matrices of the
+linked quotient.
+
 The direct fraction-free ZZ run (the first QQ attempt) takes one S-pair
 at a time: normal selection (smallest lcm in the active order, ties by
 pair index). It and F4 use Gebauer-Moeller elimination, which implements
@@ -673,30 +679,32 @@ def _f4(seeds, ctx, budget, pmod):
     A zero-dimensional run may stop before its pairs run out. After a round
     whose matrix went to the numpy kernel ((pivot rows + pair rows) x
     columns above ``_SPARSE_CELLS``), that added elements and that leaves
-    pairs, ``_border_certificate`` is tried. When every variable has a pure
-    power among the leading monomials, it takes the first element of each
-    minimal leading monomial, as it is (no interreduction), and walks once
-    up from their staircase (``_border_walk``): every border monomial,
-    every monomial of those elements' tails and of the seeds that
-    minimalization dropped gets its vector on the staircase mod p, and the
-    border vectors fill the multiplication matrices. If the matrices
-    commute and every dropped seed's vector is 0, the border prebasis is a
-    border basis of the input ideal (Mourrain, "A new criterion for normal
-    form algorithms", AAECC-13, 1999; Kehrein-Kreuzer-Robbiano, "An
-    algebraist's view on border bases", 2005; the proof is at
-    ``_border_certificate``), and the reduced basis R is read off the
-    vectors of the minimal leading monomials: R is returned, with
-    ``quotient`` = (staircase, matrices, border vectors built), and the
-    pairs still pending are left unreduced and counted in ``budget.left``
-    (the ``pairs_left`` stat). The check is skipped when n s^2 (n
-    variables, s staircase monomials) exceeds the round's matrix cells. A
-    run that empties its heap returns ``quotient`` None.
+    pairs, ``_border_certificate`` is tried once every variable has a pure
+    power among the leading monomials (a set kept as elements join). It
+    takes the first element of each minimal leading monomial, as it is
+    (no interreduction), and walks once up from their staircase
+    (``_border_walk``): every border monomial, every monomial of those
+    elements' tails and of the seeds that minimalization dropped gets its
+    vector on the staircase mod p, and the border vectors fill the
+    multiplication matrices. If the matrices commute and every dropped
+    seed's vector is 0, the border prebasis is a border basis of the input
+    ideal (Mourrain, "A new criterion for normal form algorithms",
+    AAECC-13, 1999; Kehrein-Kreuzer-Robbiano, "An algebraist's view on
+    border bases", 2005; the proof is at ``_border_certificate``), and the
+    reduced basis R is read off the vectors of the minimal leading
+    monomials: R is returned, with ``quotient`` = (staircase, matrices,
+    border vectors built), and the pairs still pending are left unreduced
+    and counted in ``budget.left`` (the ``pairs_left`` stat). The check is
+    skipped when n s^2 (n variables, s staircase monomials) exceeds the
+    round's matrix cells. A run that empties its heap returns ``quotient``
+    None.
     """
     gb = _Basis(ctx, graded=True)
     if gb.seed(seeds):
         return gb.unit(), None
     memo = ({}, {})  # divisor memo of the symbolic preprocessing (see _scan)
     heap, pairs = gb.heap, gb.pairs
+    pure = {ctx.pure_var(m) for m in gb.lms}  # variables with a pure power leading
     while heap:
         batch, rank = [], None
         while heap and len(batch) < _ROUND_PAIRS and (not batch or heap[0][0] == rank):
@@ -711,7 +719,8 @@ def _f4(seeds, ctx, budget, pmod):
             if ctx.deg(max(d)) == 0:
                 return gb.unit(), None
             gb.add(d)
-        if new and pairs and cells > _SPARSE_CELLS:
+            pure.add(ctx.pure_var(gb.lms[-1]))
+        if new and pairs and cells > _SPARSE_CELLS and pure.issuperset(range(ctx.n)):
             done = _border_certificate(gb, len(seeds), pmod, cells)
             if done is not None:
                 budget.left += len(pairs)
@@ -722,7 +731,8 @@ def _f4(seeds, ctx, budget, pmod):
 def _border_certificate(gb, nseeds, pmod, cells):
     """``(R, (staircase, matrices, border vectors built))`` when the elements
     of ``gb`` so far prove R the reduced basis of the input ideal I, else
-    None (see ``_f4``); ``gb.elts[:nseeds]`` are the seeds.
+    None (see ``_f4``); ``gb.elts[:nseeds]`` are the seeds, and every
+    variable has a pure power among the leading monomials.
 
     L holds the first element of each minimal leading monomial b, and S is
     the staircase of those b. ``_border_walk`` gives each monomial t it
@@ -747,8 +757,6 @@ def _border_certificate(gb, nseeds, pmod, cells):
     commute, over all ordered pairs, n times that.
     """
     ctx = gb.ctx
-    if not {ctx.pure_var(m) for m in gb.lms}.issuperset(range(ctx.n)):
-        return None  # a variable has no pure power: the staircase is infinite
     minimal = gb.minimal()
     leads = {gb.lms[i]: gb.elts[i].terms[1:] for i in minimal}
     try:
@@ -892,6 +900,71 @@ def _border_walk(leads, stair, ctx, p, extra=()):
         for v, j in border.get(t, ()):
             xs[v][:, j] = u
     return xs, vec, len(border)
+
+
+def fglm(start, mats, vars, field, p):
+    """The reduced grevlex basis of a zero-dimensional ideal I, from its
+    quotient's matrices (Faugere-Gianni-Lazard-Mora, JSC 16(4), 1993).
+
+    ``start`` is the vector of 1 in some basis of R/I mod p, a residue
+    array of length c = dim R/I, and ``mats[v]`` the c x c matrix of
+    multiplication by ``vars[v]`` in that basis. Candidate monomials x_v s,
+    s in the new staircase, are taken in increasing grevlex order from a
+    heap of packed monomials (integer comparison), and multiples of the
+    leading monomials found so far are skipped (one masked subtraction).
+    A candidate's vector is its predecessor's times ``mats[v]``; reduced
+    against the accepted vectors, it either joins the staircase or is
+    dependent, and then gives the basis element m - sum c_i s_i.
+
+    Returns the basis as polynomials over ``field`` (ascending), and the
+    number of candidates whose vectors were reduced: the staircase plus
+    the leading monomials.
+    """
+    ctx = _PackCtx(len(vars), GREVLEX)
+    corr, himask = ctx.corr, ctx.himask
+    dtype = _residue_dtype(p)
+    one = ctx.pack((0,) * ctx.n)
+    steps = [x - one for x in ctx.variables()]
+    pred = {one: None}  # candidate -> (staircase monomial, variable)
+    vecs = {}  # staircase monomial -> its vector
+    stair, lms, basis = [], [], []
+    rows = []  # accepted vectors: (pivot, row, row as a combination of stair)
+    heap, candidates = [one], 0
+    while heap:
+        m = heappop(heap)
+        if any(not (m - lm + corr) & himask for lm in lms):
+            continue
+        candidates += 1
+        if pred[m] is None:
+            w = start
+        else:
+            s, v = pred[m]
+            w = _mulmod(mats[v], vecs[s], p)
+        u, comb = w, np.zeros(len(start), dtype)
+        for col, e, t in rows:
+            f = u[col]
+            if f:
+                u = (u - f * e) % p
+                comb = (comb + f * t) % p
+        nz = np.flatnonzero(u)
+        if not nz.size:
+            terms = {ctx.unpack(m): 1}
+            terms.update({stair[j]: (-int(comb[j])) % p for j in np.flatnonzero(comb)})
+            basis.append(Polynomial(vars, terms, field, GREVLEX))
+            lms.append(m)
+            continue
+        inv = pow(int(u[nz[0]]), -1, p)
+        t = (-comb) * inv % p
+        t[len(stair)] = inv
+        rows.append((nz[0], u * inv % p, t))
+        stair.append(ctx.unpack(m))
+        vecs[m] = w
+        for v, step in enumerate(steps):
+            c = m + step
+            if c not in pred:
+                pred[c] = (m, v)
+                heappush(heap, c)
+    return basis, candidates
 
 
 def _f4_matrix(batch, elts, ctx, budget, pmod, memo):

@@ -7,13 +7,13 @@ arguments forced to explicit constants. This module generates the reduced
 subsystem, the full three-argument system, the equation linking two
 subsystems, and runs the two-subsystem exclusion pipeline: Groebner
 bases of the two subsystems, then linear algebra on the product of their
-quotient algebras, which gives the verdict and, by FGLM, the basis of the
-linked system.
+quotient algebras, which gives the verdict and the multiplication
+matrices of the linked quotient, from which ``groebner.fglm`` reads the
+basis of the linked system.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,11 +27,11 @@ from .groebner import (
     GroebnerBasis,
     GroebnerResourceError,
     _mulmod,
-    _PackCtx,
     _prime_stream,
     _residue_dtype,
     _rref_mod_p,
     buchberger,
+    fglm,
     normal_form,  # unused here; perfbench/spans.py patches it by name
     specialize,
 )
@@ -600,16 +600,14 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     matrices mod p are the images of the rational ones, and corank 0 mod p
     proves the link a unit over QQ.
 
-    The reduced echelon form R of L^T spans im(L), so w - w[piv] @ R
-    reduces a vector modulo im(L). The reduced grevlex basis of the linked
-    ideal then comes from FGLM (Faugere-Gianni-Lazard-Mora, JSC 16(4),
-    1993): candidate monomials x_v*s, s in the new staircase, are taken in
-    increasing grevlex order, multiples of leading monomials found so far
-    are skipped (on packed monomials, so the heap orders them by integer
-    comparison and divisibility is one masked subtraction, as in the
-    engine), and each candidate's vector is its predecessor's times
-    M_v, reduced modulo im(L) and then against the accepted vectors. A
-    dependent vector gives the basis element m - sum c_i s_i.
+    The reduced echelon form R of L^T spans im(L), so a vector w of A has
+    the coordinates w[free] - w[piv] @ R[:, free] in A/im(L), on the unit
+    vectors of the c = corank columns off the pivots. im(L) is an ideal of
+    A, so each variable acts on A/im(L): x_v takes the unit vector at
+    (r, s) to column r of M_v (x) e_s, or to e_r (x) column s of M_v, and
+    one product with R[:, free] projects these images, for every variable,
+    and 1 onto A/im(L). ``groebner.fglm`` on the c x c matrices gives the
+    reduced grevlex basis of the linked ideal.
 
     Returns ``(corank, basis, counts)``: the corank of L mod p, the basis as
     polynomials over ``link.field``, which is ``None`` over QQ when L is
@@ -643,7 +641,6 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     for e, c in link_p.terms.items():
         mk, ml = power(xk, e[:cut], nk), power(xl, e[cut:], nl)
         a = (a + c * (np.kron(mk, ml) % p)) % p
-    xs = xk + xl
 
     ech, piv = _rref_mod_p(a.T.copy(), p)  # its rows span im(L)
     free = np.setdiff1d(np.arange(nk * nl), piv)
@@ -652,55 +649,19 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     if corank and not link.field.p:
         return corank, None, counts
 
-    ctx = _PackCtx(len(link.vars), GREVLEX)
-    corr, himask = ctx.corr, ctx.himask
-    one = ctx.pack((0,) * ctx.n)
-    steps = [x - one for x in ctx.variables()]
-    start = np.zeros((nk, nl), dtype)
-    if nk and nl:
-        start[0, 0] = 1  # the staircases are sorted, so 1 comes first
-    pred = {one: None}  # candidate -> (staircase monomial, variable)
-    vecs = {}  # staircase monomial -> its vector reduced modulo im(L)
-    stair, lms, basis = [], [], []
-    rows = []  # accepted vectors: (pivot, row, row as a combination of stair)
-    heap = [one]
-    while heap:
-        m = heapq.heappop(heap)
-        if any(not (m - lm + corr) & himask for lm in lms):
-            continue
-        counts["fglm_candidates"] += 1
-        if pred[m] is None:
-            w = start
-        else:
-            s, v = pred[m]
-            w = vecs[s]  # times x_v: M_v (x) I or I (x) M_v on the nk x nl reshape
-            w = _mulmod(xs[v], w, p) if v < cut else _mulmod(w, xs[v].T, p)
-        w = w.ravel()
-        w = (w - _mulmod(w[piv], ech, p)) % p
-        u, comb = w[free], np.zeros(corank, dtype)
-        for col, e, t in rows:
-            f = u[col]
-            if f:
-                u = (u - f * e) % p
-                comb = (comb + f * t) % p
-        nz = np.flatnonzero(u)
-        if not nz.size:
-            terms = {ctx.unpack(m): 1}
-            terms.update({stair[j]: (-int(comb[j])) % p for j in np.flatnonzero(comb)})
-            basis.append(Polynomial(link.vars, terms, link.field, GREVLEX))
-            lms.append(m)
-            continue
-        inv = pow(int(u[nz[0]]), -1, p)
-        t = (-comb) * inv % p
-        t[len(stair)] = inv
-        rows.append((nz[0], u * inv % p, t))
-        stair.append(ctx.unpack(m))
-        vecs[m] = w.reshape(nk, nl)
-        for v, step in enumerate(steps):
-            c = m + step
-            if c not in pred:
-                pred[c] = (m, v)
-                heapq.heappush(heap, c)
+    n = len(xk) + len(xl)
+    stack_k, stack_l = np.stack(xk), np.stack(xl)
+    # images[v, j]: x_v times the unit vector at free[j] = (r, s) of A
+    images = np.zeros((n, corank, nk, nl), dtype)
+    for j, (r, s) in enumerate(zip(*np.divmod(free, nl))):
+        images[:cut, j, :, s] = stack_k[:, :, r]
+        images[cut:, j, r, :] = stack_l[:, :, s]
+    one = np.zeros((1, nk * nl), dtype)
+    one[:, :1] = 1  # the staircases are sorted, so 1 comes first
+    w = np.concatenate([images.reshape(n * corank, nk * nl), one])
+    w = (w[:, free] - _mulmod(w[:, piv], ech[:, free], p)) % p
+    mats = w[:-1].reshape(n, corank, corank).transpose(0, 2, 1)  # rows to columns
+    basis, counts["fglm_candidates"] = fglm(w[-1], mats, link.vars, link.field, p)
     return corank, basis, counts
 
 
@@ -729,8 +690,9 @@ def two_parallel(
     Computes the reduced bases of both subsystems separately; the ring is
     excluded iff the linking equation is a unit modulo their sum. Both
     the verdict and the ``not-excluded`` basis come from the joint quotient
-    A_k (x) A_l (``_link_quotient``): the corank of the link's matrix, and
-    the reduced basis of the linked ideal by FGLM. Buchberger reduces the
+    A_k (x) A_l (``_link_quotient``): the corank c of the link's matrix,
+    and the reduced basis of the linked ideal by FGLM on the c x c
+    multiplication matrices of the linked quotient. Buchberger reduces the
     union of both bases and the link (``gb_final``) only when a staircase
     is infinite, or over QQ when the matrix is singular mod p; a rational
     verdict of that run rests on the modular basis computation and is

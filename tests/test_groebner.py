@@ -34,6 +34,7 @@ from prismring.groebner import (
     _sparse_echelon,
     _staircase,
     buchberger,
+    fglm,
     ideal_equal,
     ideal_is_trivial,
     normal_form,
@@ -821,6 +822,33 @@ def test_certifying_run_does_not_reduce(monkeypatch, ek):
     assert gb.quotient is not None and gb.stats["pairs_left"] > 0
     assert len(gb) == 31
     assert calls == []
+
+
+@pytest.mark.parametrize("p", [11, 2**31 - 1, 2**40 + 15], ids=["GF11", "GF2^31-1", "GF2^40+15"])
+def test_fglm_round_trip_on_ek(ek, p):
+    """FGLM on the multiplication matrices that the border certificate of
+    a GF(p) run of E_k kept, from the vector of 1, gives back that run's
+    basis: 45 candidates, the 14 staircase monomials and the 31 leading
+    monomials. 2^31 - 1 is the largest int64 prime; 2^40 + 15 takes the
+    object dtype."""
+    F = GF(p)
+    gb = buchberger(specialize(F, ek.polys), field=F)
+    assert gb.quotient is not None
+    xs, _ = gb.multiplication_matrices(F)
+    start = np.zeros(len(gb.staircase()), _residue_dtype(p))
+    start[0] = 1
+    basis, candidates = fglm(start, xs, gb.vars, F, p)
+    assert basis == gb.polys
+    assert (len(gb.staircase()), len(basis), candidates) == (14, 31, 45)
+
+
+def test_fglm_of_the_zero_quotient():
+    """c = 0: the ideal is the whole ring, and its basis is [1]."""
+    F = GF(32003)
+    mats = np.zeros((2, 0, 0), np.int64)
+    basis, candidates = fglm(np.zeros(0, np.int64), mats, ("x", "y"), F, F.p)
+    assert [format_polynomial(g) for g in basis] == ["1"]
+    assert candidates == 1
 
 
 def small_bases_systems():

@@ -188,7 +188,9 @@ def _union_basis(gb_k, gb_l, link):
 
 
 @pytest.mark.parametrize(
-    "field", [QQ, GF(32003), GF(2**40 + 15)], ids=["QQ", "GF32003", "GF2^40+15"]
+    "field",
+    [QQ, GF(32003), GF(2**31 - 1), GF(2**40 + 15)],
+    ids=["QQ", "GF32003", "GF2^31-1", "GF2^40+15"],
 )
 @pytest.mark.parametrize(
     "k_vars, k_texts, link, unit",
