@@ -65,20 +65,25 @@ class Field:
     def coerce(self, value):
         """Coerce an int or Fraction into this field.
 
-        Over GF(p) a rational a/b maps to a * b^-1 mod p; raises
+        Over QQ a ``Fraction`` is returned as it is (Fractions are
+        immutable), and only other types build a new one. Over GF(p) a
+        rational a/b maps to a * b^-1 mod p, read off the Fraction's
+        numerator and denominator without copying it; raises
         ``NonInvertibleError`` when p divides b.
         """
-        if self.p == 0:
-            return Fraction(value)
+        p = self.p
+        if p == 0:
+            return value if type(value) is Fraction else Fraction(value)
         if type(value) is int:  # the common case, without a Fraction
-            return value % self.p
-        frac = Fraction(value)
-        den = frac.denominator % self.p
+            return value % p
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        den = value.denominator % p
         if den == 0:
             raise NonInvertibleError(
-                f"denominator {frac.denominator} is not invertible mod {self.p}"
+                f"denominator {value.denominator} is not invertible mod {p}"
             )
-        return (frac.numerator * pow(den, -1, self.p)) % self.p
+        return (value.numerator * pow(den, -1, p)) % p
 
     def add(self, a, b):
         if self.p == 0:

@@ -37,11 +37,14 @@ Buchberger's product and chain criteria, and so does the QQ certificate's
 closure check, a loop over the pairs it keeps. New pairs are formed
 with the live basis only: an element leaves it once a newer leading
 monomial divides its own, though it stays a reducer. Each pair's lcm is
-computed once, when the pair is created; live pairs sit in a dict keyed
-``(i, j)`` that Gebauer-Moeller prunes, and in a heap from which pruned
-pairs are skipped when they come up. Resource caps bound the number of
-processed S-pairs and coefficient operations; exceeding one raises
-:class:`GroebnerResourceError`, never a wrong answer.
+computed once, when the pair is created: the update takes each live
+element's lcm with the new one once, without the grevlex degree digit,
+and packs that digit only for the pairs it adds (see ``_gm_update``).
+Live pairs sit in a dict keyed ``(i, j)`` that Gebauer-Moeller prunes,
+and in a heap from which pruned pairs are skipped when they come up.
+Resource caps bound the number of processed S-pairs and coefficient
+operations; exceeding one raises :class:`GroebnerResourceError`, never a
+wrong answer.
 
 Exponent vectors are packed into single integers (16-bit digits, degree
 first for grevlex) so that monomial comparison is integer comparison,
@@ -62,6 +65,13 @@ every touched coefficient mod p, and ``normal_forms`` over QQ makes its
 divisors monic with Fraction coefficients. Over ZZ the step is
 fraction-free: it scales the remainder by lc/g and subtracts the divisor
 c/g times, with g = gcd(lc, c).
+
+Coefficients cross the engine's boundary once each way. ``Field.coerce``
+over QQ returns a Fraction as it is, and over GF(p) reads its numerator
+and denominator; ``specialize`` coerces each coefficient once;
+``_int_dicts_from_frac`` clears denominators with integer arithmetic;
+and ``buchberger`` builds each monic Fraction of a QQ basis once, which
+its ``Polynomial`` keeps.
 
 Over QQ the generators are packed once, with denominators cleared, and a
 direct fraction-free ZZ run (``_core``) is attempted first. It divides
@@ -244,42 +254,37 @@ class _PackCtx:
         return k if self.order == GREVLEX else self.n - 1 - k
 
     def lcm(self, a, b):
-        """Packed lcm of a and b (see ``lcms``)."""
-        return self.lcms(b, (a,))[0]
-
-    def lcms(self, b, keys):
-        """The packed lcm of b with each of ``keys``, digit-wise on the packed integers.
+        """Packed lcm of a and b, digit-wise on the packed integers.
 
         With the grevlex degree digit masked off, every digit is below
-        2^15, so ``(a | H) - b`` (H = ``himask``) borrows across no digit,
-        and a digit keeps its high bit iff a >= b there; that bit, shifted
-        down and multiplied by 0xFFFF, masks whole digits. lex takes the
-        larger digit, grevlex (digits M - e) the smaller. The grevlex
-        degree digit is n M minus the digit sum, which is the packed value
-        mod 0xFFFF (2^16 = 1 mod 0xFFFF); the lcm's degree is at most
-        2 M < 0xFFFF, so it comes out exact.
+        2^15, so ``a + (H - b)`` (H = ``himask``) carries and borrows across
+        no digit, and a digit keeps its high bit iff a >= b there; that
+        bit, shifted down and multiplied by 0xFFFF, masks whole digits.
+        lex takes the larger digit, grevlex (digits M - e) the smaller,
+        and grevlex then packs the degree digit (``with_degree``).
         """
-        emask, hi, low = self.emask, self.himask, _DIGIT - 1
+        emask, hi = self.emask, self.himask
+        a &= emask
         b &= emask
-        if b & hi:  # the borrow trick needs every exponent <= _MAXE
+        if (a | b) & hi:  # the digit trick needs every exponent <= _MAXE
             raise ValueError("exponent too large to pack")
-        lex = self.order == LEX
-        top, nm = _DIGIT_BITS * self.n, self.n * _MAXE
-        out = []
-        for a in keys:
-            a &= emask
-            if a & hi:
-                raise ValueError("exponent too large to pack")
-            m = ((((a | hi) - b) & hi) >> (_DIGIT_BITS - 1)) * low
-            if lex:
-                out.append((a & m) | (b & ~m))
-                continue
-            e = (b & m) | (a & ~m)
-            deg = (nm - e % low) % low
-            if deg > _MAXE:
-                raise ValueError("total degree too large to pack")
-            out.append((deg << top) | e)
-        return out
+        m = (((a + hi - b) & hi) >> (_DIGIT_BITS - 1)) * (_DIGIT - 1)
+        if self.order == LEX:
+            return b ^ ((a ^ b) & m)
+        return self.with_degree(a ^ ((a ^ b) & m))
+
+    def with_degree(self, e):
+        """The grevlex monomial whose digits below the degree digit are e.
+
+        The degree digit is n M minus the digit sum, which is e mod 0xFFFF
+        (2^16 = 1 mod 0xFFFF); an lcm's degree is at most 2 M < 0xFFFF, so
+        it comes out exact. Raises when the degree does not pack.
+        """
+        low = _DIGIT - 1
+        deg = (self.n * _MAXE - e % low) % low
+        if deg > _MAXE:
+            raise ValueError("total degree too large to pack")
+        return (deg << (_DIGIT_BITS * self.n)) | e
 
     def check_shift(self, elt, shift):
         """Under lex, raise unless ``elt`` times monomial ``shift`` packs.
@@ -459,25 +464,48 @@ def _gm_update(pairs, lms, live, ctx):
     the new pairs that survive, drops from ``live`` the elements the new
     leading monomial divides, appends the new one, and returns the added
     pairs.
+
+    Each live element's lcm with the new one is taken once, inline and
+    digit-wise as in ``_PackCtx.lcm``, and kept without the grevlex degree
+    digit: the digits determine the monomial, and only the lcms of the
+    pairs added get their degree digit. Every leading monomial was checked
+    to pack when it was the new one, so only the new one is checked here.
+    The M-criterion runs over the distinct lcms in a linear extension of
+    divisibility, so that a divisor comes first: descending under grevlex,
+    whose digits are M - e, and ascending under lex.
     """
     new_index = len(lms) - 1
     lmf = lms[new_index]
-    corr, himask = ctx.corr, ctx.himask  # divides(a, b): not (b - a + corr) & himask
-    new_lcms, groups, kept = {}, {}, []
-    for i, big in zip(live, ctx.lcms(lmf, [lms[i] for i in live])):
-        new_lcms[i] = big
+    corr, hi, emask = ctx.corr, ctx.himask, ctx.emask
+    b = lmf & emask
+    if b & hi:  # the digit trick needs every exponent <= _MAXE
+        raise ValueError("exponent too large to pack")
+    # divides(a, b): not (b - a + corr) & hi; lcm(a, b) digit-wise: m masks
+    # the digits where a >= b, and ``a ^ ((a ^ b) & m)`` takes b's there
+    hib, shift, low, lex = hi - b, _DIGIT_BITS - 1, _DIGIT - 1, ctx.order == LEX
+    lcm_of, groups, kept = {}, {}, []
+    for i in live:
+        a = lms[i] & emask
+        m = (((a + hib) & hi) >> shift) * low
+        big = b ^ ((a ^ b) & m) if lex else a ^ ((a ^ b) & m)
+        lcm_of[i] = big
         if big in groups:
             groups[big].append(i)
         else:
             groups[big] = [i]
-        if big != lms[i]:  # lcm(a, lmf) == a iff lmf divides a
+        if big != a:  # lcm(a, lmf) == a iff lmf divides a
             kept.append(i)
     gone = []
     for ij, lij in pairs.items():
-        if (lij - lmf + corr) & himask:
+        if (lij - lmf + corr) & hi:
             continue
+        lij &= emask
         for i in ij:  # the only place a dead element's lcm is needed
-            big = new_lcms[i] if i in new_lcms else ctx.lcm(lms[i], lmf)
+            big = lcm_of.get(i)
+            if big is None:
+                a = lms[i] & emask
+                m = (((a + hib) & hi) >> shift) * low
+                big = b ^ ((a ^ b) & m) if lex else a ^ ((a ^ b) & m)
             if lij == big:
                 break
         else:
@@ -485,21 +513,21 @@ def _gm_update(pairs, lms, live, ctx):
     for ij in gone:
         del pairs[ij]
     minimal = []
-    for big in sorted(groups):
+    for big in sorted(groups, reverse=not lex):
         for other in minimal:
-            if not (big - other + corr) & himask:
+            if not (big - other + corr) & hi:
                 break
         else:
             minimal.append(big)
     added = {}
-    coprime = lmf - corr  # lcm(a, lmf) == a * lmf iff the two are coprime
+    coprime = b - corr  # lcm(a, lmf) == a * lmf iff the two are coprime
     for big in minimal:
         members = groups[big]
         for i in members:
-            if big == lms[i] + coprime:
+            if big == (lms[i] & emask) + coprime:
                 break
         else:
-            added[members[0], new_index] = big
+            added[members[0], new_index] = big if lex else ctx.with_degree(big)
     pairs.update(added)
     live[:] = kept
     live.append(new_index)
@@ -662,6 +690,20 @@ _SPARSE_CELLS = 4096
 # Below 32 the prism system falls off cliffs (28: 2724 and 3675 S-pairs over
 # GF(32003) and GF(11)), so the cap sits inside the flat 32-64 range. No
 # round of the small-bases systems takes more than 30 pairs (seeds 1, 2).
+#
+# A round by lowest sugar degree instead was measured and is worse (pair
+# sugar deg(lcm) + max(s_i - deg lm_i, s_j - deg lm_j), a seed's sugar its
+# degree, a new element taking its round's sugar; same cap, process time on
+# the VM above). S-pairs / term ops, lcm degree -> sugar: E_k over GF(11)
+# 251 / 57,314 -> 226 / 70,605; E_l 247 / 56,113 -> 191 / 72,844; the
+# 3-label prism system over GF(32003) 972 / 920,785 -> 2552 / 12,914,353
+# (0.7 -> 8.0 s), over GF(11) 1707 / 4,146,671 -> 3480 / 22,157,532
+# (3.1 -> 17.6 s); a two_parallel(F210, 5_1, 5_3) pass over GF(11) took
+# 140 -> 171 ms. Also measured and not taken: a numpy pair update (110
+# against about 53 us per call with 41 live elements), set-based symbolic
+# preprocessing (faster in 0 of 16 interleaved passes), and a plain S-pair
+# loop for tiny GF(p) systems (226 against 315 us per system, but a second
+# GF(p) engine).
 _ROUND_PAIRS = 48
 
 
@@ -1293,11 +1335,15 @@ def _crt_pair(r1, m1, r2, m2):
 
 
 def _int_dicts_from_frac(terms):
-    """Primitive integer multiple of a dict with Fraction coefficients."""
+    """Primitive integer multiple of a dict with Fraction coefficients.
+
+    The denominators are cleared with integer arithmetic: each coefficient
+    a/b becomes a * (den / b) for the lcm ``den`` of the denominators.
+    """
     den = 1
     for c in terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    d = {e: int(c * den) for e, c in terms.items()}
+    d = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     _content_strip(d)
     return d
 
@@ -1597,8 +1643,9 @@ def buchberger(
         # each monomial unpacked once: a reduced basis's tails share the
         # staircase (E_k over GF(11): 364 terms, 45 monomials)
         names = {e: ctx.unpack(e) for e in set().union(*out)}
-        polys = [
-            Polynomial(vars, {names[e]: c for e, c in d.items()}, field, order) for d in out
+        polys = [  # engine coefficients are nonzero and already in the field
+            Polynomial._trusted(vars, {names[e]: c for e, c in d.items()}, field, order)
+            for d in out
         ]
         return GroebnerBasis(polys, vars, field, order, system, stats)
 
@@ -1612,7 +1659,7 @@ def buchberger(
         stats["mode"] = "modular" if out is None else "direct"
         if out is None:
             out = _modular_qq(seeds, ctx, budget, stats)
-        monic = []
+        monic = []  # each Fraction is built once here, and the Polynomial keeps it
         for d in out:
             lc = d[max(d)]
             monic.append({e: Fraction(c, lc) for e, c in d.items()})
@@ -1674,14 +1721,17 @@ def ideal_equal(sys_a, sys_b, order: str = GREVLEX, field: Field | None = None) 
 def specialize(field: Field, polys):
     """Map a rational-coefficient system into GF(p).
 
-    Raises :class:`~prismring.fields.NonInvertibleError` when p divides a
+    Each coefficient is coerced once, and those that vanish mod p (p
+    divides the numerator) are dropped. Raises
+    :class:`~prismring.fields.NonInvertibleError` when p divides a
     coefficient denominator.
     """
     out = []
     for p in polys:
-        out.append(
-            Polynomial(
-                p.vars, {e: field.coerce(c) for e, c in p.terms.items()}, field, p.order
-            )
-        )
+        terms = {}
+        for e, c in p.terms.items():
+            c = field.coerce(c)
+            if c:
+                terms[e] = c
+        out.append(Polynomial._trusted(p.vars, terms, field, p.order))
     return out

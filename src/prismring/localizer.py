@@ -293,8 +293,8 @@ class LocalSystem:
         return table
 
 
-def _require_integral(ring) -> FpData:
-    fp = fpdim_data(ring)
+def _require_integral(ring, fp: FpData | None = None) -> FpData:
+    fp = fp or fpdim_data(ring)
     if not fp.integral:
         raise LocalizationError(
             "localization needs exact integer dimensions; ring is not integral"
@@ -302,9 +302,9 @@ def _require_integral(ring) -> FpData:
     return fp
 
 
-def _subsystem(ring, k, sprime):
+def _subsystem(ring, k, sprime, fp=None):
     """Validated input, dimensions and atom builder of the (k, chosen) subsystem."""
-    fp = _require_integral(ring)
+    fp = _require_integral(ring, fp)
     loc = localization_sets(ring, k).with_chosen(sprime)
     return loc, fp, _Namer(ring, fp, loc.k)
 
@@ -367,16 +367,17 @@ def _subsystem_variables(loc) -> tuple:
     return x_names + _y_variables(loc)
 
 
-def generate_Ek(ring: FusionRing, k, sprime) -> LocalSystem:
+def generate_Ek(ring: FusionRing, k, sprime, fp: FpData | None = None) -> LocalSystem:
     """Reduced localization subsystem for (k, chosen subset).
 
     Emits the orthogonality family for ordered pairs (a >= b, a not the
     unit), the triple-product family over non-unit pairs, and the
     square-expansion family for b outside {unit, k}, after substituting
     every constant, zero, and symmetry constraint. Variables are exactly
-    the surviving y and x scalars.
+    the surviving y and x scalars. ``fp`` is the ring's ``fpdim_data``,
+    computed when not given.
     """
-    loc, fp, namer = _subsystem(ring, k, sprime)
+    loc, fp, namer = _subsystem(ring, k, sprime, fp)
     k, support, chosen = loc.k, loc.support, loc.chosen
     unit = ring.unit_index
     dims = fp.dims
@@ -480,14 +481,15 @@ def generate_full(ring: FusionRing, k, sprime) -> LocalSystem:
     return _local_system(loc, variables, equations, dedupe=True)
 
 
-def extra_link(ring: FusionRing, k, l) -> Polynomial:
+def extra_link(ring: FusionRing, k, l, fp: FpData | None = None) -> Polynomial:
     """The equation linking subsystems k and l over their joint variables.
 
     x_k(l,l) equals the weighted sum over the support intersection of
     y_l(i,l) x_k(i,l); constants substituted. The polynomial lives over
-    the concatenated variable lists of the two reduced subsystems.
+    the concatenated variable lists of the two reduced subsystems. ``fp``
+    as in ``generate_Ek``.
     """
-    fp = _require_integral(ring)
+    fp = _require_integral(ring, fp)
     k, l = ring.resolve(k), ring.resolve(l)
     if k == l:
         raise LocalizationError("the two subsystem labels must differ")
@@ -550,10 +552,11 @@ class TwoParallelReport:
     corank: int | None = None  # dim of the linked quotient; None when infinite
 
 
-def default_sprime_pair(ring: FusionRing, k, l):
+def default_sprime_pair(ring: FusionRing, k, l, fp: FpData | None = None):
     """Default subsets: {1,k,l} for k; {1,l,m} with m the smallest-
-    dimension valid third element of l's support."""
-    fp = _require_integral(ring)
+    dimension valid third element of l's support. ``fp`` as in
+    ``generate_Ek``."""
+    fp = _require_integral(ring, fp)
     loc_k = localization_sets(ring, k)
     loc_l = localization_sets(ring, l)
     k, l, unit = loc_k.k, loc_l.k, ring.unit_index
@@ -697,12 +700,14 @@ def two_parallel(
     is infinite, or over QQ when the matrix is singular mod p; a rational
     verdict of that run rests on the modular basis computation and is
     reported uncertified. A budget error raised by one of the three bases
-    is prefixed with its name: ``gb_k``, ``gb_l`` or ``gb_final``.
+    is prefixed with its name: ``gb_k``, ``gb_l`` or ``gb_final``. The
+    ring's ``fpdim_data`` is computed once and handed to each generator.
     """
     timings = {}
     k, l = ring.resolve(k), ring.resolve(l)
+    fp = fpdim_data(ring)
     if sprime_k is None or sprime_l is None:
-        dk, dl = default_sprime_pair(ring, k, l)
+        dk, dl = default_sprime_pair(ring, k, l, fp=fp)
         sprime_k = sprime_k or dk
         sprime_l = sprime_l or dl
 
@@ -712,9 +717,9 @@ def two_parallel(
         raise LocalizationError("the linking label must belong to its own chosen subset")
 
     t0 = time.perf_counter()
-    sys_k = generate_Ek(ring, k, sprime_k)
-    sys_l = generate_Ek(ring, l, sprime_l)
-    link = extra_link(ring, k, l)
+    sys_k = generate_Ek(ring, k, sprime_k, fp=fp)
+    sys_l = generate_Ek(ring, l, sprime_l, fp=fp)
+    link = extra_link(ring, k, l, fp=fp)
     timings["generate"] = time.perf_counter() - t0
 
     with _stage("gb_k", timings):

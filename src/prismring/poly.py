@@ -209,13 +209,20 @@ class Polynomial:
         inv = self.field.inv(lc)
         return self.scale(inv)
 
-    def _wrap(self, terms):
-        p = Polynomial.__new__(Polynomial)
-        p.vars = self.vars
-        p.field = self.field
-        p.order = self.order
+    @classmethod
+    def _trusted(cls, vars, terms, field, order):
+        """A polynomial that takes ``terms`` as they are: the caller vouches
+        for a tuple ``vars``, exponent tuples of its length and nonzero
+        coefficients already in ``field``."""
+        p = cls.__new__(cls)
+        p.vars = vars
+        p.field = field
+        p.order = order
         p.terms = terms
         return p
+
+    def _wrap(self, terms):
+        return Polynomial._trusted(self.vars, terms, self.field, self.order)
 
     def with_order(self, order: str):
         p = self._wrap(dict(self.terms))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from prismring.fields import GF, QQ, Field, NonInvertibleError, is_prime
 from prismring.groebner import _prime_stream
+from prismring.poly import Polynomial
 
 
 def test_primality_enforced():
@@ -63,6 +64,29 @@ def test_coerce_int_fast_path_agrees_with_fractions(p, n, k):
     assume(n % p)
     with pytest.raises(NonInvertibleError):
         F.coerce(Fraction(n, k * p))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(f=st.fractions(max_denominator=10**30))
+def test_coerce_reads_a_fraction_without_copying(f):
+    """Over QQ a Fraction crosses ``coerce``, and a polynomial's
+    construction, as the same object; over GF(p) its residue is read off
+    its numerator and denominator."""
+    assert QQ.coerce(f) is f
+    assert Polynomial(("x",), {(1,): f}).terms.get((1,), f) is f
+    for p in (2, 11, 32003, 2**61 - 1):
+        if f.denominator % p:
+            assert GF(p).coerce(f) == f.numerator * pow(f.denominator, -1, p) % p
+        else:
+            with pytest.raises(NonInvertibleError):
+                GF(p).coerce(f)
+
+
+def test_coerce_builds_fractions_from_other_types():
+    assert QQ.coerce("1/5") == Fraction(1, 5) and type(QQ.coerce(2)) is Fraction
+    assert GF(7).coerce("1/5") == 3 and GF(7).coerce(True) == 1
+    with pytest.raises(NonInvertibleError):
+        GF(5).coerce("2/15")
 
 
 def test_rational_ops_are_fractions():

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, inf
 
 import numpy as np
@@ -50,6 +51,7 @@ from prismring.poly import (
     format_polynomial,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
     order_key,
     parse_polynomial,
 )
@@ -155,6 +157,32 @@ def test_specialize_examples():
     E1 = [P(t, E1_VARS) for t in E1_TEXT]
     specialized = specialize(GF(11), E1)
     assert all(q.field == GF(11) for q in specialized)
+
+
+def test_specialize_drops_coefficients_p_divides():
+    V = ("x", "y")
+    f = Polynomial(V, {(1, 0): Fraction(22, 3), (0, 1): Fraction(-11, 7), (0, 0): Fraction(1, 2)})
+    (g,) = specialize(GF(11), [f])
+    assert g.terms == {(0, 0): 6}
+    assert specialize(GF(13), [f])[0].terms == {
+        (1, 0): 22 * pow(3, -1, 13) % 13, (0, 1): -11 * pow(7, -1, 13) % 13, (0, 0): 7
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(cs=st.lists(st.fractions(max_denominator=10**12).filter(bool), min_size=1, max_size=6))
+def test_int_dicts_from_frac_is_the_primitive_multiple(cs):
+    """Denominators cleared with integers agree with the Fraction route
+    ``int(c * den)``, and the result is primitive."""
+    terms = dict(enumerate(cs))
+    den = 1
+    for c in cs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    g = reduce(gcd, (int(c * den) for c in cs), 0)
+    out = _int_dicts_from_frac(terms)
+    assert out == {e: int(c * den) // g for e, c in terms.items()}
+    assert all(type(c) is int for c in out.values())
+    assert reduce(gcd, out.values(), 0) == 1
 
 
 def test_permutation_stability():
@@ -555,6 +583,58 @@ def test_pure_var_names_the_one_nonzero_exponent(order, case):
     ctx = _PackCtx(n, order)
     support = [i for i, x in enumerate(e) if x]
     assert ctx.pure_var(ctx.pack(e)) == (support[0] if len(support) == 1 else None)
+
+
+def _naive_gm_update(pairs, lms, live):
+    """Gebauer-Moeller's UPDATE on exponent tuples, as the criteria read.
+
+    B: an old pair goes when the new leading monomial f divides its lcm and
+    that lcm differs from both of its elements' lcms with f. M: of the
+    live elements' lcms with f only the minimal ones under divisibility
+    are kept, one pair per lcm, with its first live element. F: an lcm
+    that equals the product with f for some member adds no pair.
+    """
+    t, f = len(lms) - 1, lms[-1]
+    for ij, big in list(pairs.items()):
+        if monomial_divides(f, big) and all(big != monomial_lcm(lms[i], f) for i in ij):
+            del pairs[ij]
+    new = {i: monomial_lcm(lms[i], f) for i in live}
+    added = {}
+    for big in dict.fromkeys(new.values()):
+        if any(o != big and monomial_divides(o, big) for o in new.values()):
+            continue
+        members = [i for i in live if new[i] == big]
+        if all(big != monomial_mul(lms[i], f) for i in members):
+            added[members[0], t] = big
+    pairs.update(added)
+    live[:] = [i for i in live if not monomial_divides(f, lms[i])] + [t]
+    return added
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_gm_update_matches_naive_reference(order, data):
+    """After every element added, ``_gm_update`` leaves the same pairs,
+    packed lcms and live elements as the reference on exponent tuples.
+    Exponents of 8191 take an lcm's degree in 4 variables up to 32764,
+    3 below the largest degree that packs."""
+    n = data.draw(st.integers(1, 4))
+    exps = st.tuples(*[st.sampled_from((0, 1, 2, 3, 8191))] * n)
+    seq = data.draw(st.lists(exps, min_size=1, max_size=14))
+    ctx = _PackCtx(n, order)
+    lms, live, pairs = [], [], {}
+    ref_live, ref_pairs = [], {}
+
+    def packed(d):
+        return {ij: ctx.pack(big) for ij, big in d.items()}
+
+    for k, e in enumerate(seq):
+        lms.append(ctx.pack(e))
+        added = _gm_update(pairs, lms, live, ctx)
+        assert added == packed(_naive_gm_update(ref_pairs, seq[:k + 1], ref_live))
+        assert pairs == packed(ref_pairs)
+        assert live == ref_live
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])

@@ -30,6 +30,7 @@ from prismring.localizer import (
     two_parallel,
 )
 from prismring.poly import Polynomial, parse_polynomial
+from prismring.rings import fpdim_data
 
 from conftest import E1_TEXT, E1_VARS, E2_TEXT, E2_VARS, LINK_TEXT
 
@@ -291,7 +292,28 @@ def test_two_parallel_gf11_by_fglm(f210):
     assert rep.stats == GF11_ENGINE_STATS
 
 
-@pytest.mark.parametrize("stage", ["gb_k", "gb_l", "gb_final"])
+@pytest.mark.parametrize("sprimes", [(None, None), (SPRIME_K, SPRIME_L)], ids=["default", "given"])
+def test_two_parallel_computes_fpdim_data_once(f210, monkeypatch, sprimes):
+    """The subset choice, both subsystems and the link share one
+    ``fpdim_data`` of the ring, and a given one yields the same system."""
+    calls = []
+
+    def spy(ring):
+        calls.append(ring.name)
+        return fpdim_data(ring)
+
+    monkeypatch.setattr(localizer, "fpdim_data", spy)
+    rep = two_parallel(f210, "5_1", "5_3", field=GF(32003), sprime_k=sprimes[0],
+                       sprime_l=sprimes[1])
+    assert rep.verdict == EXCLUDED
+    assert calls == [f210.name]
+    fp = fpdim_data(f210)
+    assert generate_Ek(f210, "5_1", SPRIME_K, fp=fp).polys == rep.k_system.polys
+    assert extra_link(f210, "5_1", "5_3", fp=fp) == rep.link
+    assert calls == [f210.name]
+
+
+@pytest.mark.parametrize("stage",["gb_k", "gb_l", "gb_final"])
 def test_two_parallel_budget_error_names_its_stage(f210, monkeypatch, stage):
     """A budget error inside one of the bases of ``two_parallel`` is
     prefixed with that basis's name. The third basis runs only when the
