@@ -388,7 +388,9 @@ def _scan(lt, basis, hit, upto, corr, himask):
     without one, so a miss resumes there and rescans only the elements
     appended since. The scan records its answer in one of the two. In the
     F4 run of E_k of F210 over GF(11), 633 of 1470 lookups hit, and 48
-    more are misses known without a scan.
+    more are misses known without a scan; a GF(11) two_parallel(F210, 5_1,
+    5_3) pass took 141.8 ms, against 150.9 ms without the memo (faster in
+    10 of 12 interleaved passes; a small-bases cycle, 6 of 10).
     """
     k = upto.get(lt, 0)
     # an islice costs more than most first scans; take one only to resume
@@ -1122,12 +1124,12 @@ def _dense_echelon(rows, piv, cols, pmod):
     a pivot's column is reduced before it is used. What is left lives in
     the non-pivot columns and goes through ``_rref_mod_p``.
 
-    On the 12 matrices of a GF(11) ``two_parallel(F210, 5_1, 5_3)`` pass
-    whose rounds took every pair of the lowest degree (1,786 pivots; see
-    ``_ROUND_PAIRS``) this kernel took 82 ms, against 97 ms with a Python
-    list index per read and write and the leading term in each update
-    (the same ``_rref_mod_p`` on both sides; interleaved in-process
-    medians, 2-vCPU VM, Python 3.11, numpy 2.4).
+    Reducing only where int64 could overflow and caching tails both still
+    pay: the 14 dense calls of a GF(11) ``two_parallel(F210, 5_1, 5_3)``
+    pass and the 61 of a seed-1 small-bases cycle took 39.3 and 83.1 ms,
+    against 54.3 and 90.5 ms reducing every update and 43.3 and 95.3 ms
+    with no tail cache (process-time medians of 30 interleaved rounds;
+    2-vCPU VM, Python 3.11, numpy 2.4).
     """
     dtype = _residue_dtype(pmod)
     cols = sorted(cols, reverse=True)
@@ -1194,14 +1196,8 @@ def _mulmod(a, b, p):
     return out
 
 
-# Column panel width of ``_rref_mod_p``. With reduction on read, 32 is best
-# of 16, 32 and 64 on the 13 RREFs of a GF(11) two_parallel(F210, 5_1, 5_3)
-# pass with uncapped rounds: 30.5, 26.4 and 29.9 ms (in-process medians).
-# Most small-bases matrices fit in one panel of 32.
-_PANEL = 32
-
 # Measured on the GF(11) two_parallel(F210, 5_1, 5_3) pass and not taken up
-# (all but the last with uncapped rounds):
+# (all but the last two with uncapped rounds):
 # - float64 BLAS products: after threaded GEMMs the OpenBLAS workers keep
 #   spinning, so a pure-Python stretch ran at process CPU / wall = 1.99;
 # - blocked or level-scheduled pivot elimination in ``_dense_echelon``: the
@@ -1216,7 +1212,12 @@ _PANEL = 32
 #   per-pivot index list): in the two F4 runs of a pass the kernel got 7-8
 #   ms faster and the preprocessing 4.5-5 ms slower; they took 90.6 against
 #   90.9 ms (60 interleaved rounds), and whole passes won 6 of 10
-#   interleaved batches.
+#   interleaved batches;
+# - column panels in ``_rref_mod_p`` (32 wide, reduced on read, one
+#   ``_mulmod`` product per panel, as in FFLAS-FFPACK): on captured inputs
+#   they took 29.9 ms for this pass's 15 RREFs, 14.7 for a small-bases
+#   cycle's 61 and 583 for the link matrix at 2^31 + 11, against 26.8, 12.2
+#   and 458 ms for the plain loop (process-time medians; 2-vCPU VM).
 
 
 def _rref_mod_p(a, p):
@@ -1225,78 +1226,37 @@ def _rref_mod_p(a, p):
     Returns (the nonzero rows, their pivot columns). Rows are monic, and
     the pivot columns are cleared in every other row; ``a`` is overwritten.
 
-    The columns are taken in panels of b = ``_PANEL``. The rows below the
-    rank so far are zero left of the panel, so the panel's pivots are those
-    of their n x b slice, found by the single-pivot Gauss-Jordan loop on
-    the slice alone. That loop also records, in up to b extra columns, each
-    row as a combination of the pivot rows' originals; one product with the
-    rest of those rows completes the new echelon rows across all columns,
-    and one more clears the panel's pivot columns in every other row. A
-    pivot row is zero left of its column and right of its extra column, so
-    each pivot updates only the slice's columns in between.
-
-    Inside a panel the slice is reduced mod p only where it is read (the
-    next pivot column before the search, the pivot row before scaling;
-    the pivot column is then the multiplier) and once at the end, while
-    b (p - 1)^2 < 2^63: an entry starts below p and each of at most b
-    pivots lowers it by at most (p - 1)^2, so int64 cannot overflow. That
-    holds up to p = 2^29 - 3; larger primes reduce after every pivot. On
-    the 196 x 196 link matrix of GF(11) two_parallel(F210, 5_1, 5_3)
-    (rank 192) this took 16 ms, against 24 ms when every pivot updated
-    and reduced the whole slice (interleaved in-process medians).
+    Gauss-Jordan in place: each column is reduced mod p where it is read,
+    and one outer product of it and the monic pivot row updates ``a[:, c:]``.
+    An update lowers an entry by at most (p - 1)^2, so over int64 that block
+    is reduced every (2^63 - p) // (p - 1)^2 pivots (32 at 2^29 - 3, 2 at
+    2^31 - 1, never at p = 11); object arrays only at the end.
     """
     n, m = a.shape
-    lazy = a.dtype != object and _PANEL * (p - 1) ** 2 < 1 << 63
+    every = 0 if a.dtype == object else ((1 << 63) - p) // (p - 1) ** 2
     piv = []
-    for c0 in range(0, m, _PANEL):
-        r0 = len(piv)
-        if r0 == n:
+    for c in range(m):
+        r = len(piv)
+        if r == n:
             break
-        w = min(_PANEL, m - c0)
-        s = np.zeros((n - r0, w + min(w, n - r0)), a.dtype)
-        s[:, :w] = a[r0:, c0 : c0 + w]
-        order = np.arange(r0, n)  # the row of ``a`` that each row of s began as
-        cols = []
-        for col in range(w):
-            r = len(cols)
-            if r == len(s):
-                break
-            if lazy:
-                s[:, col] %= p
-            nz = np.flatnonzero(s[r:, col])
-            if not nz.size:
-                continue
-            i = r + nz[0]
-            if i != r:
-                s[[r, i]] = s[[i, r]]
-                order[[r, i]] = order[[i, r]]
-            s[r, w + r] = 1  # unscaled so far: its original, once
-            s[r] = s[r] % p * pow(int(s[r, col]), -1, p) % p
-            f = s[:, col].copy()
-            f[r] = 0
-            u = s[:, col : w + r + 1]  # s[r] is 0 left of col and right of w + r
-            u -= f[:, None] * u[r]
-            if not lazy:
-                u %= p
-            cols.append(col)
-        if lazy:
-            s %= p
-        k = len(cols)
-        if not k:
+        f = a[:, c] % p
+        nz = np.flatnonzero(f[r:])
+        if not nz.size:
             continue
-        top, below = s[:k, :w], order[:0]
-        if c0 + w < m:  # later panels need the right part and the rows below
-            right = _mulmod(s[:k, w : w + k], a[order[:k], c0 + w :], p)
-            top, below = np.concatenate([top, right], axis=1), order[k:]
-        rest = np.concatenate([np.arange(r0), below])
-        if rest.size:
-            left = a[rest, c0:]
-            left = (left - _mulmod(left[:, cols], top, p)) % p
-            a[:r0, c0:] = left[:r0]
-            a[r0 + k : r0 + k + below.size, c0:] = left[r0:]
-        a[r0 : r0 + k, c0:] = top
-        piv += [c0 + c for c in cols]
-    return a[: len(piv)], piv
+        i = r + nz[0]
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+            f[[r, i]] = f[[i, r]]
+        row = a[r, c:] % p * pow(int(f[r]), -1, p) % p
+        f[r] = 0
+        a[:, c:] -= np.multiply.outer(f, row)
+        a[r, c:] = row
+        piv.append(c)
+        if every and len(piv) % every == 0:
+            a[:, c + 1 :] %= p
+    ech = a[: len(piv)]
+    ech %= p
+    return ech, piv
 
 
 # ----------------------------------------------------- modular QQ pipeline

@@ -545,6 +545,7 @@ class TwoParallelReport:
     gb_l_size: int
     final_basis: tuple  # canonical strings
     certified: bool
+    # seconds of "generate", "gb_k", "gb_l", "link" and, when it runs, "gb_final"
     timings: dict
     # each basis's engine counters: "k", "l" and, when it runs, "final"; and
     # "link", the link step's (dim, rank, border, fglm_candidates)
@@ -732,7 +733,7 @@ def two_parallel(
 
     t0 = time.perf_counter()
     corank, basis, counts = _link_quotient(gb_k, gb_l, link_in)
-    timings["certificate"] = time.perf_counter() - t0
+    timings["link"] = time.perf_counter() - t0
 
     stats = {"k": gb_k.stats, "l": gb_l.stats}
     if counts is not None:

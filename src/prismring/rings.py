@@ -298,7 +298,13 @@ class PowerIterationError(RuntimeError):
     """Perron vector iteration failed to converge within the cap."""
 
 
-def fpdim_data(ring: FusionRing, max_iter: int = 100_000, tol: float = 1e-12) -> FpData:
+# power iteration of ``fpdim_data``: the cap on steps, and the relative change
+# under which it has converged
+_POWER_STEPS = 100_000
+_POWER_TOL = 1e-12
+
+
+def fpdim_data(ring: FusionRing) -> FpData:
     """Frobenius-Perron dimension vector, normalized with unit dimension 1.
 
     Power iteration on the (strictly positive) sum of all fusion matrices
@@ -310,15 +316,15 @@ def fpdim_data(ring: FusionRing, max_iter: int = 100_000, tol: float = 1e-12) ->
     total = arr.sum(axis=0).astype(float)
     r = ring.rank
     v = np.ones(r)
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         w = total @ v
         w = w / w[0]
-        if np.max(np.abs(w - v)) < tol * np.max(np.abs(w)):
+        if np.max(np.abs(w - v)) < _POWER_TOL * np.max(np.abs(w)):
             v = w
             break
         v = w
     else:
-        raise PowerIterationError(f"no convergence after {max_iter} iterations")
+        raise PowerIterationError(f"no convergence after {_POWER_STEPS} iterations")
 
     rounded = [int(round(x)) for x in v]
     integral = all(abs(v[i] - rounded[i]) < 1e-6 for i in range(r))

@@ -72,10 +72,6 @@ class IdmapDomainError(TpeError):
     """A tetra scalar has no name under the chosen identification map."""
 
 
-class UnsupportedRegimeError(TpeError):
-    """Generation outside the indicator-one, multiplicity-free regime."""
-
-
 def orbit(edges):
     """All 12 images of an edge 6-tuple under the rotation group."""
     out = set()
@@ -373,7 +369,6 @@ def tpe_equation(
     config,
     idmap=None,
     fp: FpData | None = None,
-    fs_indicators_one: bool = True,
 ) -> TpeEquation:
     """Generate the prism equation of one nine-label configuration.
 
@@ -383,10 +378,6 @@ def tpe_equation(
     coefficients. Integral rings get exact numeric dimensions; otherwise
     dimension symbols d_<label> enter the polynomial.
     """
-    if not fs_indicators_one:
-        raise UnsupportedRegimeError(
-            "only the indicator-one regime is supported; see module docs"
-        )
     idx = tuple(map(ring.resolve, config))
     if len(idx) != 9:
         raise TpeError("a prism configuration needs nine labels")
@@ -493,7 +484,6 @@ def tpe_system(
     labels,
     idmap=None,
     fp: FpData | None = None,
-    fs_indicators_one: bool = True,
 ) -> TpeSystem:
     """All prism equations with labels in a subset, deduplicated.
 
@@ -509,7 +499,7 @@ def tpe_system(
         for cfg in itertools.product(idx_pool, repeat=9)
     )
     return merge_equations(
-        tpe_equation(ring, cfg, idmap=idmap, fp=fp, fs_indicators_one=fs_indicators_one)
+        tpe_equation(ring, cfg, idmap=idmap, fp=fp)
         for cfg in canon
         if _config_admissible(ring, cfg, strict=False)
     )

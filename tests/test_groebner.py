@@ -26,7 +26,6 @@ from prismring.groebner import (
     _int_dicts_from_frac,
     _make_elt,
     _monic,
-    _PANEL,
     _PackCtx,
     _prime_stream,
     _reduce,
@@ -1068,25 +1067,51 @@ def _single_pivot_rref(a, p):
     return a[: len(piv)], piv
 
 
+def _midway_reductions(p, n):
+    """After how many pivots ``_rref_mod_p`` reduces its trailing block mod
+    p, on the n x n unit upper triangular matrix of ones (pivot c at column
+    c): each reduction of ``a[:, c + 1:]`` is recorded by its width."""
+    widths = []
+
+    class Spy(np.ndarray):
+        def __imod__(self, q):
+            widths.append(self.shape[1])
+            return super().__imod__(q)
+
+    a = np.triu(np.ones((n, n), _residue_dtype(p))).view(Spy)
+    ech, piv = _rref_mod_p(a, p)
+    assert piv == list(range(n)) and (np.asarray(ech) == np.eye(n)).all()
+    return [n - w for w in widths if w < n]  # the last one, ``ech %= p``, is n wide
+
+
 def test_rref_reduce_on_read_bound():
-    """``_rref_mod_p`` reduces mod p only where it reads while _PANEL steps
-    of (p - 1)^2 cannot pass 2^63: 2^29 - 3 is the largest such prime and
-    2^29 + 11 the next one, so both are among the primes tested below."""
+    """Over int64 ``_rref_mod_p`` reduces its trailing block once every
+    (2^63 - p) // (p - 1)^2 pivots, the most updates of at most (p - 1)^2
+    each that an entry below p survives: 32 at 2^29 - 3, 31 at the next
+    prime 2^29 + 11 (both tested below), 2 at 2^31 - 1, never at p = 11.
+    Object arrays (p >= 2^31) are reduced only at the end."""
     lo, hi = 2**29 - 3, 2**29 + 11
     assert is_prime(lo) and is_prime(hi)
     assert not any(is_prime(q) for q in range(lo + 1, hi))
-    assert _PANEL * (lo - 1) ** 2 < 2**63 <= _PANEL * (hi - 1) ** 2
+    for p, every in [(lo, 32), (hi, 31), (2**31 - 1, 2)]:
+        assert every * (p - 1) ** 2 <= 2**63 - p < (every + 1) * (p - 1) ** 2
+    assert _midway_reductions(lo, 70) == [32, 64]
+    assert _midway_reductions(hi, 70) == [31, 62]
+    assert _midway_reductions(2**31 - 1, 7) == [2, 4, 6]
+    assert _midway_reductions(11, 70) == []
+    assert _midway_reductions(2**31 + 11, 70) == []
 
 
 @pytest.mark.parametrize("p", [11, 32003, 2**29 - 3, 2**29 + 11, 2**31 - 1, 2**40 + 15])
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_blocked_rref_matches_single_pivot(p, data):
-    """The panel-blocked reduced echelon form equals the column-at-a-time
-    one, which is unique: zero, rank-deficient, tall and wide matrices,
-    with zero columns, up to three panels and a part wide."""
+def test_rref_matches_single_pivot(p, data):
+    """The in-place reduced echelon form equals the column-at-a-time one,
+    which is unique: zero, rank-deficient, tall and wide matrices, with
+    zero columns. Up to 40 pivots, more than the reduction interval at
+    2^29 - 3, 2^29 + 11 and 2^31 - 1."""
     n = data.draw(st.integers(0, 40), label="rows")
-    m = data.draw(st.integers(0, 3 * _PANEL + 5), label="columns")
+    m = data.draw(st.integers(0, 101), label="columns")
     rank = data.draw(st.integers(0, min(n, m)), label="rank at most")
     zero = data.draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m), label="zero columns")
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))

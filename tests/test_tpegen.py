@@ -14,7 +14,6 @@ from prismring.tpegen import (
     MultiplicityError,
     SelfDualityError,
     TpeError,
-    UnsupportedRegimeError,
     _rotate,
     localization_idmap,
     orbit,
@@ -102,11 +101,6 @@ def test_inadmissible_config_rejected(f210):
     # vertex triple (5_1, 5_2, 1): fusion coefficient 0
     with pytest.raises(InadmissibleConfigError):
         tpe_equation(f210, ("5_2", "1", "1", "5_1", "1", "1", "1", "1", "1"))
-
-
-def test_indicator_flag_guard(f210):
-    with pytest.raises(UnsupportedRegimeError):
-        tpe_equation(f210, ("1",) * 9, fs_indicators_one=False)
 
 
 def test_fibonacci_all_tau_equation(fib):
