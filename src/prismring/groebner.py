@@ -12,8 +12,9 @@ row echelon form of what is left gives the new basis elements, each with
 a new leading monomial. A reduced echelon form is unique, so
 the two kernels give the same rows: matrices of at most ``_SPARSE_CELLS``
 cells are reduced on dicts with the reducer's ``_step``, larger ones in
-numpy (int64 below p = 2^31, object above; a modular matrix product is
-one int64 product when it cannot overflow). Each matrix is charged to the
+numpy (int64 below p = 2^31, object above, and the final echelon form in
+int16 when its updates cannot pass 2^15; a modular matrix product is one
+int64 product when it cannot overflow). Each matrix is charged to the
 term budget before it is allocated, for what the kernels allocate: pair
 rows x columns plus the pivot rows' terms, so the budget also bounds the
 dense kernel's memory. A zero-dimensional run may stop before its pairs
@@ -1197,7 +1198,7 @@ def _mulmod(a, b, p):
 
 
 # Measured on the GF(11) two_parallel(F210, 5_1, 5_3) pass and not taken up
-# (all but the last two with uncapped rounds):
+# (all but the last four with uncapped rounds):
 # - float64 BLAS products: after threaded GEMMs the OpenBLAS workers keep
 #   spinning, so a pure-Python stretch ran at process CPU / wall = 1.99;
 # - blocked or level-scheduled pivot elimination in ``_dense_echelon``: the
@@ -1217,23 +1218,43 @@ def _mulmod(a, b, p):
 #   ``_mulmod`` product per panel, as in FFLAS-FFPACK): on captured inputs
 #   they took 29.9 ms for this pass's 15 RREFs, 14.7 for a small-bases
 #   cycle's 61 and 583 for the link matrix at 2^31 + 11, against 26.8, 12.2
-#   and 458 ms for the plain loop (process-time medians; 2-vCPU VM).
+#   and 458 ms for the plain loop (process-time medians; 2-vCPU VM);
+# - int16 also for ``_dense_echelon``'s column array, when its pivots'
+#   updates fit (len(piv) (p - 1)^2 <= 2^15 - p): the pass's 14 dense calls
+#   took 24.8 against 26.6 ms on captured inputs (faster in 19 of 20
+#   rounds), and whole passes 70.3 against 72.0 ms (31 of 40 interleaved;
+#   process-time medians, 2-vCPU VM): under 2 % of a pass, less than the
+#   benchmark resolves, for a second copy of the bound; the kernel's pivot
+#   loop is bound by per-call overhead;
+# - one ``_rref_mod_p`` of the pivot rows stacked on the pair rows, in
+#   place of the pivot loop: 52.5 against 26.6 ms on those inputs (0 of 20).
 
 
 def _rref_mod_p(a, p):
     """Reduced row echelon form of the residue array ``a`` mod prime p.
 
     Returns (the nonzero rows, their pivot columns). Rows are monic, and
-    the pivot columns are cleared in every other row; ``a`` is overwritten.
+    the pivot columns are cleared in every other row; ``a`` is overwritten,
+    unless it is first copied to int16 (see below), and the rows come back
+    in the dtype the elimination ran in.
 
     Gauss-Jordan in place: each column is reduced mod p where it is read,
     and one outer product of it and the monic pivot row updates ``a[:, c:]``.
-    An update lowers an entry by at most (p - 1)^2, so over int64 that block
-    is reduced every (2^63 - p) // (p - 1)^2 pivots (32 at 2^29 - 3, 2 at
-    2^31 - 1, never at p = 11); object arrays only at the end.
+    An update lowers an entry by at most (p - 1)^2, so in a w-bit dtype that
+    block is reduced every (2^(w-1) - p) // (p - 1)^2 pivots (Dumas-Giorgi-
+    Pernet, ACM TOMS 35(3), 2008). There are at most min(n, m) pivots, so
+    the elimination runs in int16 when min(n, m) (p - 1)^2 <= 2^15 - p, and
+    then reduces nothing on the way (the link step's 196 x 196 matrix up to
+    p = 13, the F4 matrices of F210 at p = 11); otherwise in int64, every
+    32 pivots at 2^29 - 3 and every 2 at 2^31 - 1. Object arrays (p >= 2^31)
+    are reduced only at the end.
     """
     n, m = a.shape
-    every = 0 if a.dtype == object else ((1 << 63) - p) // (p - 1) ** 2
+    every = 0
+    if a.dtype != object:
+        if min(n, m) * (p - 1) ** 2 <= (1 << 15) - p:
+            a = a.astype(np.int16)
+        every = ((1 << 8 * a.dtype.itemsize - 1) - p) // (p - 1) ** 2
     piv = []
     for c in range(m):
         r = len(piv)

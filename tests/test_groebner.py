@@ -989,13 +989,14 @@ def _matrix(ctx, basis, rows):
     return piv, cols
 
 
-@pytest.mark.parametrize("p", [32003, 2**31 - 1, 2**40 + 15])
+@pytest.mark.parametrize("p", [2, 11, 32003, 2**31 - 1, 2**40 + 15])
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_dense_and_sparse_kernels_agree(order, p, data):
     """Both kernels return the reduced echelon form of the rows modulo the
-    pivot rows, which is unique: the same monic rows, in the same order."""
+    pivot rows, which is unique: the same monic rows, in the same order.
+    At p = 2 and 11 the dense kernel's RREF runs in int16."""
     ctx = _PackCtx(3, order)
     coeffs = st.integers(1, p - 1)
 
@@ -1088,8 +1089,10 @@ def test_rref_reduce_on_read_bound():
     """Over int64 ``_rref_mod_p`` reduces its trailing block once every
     (2^63 - p) // (p - 1)^2 pivots, the most updates of at most (p - 1)^2
     each that an entry below p survives: 32 at 2^29 - 3, 31 at the next
-    prime 2^29 + 11 (both tested below), 2 at 2^31 - 1, never at p = 11.
-    Object arrays (p >= 2^31) are reduced only at the end."""
+    prime 2^29 + 11 (both tested below), 2 at 2^31 - 1. At p = 11 the
+    70 x 70 matrix runs in int16, whose interval of (2^15 - 11) // 10^2 =
+    327 pivots it never reaches. Object arrays (p >= 2^31) are reduced
+    only at the end."""
     lo, hi = 2**29 - 3, 2**29 + 11
     assert is_prime(lo) and is_prime(hi)
     assert not any(is_prime(q) for q in range(lo + 1, hi))
@@ -1102,14 +1105,15 @@ def test_rref_reduce_on_read_bound():
     assert _midway_reductions(2**31 + 11, 70) == []
 
 
-@pytest.mark.parametrize("p", [11, 32003, 2**29 - 3, 2**29 + 11, 2**31 - 1, 2**40 + 15])
+@pytest.mark.parametrize("p", [2, 3, 11, 32003, 2**29 - 3, 2**29 + 11, 2**31 - 1, 2**40 + 15])
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_rref_matches_single_pivot(p, data):
     """The in-place reduced echelon form equals the column-at-a-time one,
     which is unique: zero, rank-deficient, tall and wide matrices, with
     zero columns. Up to 40 pivots, more than the reduction interval at
-    2^29 - 3, 2^29 + 11 and 2^31 - 1."""
+    2^29 - 3, 2^29 + 11 and 2^31 - 1; at 2, 3 and 11 the RREF runs in
+    int16."""
     n = data.draw(st.integers(0, 40), label="rows")
     m = data.draw(st.integers(0, 101), label="columns")
     rank = data.draw(st.integers(0, min(n, m)), label="rank at most")
@@ -1126,3 +1130,23 @@ def test_rref_matches_single_pivot(p, data):
     got, got_piv = _rref_mod_p(a.copy(), p)
     assert got_piv == want_piv
     assert got.shape == want.shape and (got == want).all()
+
+
+@pytest.mark.parametrize("size, dtype", [(327, np.int16), (328, np.int64)])
+def test_rref_exact_at_the_int16_bound(size, dtype):
+    """size - 1 unit pivot rows with p - 1 in the last column, and a row
+    of p - 1: each pivot lowers that row's last entry by (p - 1)^2, to
+    10 - 326 * 100 = -32,590 at size 327 = (2^15 - 11) // 10^2, the
+    largest min(n, m) that ``_rref_mod_p`` runs in int16 at p = 11. One
+    row and column more runs in int64."""
+    p = 11
+    assert 327 * (p - 1) ** 2 <= 2**15 - p < 328 * (p - 1) ** 2
+    k = size - 1
+    a = np.zeros((size, size), _residue_dtype(p))
+    a[:k, :k] = np.eye(k, dtype=a.dtype)
+    a[:, -1] = a[-1] = p - 1
+    want, want_piv = _single_pivot_rref(a, p)
+    got, got_piv = _rref_mod_p(a.copy(), p)
+    assert got.dtype == dtype
+    assert got_piv == want_piv == list(range(size))
+    assert (got == want).all()

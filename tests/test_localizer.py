@@ -190,8 +190,8 @@ def _union_basis(gb_k, gb_l, link):
 
 @pytest.mark.parametrize(
     "field",
-    [QQ, GF(32003), GF(2**31 - 1), GF(2**40 + 15)],
-    ids=["QQ", "GF32003", "GF2^31-1", "GF2^40+15"],
+    [QQ, GF(11), GF(32003), GF(2**31 - 1), GF(2**40 + 15)],
+    ids=["QQ", "GF11", "GF32003", "GF2^31-1", "GF2^40+15"],
 )
 @pytest.mark.parametrize(
     "k_vars, k_texts, link, unit",
@@ -290,6 +290,29 @@ def test_two_parallel_gf11_by_fglm(f210):
     assert rep.certified
     assert "gb_final" not in rep.timings
     assert rep.stats == GF11_ENGINE_STATS
+
+
+@pytest.mark.parametrize(
+    "p, verdict, corank, size, digest, link",
+    [
+        (13, EXCLUDED, 0, 1, "6b86b273ff34fce1",
+         {"dim": 196, "rank": 196, "border": 182, "fglm_candidates": 1}),
+        (17, NOT_EXCLUDED, 4, 23, "bb76be8f91eef148",
+         {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27}),
+    ],
+    ids=["GF13", "GF17"],
+)
+def test_two_parallel_either_side_of_the_int16_link_bound(f210, p, verdict, corank, size,
+                                                          digest, link):
+    """The link step's 196 x 196 RREF runs in int16 at p = 13 (196 * 12^2 =
+    28,224 <= 2^15 - 13) and in int64 at p = 17 (196 * 16^2 = 50,176).
+    The values were measured with every RREF in int64."""
+    rep = two_parallel(f210, "5_1", "5_3", field=GF(p))
+    assert (rep.verdict, rep.corank, len(rep.final_basis)) == (verdict, corank, size)
+    assert hashlib.sha256("\n".join(rep.final_basis).encode()).hexdigest()[:16] == digest
+    assert rep.stats["link"] == link
+    assert rep.certified
+    assert "gb_final" not in rep.timings
 
 
 @pytest.mark.parametrize("sprimes", [(None, None), (SPRIME_K, SPRIME_L)], ids=["default", "given"])
