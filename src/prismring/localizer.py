@@ -175,6 +175,12 @@ def x_var_name(tag: str, multiset) -> str:
     return f"x_{tag}[{a},{b},{c}]"
 
 
+def _var_name(ring, tag: str, key: tuple) -> str:
+    """Name of the variable of a sorted index pair (y) or triple (x)."""
+    labels = tuple(ring.labels[t] for t in key)
+    return x_var_name(tag, labels) if len(key) == 3 else y_var_name(tag, *labels)
+
+
 class _Namer:
     """Atom builder for one subsystem: constants and variable monomials.
 
@@ -309,14 +315,18 @@ def _subsystem(ring, k, sprime, fp=None):
     return loc, fp, _Namer(ring, fp, loc.k)
 
 
-def _y_variables(loc) -> tuple:
-    """Names of the y variables without a unit argument, sorted by (b, a)."""
-    labels, unit = loc.ring.labels, loc.ring.unit_index
-    keys = sorted(
+def _y_keys(loc) -> list:
+    """Index pairs of the y variables without a unit argument, sorted by (b, a)."""
+    unit = loc.ring.unit_index
+    return sorted(
         {tuple(sorted((i, b))) for i in loc.support for b in loc.chosen if i != unit and b != unit},
         key=lambda ab: (ab[1], ab[0]),
     )
-    return tuple(y_var_name(loc.k_label, labels[a], labels[b]) for a, b in keys)
+
+
+def _y_variables(loc) -> tuple:
+    """Names of the y variables without a unit argument, sorted by (b, a)."""
+    return tuple(_var_name(loc.ring, loc.k_label, ab) for ab in _y_keys(loc))
 
 
 def _local_system(loc, variables, equations, dedupe=False) -> LocalSystem:
@@ -349,8 +359,9 @@ def _local_system(loc, variables, equations, dedupe=False) -> LocalSystem:
     )
 
 
-def _subsystem_variables(loc) -> tuple:
-    """Canonical variable list for the reduced subsystem."""
+def _subsystem_keys(loc) -> list:
+    """Index multisets of the reduced subsystem's variables, in its order:
+    the sorted triples of the x variables, then the y pairs."""
     ring, k, unit = loc.ring, loc.k, loc.ring.unit_index
     # x(k,b) with b != k stays a genuine variable; only x(a,k) collapses to
     # a y square, and b = k is excluded
@@ -361,10 +372,12 @@ def _subsystem_variables(loc) -> tuple:
         for i in loc.support
         if i != unit and ring.N[b][b][i] == 1
     }
-    x_names = tuple(
-        x_var_name(loc.k_label, tuple(ring.labels[t] for t in ms)) for ms in sorted(x_keys)
-    )
-    return x_names + _y_variables(loc)
+    return sorted(x_keys) + _y_keys(loc)
+
+
+def _subsystem_variables(loc) -> tuple:
+    """Canonical variable list for the reduced subsystem."""
+    return tuple(_var_name(loc.ring, loc.k_label, key) for key in _subsystem_keys(loc))
 
 
 def generate_Ek(ring: FusionRing, k, sprime, fp: FpData | None = None) -> LocalSystem:
@@ -542,13 +555,15 @@ class TwoParallelReport:
     l_system: LocalSystem
     link: Polynomial
     gb_k_size: int
-    gb_l_size: int
+    gb_l_size: int  # under reuse, the size of gb_k renamed
     final_basis: tuple  # canonical strings
     certified: bool
     # seconds of "generate", "gb_k", "gb_l", "link" and, when it runs, "gb_final"
     timings: dict
     # each basis's engine counters: "k", "l" and, when it runs, "final"; and
-    # "link", the link step's (dim, rank, border, fglm_candidates)
+    # "link", the link step's (dim, rank, border, fglm_candidates). When gb_l
+    # is gb_k renamed, "l" is {"from": "k", "labels": the label map}, and
+    # "border" still counts the border monomials of both staircases
     stats: dict
     corank: int | None = None  # dim of the linked quotient; None when infinite
 
@@ -583,17 +598,108 @@ def _combined_ring_vars(sys_k: LocalSystem, sys_l: LocalSystem):
     return sys_k.variables + sys_l.variables
 
 
+def _automorphisms(ring: FusionRing, images=None):
+    """Each permutation s of the ring's label indices that fixes the unit
+    and keeps every fusion coefficient, N[s[a]][s[b]][s[c]] = N[a][b][c],
+    as a tuple of images, in lexicographic order. ``images[a]``, when given,
+    lists in ascending order the indices that a may take.
+
+    Labels are placed in index order, and a candidate image is kept only
+    when every coefficient among the labels placed so far agrees.
+    """
+    N, unit, n = ring.N, ring.unit_index, len(ring.labels)
+    images = images or [range(n)] * n
+    s, used = [None] * n, set()
+
+    def fits(a):
+        done = range(a + 1)
+        return all(
+            N[s[a]][s[b]][s[c]] == N[a][b][c]
+            and N[s[b]][s[a]][s[c]] == N[b][a][c]
+            and N[s[b]][s[c]][s[a]] == N[b][c][a]
+            for b in done
+            for c in done
+        )
+
+    def place(a):
+        if a == n:
+            yield tuple(s)
+            return
+        for t in images[a]:
+            if t in used or (a == unit) != (t == unit):
+                continue
+            s[a] = t
+            if fits(a):
+                used.add(t)
+                yield from place(a + 1)
+                used.discard(t)
+
+    yield from place(0)
+
+
+def _subsystem_map(ring: FusionRing, loc_k, loc_l):
+    """The first automorphism (see ``_automorphisms``) that takes k to l
+    and k's chosen subset onto l's, or None."""
+    n = len(ring.labels)
+    inside = sorted(loc_l.chosen)
+    outside = [t for t in range(n) if t not in loc_l.chosen]
+    images = [inside if a in loc_k.chosen else outside for a in range(n)]
+    images[loc_k.k] = [loc_l.k]
+    return next(_automorphisms(ring, images), None)
+
+
+def _orbit_basis(ring: FusionRing, gb_k: GroebnerBasis, sys_k: LocalSystem, sys_l: LocalSystem):
+    """gb_k renamed into a basis of E_l, or None when no automorphism
+    carries E_k onto E_l.
+
+    The automorphism s is ``_subsystem_map``'s. A variable of E_k is named
+    from an index multiset; its new name is the one E_l gives the multiset's
+    image under s. The renamed basis is kept only when the renaming takes
+    ``sys_k.polys`` exactly onto the set ``sys_l.polys``, which proves that
+    it is the reduced basis of E_l for grevlex on the renamed variables
+    (a permutation of ``sys_l.variables``). Its exponent tuples, field and
+    ``quotient`` are gb_k's; its ``stats`` are ``{"from": "k", "labels":
+    s as a label map}``.
+    """
+    loc_k = localization_sets(ring, sys_k.tag).with_chosen(sys_k.chosen)
+    loc_l = localization_sets(ring, sys_l.tag).with_chosen(sys_l.chosen)
+    s = _subsystem_map(ring, loc_k, loc_l)
+    if s is None:
+        return None
+    names = {}
+    for key in _subsystem_keys(loc_k):
+        image = tuple(sorted(s[t] for t in key))
+        names[_var_name(ring, sys_k.tag, key)] = _var_name(ring, sys_l.tag, image)
+    if sorted(names.values()) != sorted(sys_l.variables):
+        return None
+    if {f.rename(sys_l.variables, names) for f in sys_k.polys} != set(sys_l.polys):
+        return None
+    vars = tuple(names[v] for v in gb_k.vars)
+
+    def renamed(polys):
+        return [Polynomial._trusted(vars, dict(g.terms), g.field, g.order) for g in polys]
+
+    labels = ring.labels
+    stats = {"from": "k", "labels": {labels[a]: labels[t] for a, t in enumerate(s)}}
+    gb = GroebnerBasis(renamed(gb_k.polys), vars, gb_k.field, gb_k.order,
+                       renamed(gb_k.generators), stats)
+    gb.quotient = gb_k.quotient
+    return gb
+
+
 def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     """Corank of the link on A_k (x) A_l and, where it can, the linked basis.
 
     The bases live in disjoint variables, so the quotient by their sum is
     A = A_k (x) A_l, spanned by the products of the two staircases, and the
     linked quotient R/(I_k + I_l + link) is A/im(L), where L is the matrix
-    of multiplication by the link (over gb_k.vars + gb_l.vars). A link term
-    c*m_k*m_l acts as c*(M_k (x) M_l), from the multiplication matrices of
-    m_k and m_l on their staircases. Everything is reduced over one prime
-    p: the field's own, or over QQ the first prime into which both bases
-    and the link specialize.
+    of multiplication by the link, whose variables are gb_k.vars followed by
+    those of gb_l in any order: the l-side matrices are taken by name, so
+    gb_l may be a basis on a permutation of its system's variables. A link
+    term c*m_k*m_l acts as c*(M_k (x) M_l), from the multiplication
+    matrices of m_k and m_l on their staircases. Everything is reduced over
+    one prime p: the field's own, or over QQ the first prime into which
+    both bases and the link specialize.
 
     The multiplication matrices of the variables come from the border of
     each staircase (``GroebnerBasis.multiplication_matrices``); over GF(p),
@@ -632,6 +738,8 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     p = F.p
     dtype = _residue_dtype(p)
     cut = len(gb_k.vars)
+    by_name = dict(zip(gb_l.vars, xl))
+    xl = [by_name[v] for v in link.vars[cut:]]
     nk, nl = len(xk[0]), len(xl[0])
 
     def power(xs, e, size):
@@ -692,9 +800,12 @@ def two_parallel(
     """Run the two-subsystem exclusion pipeline.
 
     Computes the reduced bases of both subsystems separately; the ring is
-    excluded iff the linking equation is a unit modulo their sum. Both
-    the verdict and the ``not-excluded`` basis come from the joint quotient
-    A_k (x) A_l (``_link_quotient``): the corank c of the link's matrix,
+    excluded iff the linking equation is a unit modulo their sum. When a
+    label automorphism takes (k, its subset) to (l, its subset) and renames
+    E_k exactly into E_l, gb_l is gb_k renamed (``_orbit_basis``) rather
+    than a second engine run; ``stats["l"]`` then records the label map.
+    Both the verdict and the ``not-excluded`` basis come from the joint
+    quotient A_k (x) A_l (``_link_quotient``): the corank c of the link's matrix,
     and the reduced basis of the linked ideal by FGLM on the c x c
     multiplication matrices of the linked quotient. Buchberger reduces the
     union of both bases and the link (``gb_final``) only when a staircase
@@ -726,7 +837,9 @@ def two_parallel(
     with _stage("gb_k", timings):
         gb_k = buchberger(specialize(field, sys_k.polys), field=field)
     with _stage("gb_l", timings):
-        gb_l = buchberger(specialize(field, sys_l.polys), field=field)
+        gb_l = _orbit_basis(ring, gb_k, sys_k, sys_l)
+        if gb_l is None:
+            gb_l = buchberger(specialize(field, sys_l.polys), field=field)
 
     allv = _combined_ring_vars(sys_k, sys_l)
     (link_in,) = specialize(field, [link.rename(allv)])

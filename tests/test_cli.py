@@ -183,8 +183,11 @@ def test_two_parallel_prime_field(capsys):
     assert "gb_final" not in report["result"]["timings"]
     stats = report["result"]["stats"]
     assert set(stats) == {"k", "l", "link"}
-    assert [stats[s]["matrices"] for s in "kl"] == [8, 8]
-    assert [stats[s]["pairs_left"] for s in "kl"] == [88, 95]
+    assert (stats["k"]["matrices"], stats["k"]["pairs_left"]) == (8, 88)
+    # E_l is E_k renamed by the 3-cycle 5_1 -> 5_3 -> 5_2 -> 5_1
+    cycle = {"1": "1", "5_1": "5_3", "5_2": "5_1", "5_3": "5_2", "6_1": "6_1", "7_1": "7_1",
+             "7_2": "7_2"}
+    assert stats["l"] == {"from": "k", "labels": cycle}
     assert stats["link"] == {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27}
     code, out, _ = invoke(
         capsys, "two-parallel", "F210", "--k", "5_1", "--l", "5_3", "--field", "GF(32003)"

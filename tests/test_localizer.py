@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,8 +341,9 @@ def test_two_parallel_computes_fpdim_data_once(f210, monkeypatch, sprimes):
 @pytest.mark.parametrize("stage",["gb_k", "gb_l", "gb_final"])
 def test_two_parallel_budget_error_names_its_stage(f210, monkeypatch, stage):
     """A budget error inside one of the bases of ``two_parallel`` is
-    prefixed with that basis's name. The third basis runs only when the
-    link step gives no basis, so that is forced here."""
+    prefixed with that basis's name. The second basis runs only when no
+    automorphism carries E_k onto E_l, and the third only when the link
+    step gives no basis, so both are forced here."""
     calls = []
 
     def capped(polys, **kw):
@@ -350,22 +353,101 @@ def test_two_parallel_budget_error_names_its_stage(f210, monkeypatch, stage):
         return buchberger(polys, **kw)
 
     monkeypatch.setattr(localizer, "buchberger", capped)
+    monkeypatch.setattr(localizer, "_subsystem_map", lambda *args: None)
     monkeypatch.setattr(localizer, "_link_quotient", lambda *args: (None, None, None))
     with pytest.raises(GroebnerResourceError, match=rf"^{stage}: S-pair budget exceeded \(1\) "):
         two_parallel(f210, "5_1", "5_3", field=GF(11))
 
 
-# F4 counters of gb_k and gb_l for two_parallel(F210, 5_1, 5_3) over GF(11),
-# each run stopped by the border certificate after 8 of its 12 rounds, and
-# the link step's: 14 x 14 staircases, corank 4, 91 border monomials a
-# side, 4 staircase monomials and 23 leading monomials taken by FGLM
+# F4 counters of gb_k for two_parallel(F210, 5_1, 5_3) over GF(11), its run
+# stopped by the border certificate after 8 of its 12 rounds; gb_l is gb_k
+# renamed by the 3-cycle 5_1 -> 5_3 -> 5_2 -> 5_1; and the link step's
+# counters: 14 x 14 staircases, corank 4, 91 border monomials a side, 4
+# staircase monomials and 23 leading monomials taken by FGLM
+F210_CYCLE = {"1": "1", "5_1": "5_3", "5_2": "5_1", "5_3": "5_2", "6_1": "6_1", "7_1": "7_1",
+              "7_2": "7_2"}
 GF11_ENGINE_STATS = {
     "k": {"spairs": 251, "term_ops": 57_314, "matrices": 8, "max_matrix_cells": 17_865,
           "pairs_left": 88},
-    "l": {"spairs": 247, "term_ops": 56_113, "matrices": 8, "max_matrix_cells": 16_859,
-          "pairs_left": 95},
+    "l": {"from": "k", "labels": F210_CYCLE},
     "link": {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27},
 }
+
+
+def _outcome(rep):
+    return (rep.verdict, rep.corank, rep.final_basis, rep.gb_k_size, rep.gb_l_size,
+            rep.stats["link"], rep.certified)
+
+
+@pytest.mark.parametrize(
+    "p", [11, 13, 17, 32003, 2**31 - 1, None],
+    ids=["GF11", "GF13", "GF17", "GF32003", "GF2^31-1", "QQ"],
+)
+def test_orbit_reuse_changes_no_result(f210, monkeypatch, p):
+    """gb_l renamed from gb_k gives the report that computing gb_l gives:
+    the same verdict, corank, final basis, basis sizes, link counters and
+    certificate."""
+    field = QQ if p is None else GF(p)
+    reused = two_parallel(f210, "5_1", "5_3", field=field)
+    assert reused.stats["l"] == {"from": "k", "labels": F210_CYCLE}
+    monkeypatch.setattr(localizer, "_subsystem_map", lambda *args: None)
+    computed = two_parallel(f210, "5_1", "5_3", field=field)
+    assert "from" not in computed.stats["l"]
+    assert _outcome(reused) == _outcome(computed)
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("trivial", 1), ("Z2", 1), ("Fib", 1), ("Ising", 1), ("RepS3", 1), ("VecS3", 6),
+     ("F210", 6), ("F660", 8)],
+)
+def test_automorphisms_match_brute_force(name, count):
+    """The backtracking search yields, in lexicographic order, exactly the
+    label permutations that fix the unit and keep every N[a][b][c]."""
+    ring = catalog(name)
+    N, unit, n = ring.N, ring.unit_index, len(ring.labels)
+    rest = [a for a in range(n) if a != unit]
+    brute = []
+    for images in itertools.permutations(rest):
+        s = list(range(n))
+        for a, t in zip(rest, images):
+            s[a] = t
+        if all(N[s[a]][s[b]][s[c]] == N[a][b][c]
+               for a in range(n) for b in range(n) for c in range(n)):
+            brute.append(tuple(s))
+    found = list(localizer._automorphisms(ring))
+    assert found == sorted(brute)
+    assert len(found) == count
+
+
+def test_orbit_basis_needs_the_exact_system(f210, ek, el, monkeypatch):
+    """gb_k renamed by the 3-cycle is a reduced basis of E_l on a
+    permutation of its variables, with gb_k's exponents and quotient; a
+    system that differs by one polynomial, or a label map that does not
+    take E_k's variables onto E_l's, gets no renamed basis."""
+    gb_k = buchberger(specialize(GF(11), ek.polys), field=GF(11))
+    gb = localizer._orbit_basis(f210, gb_k, ek, el)
+    assert gb.stats == {"from": "k", "labels": F210_CYCLE}
+    assert sorted(gb.vars) == sorted(el.variables) and gb.vars != el.variables
+    assert [g.terms for g in gb] == [g.terms for g in gb_k]
+    assert gb.quotient is gb_k.quotient
+    gb.self_check()
+    want = set(specialize(GF(11), el.polys))
+    assert {g.rename(el.variables) for g in gb.generators} == want
+    assert localizer._orbit_basis(f210, gb_k, ek, replace(el, polys=el.polys[1:])) is None
+    # the 3-cycle and 6_1 <-> 7_1, which is not an automorphism of F210
+    monkeypatch.setattr(localizer, "_subsystem_map", lambda *args: (0, 3, 1, 2, 5, 4, 6))
+    assert localizer._orbit_basis(f210, gb_k, ek, el) is None
+
+
+def test_two_parallel_without_automorphism_computes_gb_l(f210):
+    """No automorphism takes 5_1's subset {1, 5_1, 5_3} onto {1, 5_3}, so
+    gb_l is computed; its staircase is infinite, so gb_final runs."""
+    rep = two_parallel(f210, "5_1", "5_3", field=GF(11), sprime_l=("1", "5_3"))
+    assert rep.stats["l"] == {"spairs": 2, "term_ops": 190, "matrices": 2,
+                              "max_matrix_cells": 150, "pairs_left": 0}
+    assert "gb_final" in rep.timings and "final" in rep.stats
+    assert rep.corank == 84
 
 
 def _first_prime_of(polys):
