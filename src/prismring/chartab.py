@@ -110,11 +110,12 @@ def character_table(ring: FusionRing, tol: float = DEFAULT_TOL) -> CharacterTabl
     )
 
 
-def column_zero_property(table: CharacterTable, zero_tol: float = DEFAULT_ZERO_TOL) -> bool:
-    """True iff every non-Perron column has an entry of modulus < zero_tol."""
+def column_zero_property(table: CharacterTable) -> bool:
+    """True iff every non-Perron column has an entry of modulus below
+    ``DEFAULT_ZERO_TOL``."""
     r = table.rank
     for j in range(1, r):
-        if not any(abs(table.values[i][j]) < zero_tol for i in range(r)):
+        if not any(abs(table.values[i][j]) < DEFAULT_ZERO_TOL for i in range(r)):
             return False
     return True
 
@@ -151,7 +152,6 @@ def lifting_verdict(
     table: CharacterTable,
     char0_excluded: bool,
     fp: FpData | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> LiftingVerdict:
     """Positive-characteristic exclusion test for pivotal categorifications.
 
@@ -163,7 +163,7 @@ def lifting_verdict(
     fp = fp or fpdim_data(ring)
     if not fp.integral:
         raise ValueError("lifting test needs an integral fusion ring")
-    col_ok = column_zero_property(table, zero_tol)
+    col_ok = column_zero_property(table)
     witnesses = []
     cover_ok = True
     for p in _prime_factors(int(fp.global_fpdim)):

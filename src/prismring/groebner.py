@@ -81,16 +81,19 @@ positive, and gives up once a coefficient passes ``_SWELL_BITS`` bits or
 the attempt passes its caps; its work is charged to the caller's budget
 either way. Systems whose intermediates swell (the final reduced basis is
 typically tiny even when intermediates explode) switch, on the same
-packed generators, to a modular pipeline: reduced bases are computed modulo
-a deterministic stream of 30-bit primes, the majority leading-term shape
-is kept, coefficients are combined by CRT and lifted by rational
+packed generators, to a modular pipeline that takes one prime at a time
+from a deterministic stream of 30-bit primes (see ``_modular_qq``). Each
+reduced basis mod p is filed under its leading-term shape. Once the prime
+just run joins the majority shape and that shape has at least 3 primes,
+its coefficients are combined by CRT and lifted by rational
 reconstruction, and the candidate is certified exactly, fraction-free on
 its integer multiples: every input generator must reduce to zero modulo
 the candidate, and the candidate must be closed under S-polynomial
-reduction. Those checks prove the candidate is the reduced basis of an
-ideal containing the input ideal; agreement of the leading-term shape
-across several independent primes pins it to the input ideal itself, the
-same assurance model as standard modular Groebner engines.
+reduction. The first candidate certified is the result. Those checks
+prove the candidate is the reduced basis of an ideal containing the input
+ideal; agreement of the leading-term shape across at least 3 independent
+primes pins it to the input ideal itself, the assurance model of Arnold
+(JSC 35, 2003) and of standard modular Groebner engines.
 """
 
 from __future__ import annotations
@@ -1329,72 +1332,54 @@ def _int_dicts_from_frac(terms):
     return d
 
 
+def _lift(good, lm):
+    """The element led by ``lm``, its residues over the primes of ``good``
+    combined by CRT and lifted by rational reconstruction; None on failure."""
+    support = set().union(*(elems[lm] for _, elems in good))
+    rec = {}
+    for mono in support:
+        res, mod = 0, 1
+        for p, elems in good:
+            res, mod = _crt_pair(res, mod, elems[lm].get(mono, 0), p)
+        val = _ratrec(res, mod)
+        if val is None:
+            return None
+        if val:
+            rec[mono] = val
+    return rec
+
+
 def _modular_qq(gens_int, ctx, budget, stats):
     """Reduced GB over QQ via multi-modular runs with exact certification.
 
     ``gens_int`` are the generators as primitive ZZ dicts; returns the
     basis as packed dicts with Fraction coefficients, ascending by leading
-    monomial. A trivial candidate {1} passes ``_certify_qq`` vacuously, so
-    a modular {1} rests on the agreement of the primes alone.
+    monomial. One prime at a time, at most 256 of them: a prime that
+    divides a leading coefficient is skipped, and each run is filed under
+    its leading-term shape. When a run joins the majority shape (most runs,
+    ties to the larger shape) and that shape has at least 3 runs, they are
+    lifted; the first lift that ``_certify_qq`` accepts is returned. A
+    trivial candidate {1} passes ``_certify_qq`` vacuously, so a modular
+    {1} rests on the agreement of 3 primes alone.
     """
-    runs = []  # (prime, shape, {lm: {mono: residue}})
-    stream = _prime_stream()
-    max_primes = 256
-    min_agree = 3
-    batch = 4
-    used = 0
-    while used < max_primes:
-        for _ in range(min(batch, max_primes - used)):
-            p = next(stream)
-            used += 1
-            if any(d[max(d)] % p == 0 for d in gens_int):
-                continue  # a leading coefficient vanished; skip prime
-            seeds = [
-                _monic({e: c % p for e, c in d.items() if c % p}, p) for d in gens_int
-            ]
-            try:
-                out, _ = _f4(seeds, ctx, budget, p)
-            except GroebnerResourceError as exc:
-                raise GroebnerResourceError(f"{exc} in the F4 run mod {p}") from exc
-            shape = tuple(sorted(max(d) for d in out))
-            runs.append((p, shape, {max(d): d for d in out}))
-        batch = 2
-
-        shapes = {}
-        for _, shape, _d in runs:
-            shapes[shape] = shapes.get(shape, 0) + 1
-        best_shape = max(shapes, key=lambda s: (shapes[s], s))
-        good = [r for r in runs if r[1] == best_shape]
-        if len(good) < min_agree:
+    runs = {}  # shape -> [(prime, {lm: {mono: residue}})]
+    for p in islice(_prime_stream(), 256):
+        if any(d[max(d)] % p == 0 for d in gens_int):
+            continue  # a leading coefficient vanished; skip prime
+        seeds = [_monic({e: c % p for e, c in d.items() if c % p}, p) for d in gens_int]
+        try:
+            out, _ = _f4(seeds, ctx, budget, p)
+        except GroebnerResourceError as exc:
+            raise GroebnerResourceError(f"{exc} in the F4 run mod {p}") from exc
+        shape = tuple(sorted(max(d) for d in out))
+        runs.setdefault(shape, []).append((p, {max(d): d for d in out}))
+        good = runs[shape]
+        if len(good) < 3 or max(runs, key=lambda s: (len(runs[s]), s)) != shape:
             continue
-
-        # CRT residues over the union of supports, then lift to rationals
-        candidate = []
-        ok = True
-        for lm in best_shape:
-            support = set()
-            for _, _, elems in good:
-                support |= set(elems[lm])
-            rec = {}
-            for mono in support:
-                res, mod = 0, 1
-                for p, _, elems in good:
-                    res, mod = _crt_pair(res, mod, elems[lm].get(mono, 0), p)
-                val = _ratrec(res, mod)
-                if val is None:
-                    ok = False
-                    break
-                if val:
-                    rec[mono] = val
-            if not ok:
-                break
-            candidate.append(rec)
-        if not ok:
-            continue
-
-        if _certify_qq(candidate, gens_int, ctx, budget):
-            stats["primes"] = [p for p, _, _ in good]
-            return sorted(candidate, key=max)
+        candidate = [_lift(good, lm) for lm in shape]
+        if None not in candidate and _certify_qq(candidate, gens_int, ctx, budget):
+            stats["primes"] = [q for q, _ in good]
+            return candidate
     raise GroebnerResourceError("modular reconstruction did not converge")
 
 

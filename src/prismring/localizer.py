@@ -704,11 +704,12 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     The multiplication matrices of the variables come from the border of
     each staircase (``GroebnerBasis.multiplication_matrices``); over GF(p),
     a basis whose run the border certificate stopped hands over the
-    certificate's matrices, so they are not built twice. The matrix of a
-    link monomial is the product of its variables' matrices. These are ring
-    operations on the monic bases, with no division, so over QQ the
-    matrices mod p are the images of the rational ones, and corank 0 mod p
-    proves the link a unit over QQ.
+    certificate's matrices, so they are not built twice. A gb_l with gb_k's
+    terms (gb_k renamed) takes gb_k's matrices, by position, over any field.
+    The matrix of a link monomial is the product of its variables' matrices.
+    These are ring operations on the monic bases, with no division, so over
+    QQ the matrices mod p are the images of the rational ones, and corank 0
+    mod p proves the link a unit over QQ.
 
     The reduced echelon form R of L^T spans im(L), so a vector w of A has
     the coordinates w[free] - w[piv] @ R[:, free] in A/im(L), on the unit
@@ -725,9 +726,11 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
     ``border`` vectors built and the ``fglm_candidates`` whose vectors were
     reduced. ``(None, None, None)`` when a staircase is infinite.
     """
+    same = [g.terms for g in gb_l] == [g.terms for g in gb_k]  # gb_l is gb_k renamed
     for F in [link.field] if link.field.p else map(GF, _prime_stream()):
         try:
-            sides = [gb.multiplication_matrices(F) for gb in (gb_k, gb_l)]
+            side_k = gb_k.multiplication_matrices(F)
+            sides = [side_k, side_k if same else gb_l.multiplication_matrices(F)]
             (link_p,) = [link] if link.field.p else specialize(F, [link])
             break
         except NonInvertibleError:
@@ -779,8 +782,8 @@ def _link_quotient(gb_k: GroebnerBasis, gb_l: GroebnerBasis, link: Polynomial):
 
 @contextmanager
 def _stage(name, timings):
-    """Time one basis of ``two_parallel`` into ``timings[name]``, and
-    prefix a budget error raised inside it with ``name``."""
+    """Time one stage of ``two_parallel`` into ``timings[name]``, and
+    prefix a resource error raised inside it with ``name``."""
     t0 = time.perf_counter()
     try:
         yield
@@ -811,9 +814,10 @@ def two_parallel(
     union of both bases and the link (``gb_final``) only when a staircase
     is infinite, or over QQ when the matrix is singular mod p; a rational
     verdict of that run rests on the modular basis computation and is
-    reported uncertified. A budget error raised by one of the three bases
-    is prefixed with its name: ``gb_k``, ``gb_l`` or ``gb_final``. The
-    ring's ``fpdim_data`` is computed once and handed to each generator.
+    reported uncertified. Each stage is timed under its name, and a
+    resource error raised in it is prefixed with that name: ``generate``,
+    ``gb_k``, ``gb_l``, ``link`` or ``gb_final``. The ring's
+    ``fpdim_data`` is computed once and handed to each generator.
     """
     timings = {}
     k, l = ring.resolve(k), ring.resolve(l)
@@ -828,11 +832,10 @@ def two_parallel(
     if l not in map(ring.resolve, sprime_l):
         raise LocalizationError("the linking label must belong to its own chosen subset")
 
-    t0 = time.perf_counter()
-    sys_k = generate_Ek(ring, k, sprime_k, fp=fp)
-    sys_l = generate_Ek(ring, l, sprime_l, fp=fp)
-    link = extra_link(ring, k, l, fp=fp)
-    timings["generate"] = time.perf_counter() - t0
+    with _stage("generate", timings):
+        sys_k = generate_Ek(ring, k, sprime_k, fp=fp)
+        sys_l = generate_Ek(ring, l, sprime_l, fp=fp)
+        link = extra_link(ring, k, l, fp=fp)
 
     with _stage("gb_k", timings):
         gb_k = buchberger(specialize(field, sys_k.polys), field=field)
@@ -844,13 +847,13 @@ def two_parallel(
     allv = _combined_ring_vars(sys_k, sys_l)
     (link_in,) = specialize(field, [link.rename(allv)])
 
-    t0 = time.perf_counter()
-    corank, basis, counts = _link_quotient(gb_k, gb_l, link_in)
-    timings["link"] = time.perf_counter() - t0
+    with _stage("link", timings):
+        corank, basis, counts = _link_quotient(gb_k, gb_l, link_in)
 
     stats = {"k": gb_k.stats, "l": gb_l.stats}
     if counts is not None:
         stats["link"] = counts
+    certified = True
     if basis is None:
         combined = [g.rename(allv) for g in gb_k.polys + gb_l.polys] + [link_in]
         with _stage("gb_final", timings):
@@ -859,6 +862,8 @@ def two_parallel(
         stats["final"] = final.stats
         dim = final.quotient_dimension()
         corank = None if dim == inf else dim
+        # a rational gb_final rests on the modular basis computation
+        certified = not field.is_rational
     final_basis = tuple(str(g) for g in basis)
 
     return TwoParallelReport(
@@ -870,8 +875,7 @@ def two_parallel(
         gb_k_size=len(gb_k),
         gb_l_size=len(gb_l),
         final_basis=final_basis,
-        # a rational gb_final rests on the modular basis computation
-        certified=not field.is_rational or "gb_final" not in timings,
+        certified=certified,
         timings=timings,
         corank=corank,
         stats=stats,

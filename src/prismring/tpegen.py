@@ -479,21 +479,18 @@ def merge_equations(equations) -> TpeSystem:
     return TpeSystem(variables=allvars, equations=tuple(kept), polys=merged)
 
 
-def tpe_system(
-    ring: FusionRing,
-    labels,
-    idmap=None,
-    fp: FpData | None = None,
-) -> TpeSystem:
+def tpe_system(ring: FusionRing, labels) -> TpeSystem:
     """All prism equations with labels in a subset, deduplicated.
 
     Configurations are canonicalized under the simultaneous rotation of
-    the three prism layers and merged by :func:`merge_equations`.
+    the three prism layers and merged by :func:`merge_equations`. Tetra
+    scalars are named by ``SymmetricIdmap``, and the ring's ``fpdim_data``
+    is computed once for every equation.
     """
     idx_pool = sorted(map(ring.resolve, labels))
     _check_self_dual(ring, idx_pool)
-    fp = fp or fpdim_data(ring)
-    idmap = idmap or SymmetricIdmap(ring)
+    fp = fpdim_data(ring)
+    idmap = SymmetricIdmap(ring)
     canon = dict.fromkeys(  # canonical configurations, in first-seen order
         min(cfg, _rotate(cfg), _rotate(_rotate(cfg)))
         for cfg in itertools.product(idx_pool, repeat=9)

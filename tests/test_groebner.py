@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import gcd, inf
 
 import numpy as np
@@ -25,6 +26,7 @@ from prismring.groebner import (
     _gm_update,
     _int_dicts_from_frac,
     _make_elt,
+    _modular_qq,
     _monic,
     _PackCtx,
     _prime_stream,
@@ -285,6 +287,59 @@ def test_modular_path_used_for_swelling_system(gb_e1):
     assert gb.stats["pairs_left"] == 6 * 88
 
 
+def run_modular(texts, vars):
+    """``_modular_qq`` on polynomials over QQ: the basis as dicts of
+    exponent tuples to Fractions, and the primes it rests on."""
+    ctx = _PackCtx(len(vars), GREVLEX)
+    gens = [_int_dicts_from_frac({ctx.pack(e): c for e, c in P(t, vars).terms.items()})
+            for t in texts]
+    stats = {}
+    out = _modular_qq(gens, ctx, _Budget(10**6, 10**9), stats)
+    return [{ctx.unpack(e): c for e, c in d.items()} for d in out], stats["primes"]
+
+
+def test_modular_qq_skips_a_prime_dividing_a_leading_coefficient(monkeypatch):
+    """The first prime of the stream divides the leading coefficient, so it
+    gets no F4 run and the basis rests on the next three."""
+    p1, p2, p3, p4 = islice(_prime_stream(), 4)
+    runs = []
+    f4 = groebner._f4
+
+    def spy(seeds, ctx, budget, pmod):
+        runs.append(pmod)
+        return f4(seeds, ctx, budget, pmod)
+
+    monkeypatch.setattr(groebner, "_f4", spy)
+    basis, primes = run_modular([f"{p1}*x - 1"], ("x",))
+    assert basis == [{(1,): 1, (0,): Fraction(-1, p1)}]
+    assert runs == primes == [p2, p3, p4]
+
+
+def test_modular_qq_trivial_ideal_stops_after_three_primes():
+    basis, primes = run_modular(["x*y - 1", "x*y - 2"], ("x", "y"))
+    assert basis == [{(0, 0): 1}]
+    assert primes == list(islice(_prime_stream(), 3))
+
+
+def test_modular_qq_lifts_only_when_the_majority_grows(monkeypatch):
+    """Mod the fifth prime q the two generators coincide, so its basis is
+    x^2 - 1 against x - 1 mod every other prime. With the first two lifts
+    refused, the third comes at the sixth prime: q's minority run starts
+    no lift, and the basis rests on the other five primes."""
+    p1, p2, p3, p4, q, p6 = islice(_prime_stream(), 6)
+    calls = []
+
+    def refuse_twice(candidate, *args):
+        calls.append(candidate)
+        return len(calls) > 2 and _certify_qq(candidate, *args)
+
+    monkeypatch.setattr(groebner, "_certify_qq", refuse_twice)
+    basis, primes = run_modular(["x^2 - 1", f"x^2 + {q}*x - {q + 1}"], ("x",))
+    assert basis == [{(1,): 1, (0,): -1}]
+    assert len(calls) == 3
+    assert primes == [p1, p2, p3, p4, p6]
+
+
 def test_direct_attempt_is_charged_to_the_caller(e1):
     """The direct ZZ attempt that swells on E1 is charged to the caller's
     budget: its 83 S-pairs and the modular run's 1618 must both fit."""
@@ -377,16 +432,22 @@ def test_f4_charges_what_the_kernels_allocate(monkeypatch, ek):
     assert sum(charges) <= stats["term_ops"]
 
 
-@pytest.mark.parametrize("p", [32003, 101, 1073741789])
+@pytest.mark.parametrize("p", [32003, 101, 1073741789, None])
 def test_three_label_prism_system_is_trivial(f210, p):
-    """The stress target: 27 variables and 27 equations, trivial over GF(p)."""
+    """The stress target: 27 variables and 27 equations, trivial over GF(p)
+    and over QQ (p None), where it swells over ZZ and the modular {1} rests
+    on the first 3 primes of the stream, the fewest that are lifted."""
     system = tpe_system(f210, ["1", "5_1", "5_3"]).polys
     assert len(system) == len(system[0].vars) == 27
-    F = GF(p)
+    F = QQ if p is None else GF(p)
     gb = buchberger(specialize(F, system), field=F)
     assert [format_polynomial(g) for g in gb.polys] == ["1"]
     if p == 32003:
         assert gb.stats == dict(zip(F4_STATS, (972, 920_785, 27, 105_190, 0)))
+    if p is None:
+        assert gb.stats["mode"] == "modular"
+        assert gb.stats["primes"] == list(islice(_prime_stream(), 3))
+        assert (gb.stats["spairs"], gb.stats["term_ops"]) == (3035, 4_763_416)
 
 
 def test_exponent_overflow_is_loud():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prismring import localizer
+from prismring import groebner, localizer
 from prismring.catalog import catalog
 from prismring.fields import GF, QQ, NonInvertibleError
 from prismring.groebner import (
@@ -357,6 +357,37 @@ def test_two_parallel_budget_error_names_its_stage(f210, monkeypatch, stage):
     monkeypatch.setattr(localizer, "_link_quotient", lambda *args: (None, None, None))
     with pytest.raises(GroebnerResourceError, match=rf"^{stage}: S-pair budget exceeded \(1\) "):
         two_parallel(f210, "5_1", "5_3", field=GF(11))
+
+
+def test_two_parallel_link_error_names_its_stage(f210, monkeypatch):
+    """A resource error of the link step, here its staircase enumeration
+    over QQ, is prefixed ``link:`` like a basis's error."""
+    monkeypatch.setattr(groebner, "_STAIRCASE_LIMIT", 5)
+    with pytest.raises(GroebnerResourceError, match="^link: staircase enumeration limit hit$"):
+        two_parallel(f210, "5_1", "5_3")
+
+
+@pytest.mark.parametrize("field", [GF(11), QQ], ids=["GF11", "QQ"])
+def test_link_step_walks_one_border_per_distinct_basis(f210, ek, el, gb_ek, monkeypatch, field):
+    """gb_l renamed from gb_k takes gb_k's multiplication matrices: over QQ
+    the link step walks one border, not two; over GF(11) both bases hand
+    over the border certificate's matrices and it walks none."""
+    gb_k = gb_ek if field.is_rational else buchberger(specialize(field, ek.polys), field=field)
+    gb_l = localizer._orbit_basis(f210, gb_k, ek, el)
+    allv = localizer._combined_ring_vars(ek, el)
+    (link,) = specialize(field, [extra_link(f210, "5_1", "5_3").rename(allv)])
+    calls = []
+    walk = groebner._border_walk
+
+    def spy(*args, **kw):
+        calls.append(None)
+        return walk(*args, **kw)
+
+    monkeypatch.setattr(groebner, "_border_walk", spy)
+    corank, _, counts = _link_quotient(gb_k, gb_l, link)
+    assert len(calls) == (1 if field.is_rational else 0)
+    assert corank == (0 if field.is_rational else 4)
+    assert (counts["dim"], counts["border"]) == (196, 182)
 
 
 # F4 counters of gb_k for two_parallel(F210, 5_1, 5_3) over GF(11), its run

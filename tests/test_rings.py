@@ -5,6 +5,7 @@ import pytest
 from prismring.catalog import CATALOG_NAMES, catalog
 from prismring.localizer import localization_sets, two_parallel
 from prismring.rings import (
+    FusionRing,
     RingFormatError,
     build_ring,
     fpdim_data,
@@ -79,6 +80,53 @@ def test_tampered_coefficient_breaks_associativity(f210):
     if not assoc.passed:
         assert len(assoc.witness) == 4
         assert assoc.values[0] != assoc.values[1]
+
+
+_Z2 = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+_Z3_TAMPERED = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 1, 1], [1, 0, 0]],
+                [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]  # a*a = a + b: N[1][1][1] = 1
+_FROB = "N[i][j][k] != N[star(i)][k][j] or != N[k][star(j)][i]"
+_AXIOM_FAILURES = {
+    # 1 * a = 2a
+    "left unit": (["1", "a"], [[[1, 0], [0, 2]], [[0, 1], [1, 0]]], None,
+                  "unit", "N[0][j][k] != delta(j,k)", (0, 1, 1), (2, 1)),
+    # a * 1 = 2a
+    "right unit": (["1", "a"], [[[1, 0], [0, 1]], [[0, 2], [1, 0]]], None,
+                   "unit", "N[i][0][k] != delta(i,k)", (1, 0, 1), (2, 1)),
+    # Z2 with a's dual given as 1: build_ring reads the dual off the unit column
+    "duality column": (["1", "a"], _Z2, (0, 0), "duality",
+                       "unit column of fusion matrix is not a single 1 at the dual",
+                       (1, 0, 0), (0, 1)),
+    # the unit column makes 1 and a dual to each other
+    "star(0)": (["1", "a"], [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], None,
+                "duality", "star(0) != 0", (0,), ()),
+    # a and b both dual to b
+    "involution": (["1", "a", "b"], [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                     [[0, 1, 0], [0, 0, 0], [1, 0, 0]],
+                                     [[0, 0, 1], [0, 0, 0], [1, 0, 0]]], None,
+                   "duality", "star is not an involution", (1,), ()),
+    # N[a][a][a] = 1 but N[b][a][a] = 0
+    "reciprocity": (["1", "a", "b"], _Z3_TAMPERED, None,
+                    "frobenius_reciprocity", _FROB, (1, 1, 1), (1, 0, 0)),
+    # N[i][j][k] = N[star(i)][k][j] throughout, but N[0][1][1] = 0 != N[1][1][0]
+    "reciprocity, second form": (["1", "a"], [[[1, 0], [0, 0]], [[0, 1], [1, 0]]], None,
+                                 "frobenius_reciprocity", _FROB, (0, 1, 1), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_AXIOM_FAILURES))
+def test_axiom_failure_reports(case):
+    """Each malformed ring fails its axiom with the first offending index
+    tuple and the values on both sides."""
+    labels, N, star, name, detail, witness, values = _AXIOM_FAILURES[case]
+    ring = build_ring(case, labels, N)
+    if star is not None:
+        ring = FusionRing(name=case, labels=ring.labels, N=ring.N, star=star)
+    report = verify_axioms(ring)
+    assert not report.passed
+    check = next(c for c in report.checks if c.name == name)
+    assert (check.passed, check.detail, check.witness, check.values) == (
+        False, detail, witness, values)
 
 
 def test_frobenius_reciprocity_holds_coefficientwise():
