@@ -3,27 +3,32 @@
 Every GF(p) run (``buchberger`` over GF(p), and each prime of the modular
 QQ pipeline) is F4 (Faugere, JPAA 139, 1999): each round takes the live
 pairs whose lcm has the lowest degree, smallest lcm first and at most
-``_ROUND_PAIRS`` of them, and reduces them together in one Macaulay
-matrix. The rows are both shifted elements of each pair; symbolic
-preprocessing gives every monomial of the matrix that some leading
-monomial divides a pivot row, its first divisor in list order shifted
-onto it. The pair rows are cleared in every pivot column, and the reduced
-row echelon form of what is left gives the new basis elements, each with
-a new leading monomial. A reduced echelon form is unique, so
-the two kernels give the same rows: matrices of at most ``_SPARSE_CELLS``
+``_ROUND_PAIRS`` of them. A round of at most ``_STEP_PAIRS`` pairs takes
+them one at a time, as Buchberger's S-pair loop does (``_spair``, the step
+of the direct ZZ run below): each S-polynomial is top-reduced by the basis
+so far and made monic, and joins the basis before the next pair, which
+Gebauer-Moeller may then prune. A larger round reduces its pairs together
+in one Macaulay matrix. The rows are both shifted elements of each pair;
+symbolic preprocessing gives every monomial of the matrix that some
+leading monomial divides a pivot row, its first divisor in list order
+shifted onto it. The pair rows are cleared in every pivot column, and the
+reduced row echelon form of what is left gives the new basis elements,
+each with a new leading monomial. A reduced echelon form is unique, so the
+two kernels give the same rows: matrices of at most ``_SPARSE_CELLS``
 cells are reduced on dicts with the reducer's ``_step``, larger ones in
 numpy (int64 below p = 2^31, object above, and the final echelon form in
 int16 when its updates cannot pass 2^15; a modular matrix product is one
-int64 product when it cannot overflow). Each matrix is charged to the
-term budget before it is allocated, for what the kernels allocate: pair
-rows x columns plus the pivot rows' terms, so the budget also bounds the
-dense kernel's memory. A zero-dimensional run may stop before its pairs
-run out, once a border-basis certificate proves the basis so far complete:
-one walk up from the staircase of the elements' minimal leading monomials
-gives every border monomial, and every monomial of those elements and of
-the seeds left out, its normal-form vector, with no reduction; the
-multiplication matrices it fills must commute and the left-out seeds'
-vectors must vanish (see ``_f4`` and ``_border_certificate``).
+int64 product when it cannot overflow). Each matrix is charged to the term
+budget before it is allocated, for what the kernels allocate: pair rows x
+columns plus the pivot rows' terms, so the budget also bounds the dense
+kernel's memory. A zero-dimensional run may stop after a matrix round,
+before its pairs run out, once a border-basis certificate proves the basis
+so far complete: one walk up from the staircase of the elements' minimal
+leading monomials gives every border monomial, and every monomial of those
+elements and of the seeds left out, its normal-form vector, with no
+reduction; the multiplication matrices it fills must commute and the
+left-out seeds' vectors must vanish (see ``_f4`` and
+``_border_certificate``).
 
 ``fglm`` (Faugere-Gianni-Lazard-Mora, JSC 16(4), 1993) reads the reduced
 grevlex basis of a zero-dimensional ideal off the multiplication matrices
@@ -33,9 +38,10 @@ linked quotient.
 
 The direct fraction-free ZZ run (the first QQ attempt) takes one S-pair
 at a time: normal selection (smallest lcm in the active order, ties by
-pair index). It and F4 use Gebauer-Moeller elimination, which implements
-Buchberger's product and chain criteria, and so does the QQ certificate's
-closure check, a loop over the pairs it keeps. New pairs are formed
+pair index). It, F4's small rounds and the QQ certificate's closure check
+(a loop over the pairs Gebauer-Moeller keeps) share one S-pair step,
+``_spair``. The ZZ run and F4 use Gebauer-Moeller elimination, which
+implements Buchberger's product and chain criteria. New pairs are formed
 with the live basis only: an element leaves it once a newer leading
 monomial divides its own, though it stays a reducer. Each pair's lcm is
 computed once, when the pair is created: the update takes each live
@@ -134,7 +140,9 @@ class _Swell(Exception):
 
 
 class _Budget:
-    __slots__ = ("pair_limit", "op_limit", "pairs", "ops", "matrices", "max_cells", "left")
+    __slots__ = (
+        "pair_limit", "op_limit", "pairs", "ops", "matrices", "max_cells", "left", "steps"
+    )
 
     def __init__(self, pair_limit, op_limit):
         self.pair_limit = pair_limit
@@ -144,6 +152,7 @@ class _Budget:
         self.matrices = 0
         self.max_cells = 0
         self.left = 0  # pairs that F4 runs stopped by the border certificate left
+        self.steps = 0  # pairs that F4 runs reduced one at a time, not in a matrix
 
     def charge_pair(self):
         self.pairs += 1
@@ -436,19 +445,30 @@ def _reduce(r, basis, budget, ctx, pmod=0, full=False):
     return r
 
 
-def _spoly(f, g, big, budget, ctx):
-    """S-polynomial of ZZ engine elements: f shifted to ``big`` = lcm, one step by g.
+def _spoly(f, g, big, budget, ctx, pmod=0):
+    """S-polynomial of engine elements: f shifted to ``big`` = lcm, one step by g.
 
-    The step is charged to ``budget``. Under lex, raises unless both
-    shifted elements pack.
+    The step is charged to ``budget``; over GF(pmod) both elements are
+    monic. Under lex, raises unless both shifted elements pack.
     """
     if ctx.order == LEX:
         for h in (f, g):
             ctx.check_shift(h, big - h.lm)
     shift = big - f.lm
     s = {e + shift: c for e, c in f.terms}
-    budget.charge_ops(_step(s, big, g, 0))
+    budget.charge_ops(_step(s, big, g, pmod))
     return s
+
+
+def _spair(gb, big, i, j, budget, pmod=0):
+    """Charge the pair (i, j) of ``gb`` (lcm ``big``) as an S-pair, and
+    return its S-polynomial top-reduced by the elements of ``gb``: the one
+    S-pair step of the direct ZZ run, of the QQ certificate's closure check
+    and of F4's small rounds."""
+    budget.charge_pair()
+    elts, ctx = gb.elts, gb.ctx
+    s = _spoly(elts[i], elts[j], big, budget, ctx, pmod)
+    return _reduce(s, elts, budget, ctx, pmod)
 
 
 def _monic(d, pmod):
@@ -650,14 +670,11 @@ def _core(seeds, ctx, budget):
     try:
         if gb.seed(seeds):
             return gb.unit()
-        engine = gb.elts
         while gb.heap:
             _, big, i, j = heappop(gb.heap)
             if gb.pairs.pop((i, j), None) is None:
                 continue
-            attempt.charge_pair()
-            s = _spoly(engine[i], engine[j], big, attempt, ctx)
-            r = _reduce(s, engine, attempt, ctx)
+            r = _spair(gb, big, i, j, attempt)
             if not r:
                 continue
             if ctx.deg(max(r)) == 0:
@@ -706,11 +723,32 @@ _SPARSE_CELLS = 4096
 # (0.7 -> 8.0 s), over GF(11) 1707 / 4,146,671 -> 3480 / 22,157,532
 # (3.1 -> 17.6 s); a two_parallel(F210, 5_1, 5_3) pass over GF(11) took
 # 140 -> 171 ms. Also measured and not taken: a numpy pair update (110
-# against about 53 us per call with 41 live elements), set-based symbolic
-# preprocessing (faster in 0 of 16 interleaved passes), and a plain S-pair
-# loop for tiny GF(p) systems (226 against 315 us per system, but a second
-# GF(p) engine).
+# against about 53 us per call with 41 live elements) and set-based
+# symbolic preprocessing (faster in 0 of 16 interleaved passes).
 _ROUND_PAIRS = 48
+
+# A round of at most this many live pairs takes them one at a time, smallest
+# lcm first, as Buchberger's S-pair loop does: each S-polynomial is
+# top-reduced by the basis so far and joins it at once, so Gebauer-Moeller
+# may prune the round's later pairs. Only larger rounds build a Macaulay
+# matrix, and only they can try the border certificate. By cap: the median
+# GF(32003) system of a seed-1 small-bases cycle (each of the 249 timed 15
+# times, minimum taken), the cycle's sum of those minima, and E_k of F210
+# over GF(11), median of 15; caps interleaved in one process, process time,
+# two runs, 2-vCPU VM, Python 3.11; matrices and steps per cycle:
+#    0:  339 / 363 us;  270.4 / 291.1 ms;  40.7 / 50.2 ms;  850 matrices,    0 steps
+#    2:  301 / 329 us;  265.4 / 284.1 ms;  41.5 / 51.0 ms;  424 matrices,  586 steps
+#    3:  301 / 319 us;  266.6 / 287.3 ms;  39.9 / 53.3 ms;  340 matrices,  835 steps
+#    4:  285 / 291 us;  268.7 / 287.9 ms;  45.9 / 53.7 ms;  234 matrices, 1247 steps
+# No round of E_k holds fewer than 5 live pairs, so up to 4 it runs the same
+# 8 matrices and its times differ by noise alone. Above 4 steps cost E_k
+# more than its matrices did: term ops 57,314 -> 73,081, 84,015 and 112,561
+# at caps 5, 7 and 10 (58, 60, 66 and 80 ms at caps 4, 5, 7 and 10), and a
+# plain S-pair loop (every round a step) took 293 S-pairs, 1,218,501 term
+# ops and 994 ms. The 3-label F210 prism system over GF(11) takes steps
+# from cap 2 on and keeps its basis (4,146,671 term ops at cap 0, 4,166,385
+# at 4).
+_STEP_PAIRS = 4
 
 
 def _f4(seeds, ctx, budget, pmod):
@@ -718,11 +756,15 @@ def _f4(seeds, ctx, budget, pmod):
 
     Returns ``(basis, quotient)``. Each round pops the live pairs whose
     lcm has the lowest degree, smallest lcm first, but at most
-    ``_ROUND_PAIRS`` of them, and reduces them together in one Macaulay
-    matrix (``_f4_matrix``). Every row of the reduced echelon form that is
-    left has a new leading monomial and joins the basis. Pairs past the
-    cap stay in the heap for a later round, where Gebauer-Moeller may
-    prune them with this round's new elements.
+    ``_ROUND_PAIRS`` of them. A round of at most ``_STEP_PAIRS`` pairs
+    takes them one at a time (``_spair``): a pair is charged and counted
+    in ``budget.steps`` only if it is still live when its turn comes, and
+    a nonzero remainder joins the basis at once, monic, so Gebauer-Moeller
+    may prune the round's later pairs. A larger round reduces its pairs
+    together in one Macaulay matrix (``_f4_matrix``): every row of the
+    reduced echelon form that is left has a new leading monomial and joins
+    the basis. Pairs past the cap stay in the heap for a later round, where
+    Gebauer-Moeller may prune them with this round's new elements.
 
     A zero-dimensional run may stop before its pairs run out. After a round
     whose matrix went to the numpy kernel ((pivot rows + pair rows) x
@@ -757,11 +799,25 @@ def _f4(seeds, ctx, budget, pmod):
         batch, rank = [], None
         while heap and len(batch) < _ROUND_PAIRS and (not batch or heap[0][0] == rank):
             rank, big, i, j = heappop(heap)
-            if pairs.pop((i, j), None) is not None:
-                budget.charge_pair()
+            if (i, j) in pairs:
                 batch.append((big, i, j))
         if not batch:
             break
+        if len(batch) <= _STEP_PAIRS:
+            for big, i, j in batch:
+                if pairs.pop((i, j), None) is None:
+                    continue  # pruned by an element this round added
+                budget.steps += 1
+                r = _spair(gb, big, i, j, budget, pmod)
+                if r:
+                    if ctx.deg(max(r)) == 0:
+                        return gb.unit(), None
+                    gb.add(_monic(r, pmod))
+                    pure.add(ctx.pure_var(gb.lms[-1]))
+            continue
+        for big, i, j in batch:
+            del pairs[i, j]
+            budget.charge_pair()
         new, cells = _f4_matrix(batch, gb.elts, ctx, budget, pmod, memo)
         for d in new:
             if ctx.deg(max(d)) == 0:
@@ -1405,11 +1461,7 @@ def _certify_qq(candidate, gens_int, ctx, budget):
     gb = _Basis(ctx, graded=False)
     if gb.seed(cand_int):
         return True
-    for (i, j), big in gb.pairs.items():
-        budget.charge_pair()
-        if _reduce(_spoly(gb.elts[i], gb.elts[j], big, budget, ctx), gb.elts, budget, ctx):
-            return False
-    return True
+    return not any(_spair(gb, big, i, j, budget) for (i, j), big in gb.pairs.items())
 
 
 # ------------------------------------------------------------- public API
@@ -1606,6 +1658,7 @@ def buchberger(
             stats["matrices"] = budget.matrices
             stats["max_matrix_cells"] = budget.max_cells
             stats["pairs_left"] = budget.left
+            stats["steps"] = budget.steps
         # each monomial unpacked once: a reduced basis's tails share the
         # staircase (E_k over GF(11): 364 terms, 45 monomials)
         names = {e: ctx.unpack(e) for e in set().union(*out)}

@@ -821,6 +821,8 @@ def two_parallel(
     """
     timings = {}
     k, l = ring.resolve(k), ring.resolve(l)
+    if k == l:
+        raise LocalizationError("the two subsystem labels must differ")
     fp = fpdim_data(ring)
     if sprime_k is None or sprime_l is None:
         dk, dl = default_sprime_pair(ring, k, l, fp=fp)

@@ -183,7 +183,8 @@ def test_two_parallel_prime_field(capsys):
     assert "gb_final" not in report["result"]["timings"]
     stats = report["result"]["stats"]
     assert set(stats) == {"k", "l", "link"}
-    assert (stats["k"]["matrices"], stats["k"]["pairs_left"]) == (8, 88)
+    k = stats["k"]
+    assert (k["matrices"], k["pairs_left"], k["steps"]) == (8, 88, 0)
     # E_l is E_k renamed by the 3-cycle 5_1 -> 5_3 -> 5_2 -> 5_1
     cycle = {"1": "1", "5_1": "5_3", "5_2": "5_1", "5_3": "5_2", "6_1": "6_1", "7_1": "7_1",
              "7_2": "7_2"}
@@ -194,6 +195,12 @@ def test_two_parallel_prime_field(capsys):
     )
     assert code == 0
     assert "verdict: excluded" in out and "corank: 0" in out
+
+
+def test_two_parallel_equal_labels(capsys):
+    code, _, err = invoke(capsys, "two-parallel", "F210", "--k", "5_1", "--l", "5_1")
+    assert code == 1
+    assert "the two subsystem labels must differ" in err
 
 
 def test_two_parallel_bad_characteristic(capsys):

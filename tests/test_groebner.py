@@ -233,15 +233,24 @@ def test_pair_budget_enforced():
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
-def test_gf_budgets_enforced(order):
+def test_gf_budgets_enforced(monkeypatch, order):
     F = GF(32003)
     XYZ = ("x", "y", "z")
     texts = ("x + y + z", "x*y + y*z + z*x", "x*y*z - 1")
     system = [P(t, XYZ, F, order) for t in texts]
     work = buchberger(system, order, F).stats
-    assert work["spairs"] > 1 and work["matrices"] > 1
+    assert work["spairs"] == work["steps"] > 1 and work["matrices"] == 0
     # the message gives the work done when the limit was hit: the first
-    # round's one matrix, then the second round's first pair
+    # round's one S-pair step, then the second round's first pair
+    with pytest.raises(GroebnerResourceError, match=r"^S-pair budget exceeded \(1\) "
+                       r"at spairs=2, term_ops=\d+, matrices=0$"):
+        buchberger(system, order, F, pair_budget=1)
+    buchberger(system, order, F, pair_budget=work["spairs"], term_budget=work["term_ops"])
+    # with every round a matrix: the first round's one matrix, then the
+    # second round's first pair
+    monkeypatch.setattr(groebner, "_STEP_PAIRS", 0)
+    work = buchberger(system, order, F).stats
+    assert work["spairs"] > 1 and work["matrices"] > 1 and work["steps"] == 0
     with pytest.raises(GroebnerResourceError, match=r"^S-pair budget exceeded \(1\) "
                        r"at spairs=2, term_ops=\d+, matrices=1$"):
         buchberger(system, order, F, pair_budget=1)
@@ -368,12 +377,12 @@ def test_budget_error_names_the_prime(e1):
 # ------------------------------------------------------- pinned engine work
 
 
-F4_STATS = ("spairs", "term_ops", "matrices", "max_matrix_cells", "pairs_left")
+F4_STATS = ("spairs", "term_ops", "matrices", "max_matrix_cells", "pairs_left", "steps")
 
 
 @pytest.mark.parametrize(
     "p, work",
-    [(1073741789, (251, 58_903, 8, 18_315, 88)), (11, (251, 57_314, 8, 17_865, 88))],
+    [(1073741789, (251, 58_903, 8, 18_315, 88, 0)), (11, (251, 57_314, 8, 17_865, 88, 0))],
     ids=["GF1073741789", "GF11"],
 )
 def test_gf_engine_work_on_ek(ek, p, work):
@@ -403,11 +412,9 @@ def test_lex_engine_work_on_corpus():
         gf.append(buchberger(specialize(F, lex), order=LEX, field=F).stats)
     work = [(1, 3), (1, 5), (0, 0), (5, 10), (2, 11)]
     assert zz == [{"mode": "direct", "spairs": s, "term_ops": t} for s, t in work]
-    # F4 charges what each matrix allocates, and interreduction its steps;
-    # no run reaches the dense kernel, so none is stopped early
-    f4 = [(1, 7, 1, 7, 0), (1, 8, 1, 8, 0), (0, 0, 0, 0, 0), (5, 30, 4, 16, 0),
-          (2, 22, 2, 11, 0)]
-    assert gf == [dict(zip(F4_STATS, w)) for w in f4]
+    # every round holds at most _STEP_PAIRS pairs, so F4 takes them one
+    # at a time, with the ZZ run's work, and builds no matrix
+    assert gf == [dict(zip(F4_STATS, (s, t, 0, 0, 0, s))) for s, t in work]
 
 
 def test_f4_charges_what_the_kernels_allocate(monkeypatch, ek):
@@ -416,8 +423,9 @@ def test_f4_charges_what_the_kernels_allocate(monkeypatch, ek):
     Charged (pivot rows + pair rows) x columns instead, the 3-label prism
     system of F210 over GF(11) ran past the default term budget of 10^8
     (417,066,467 cells, in rounds of every lowest-degree pair); charged
-    this way it finishes under it, with a 90-element basis, 4,146,671 term
-    ops and 522,840 cells at most."""
+    this way it finishes under it, with a 90-element basis, 4,166,385 term
+    ops and 522,998 cells at most (4,146,671 and 522,840 with no S-pair
+    steps)."""
     charges = []
     for name in ("_sparse_echelon", "_dense_echelon"):
         def spy(rows, piv, cols, pmod, kernel=getattr(groebner, name)):
@@ -443,7 +451,7 @@ def test_three_label_prism_system_is_trivial(f210, p):
     gb = buchberger(specialize(F, system), field=F)
     assert [format_polynomial(g) for g in gb.polys] == ["1"]
     if p == 32003:
-        assert gb.stats == dict(zip(F4_STATS, (972, 920_785, 27, 105_190, 0)))
+        assert gb.stats == dict(zip(F4_STATS, (972, 920_785, 27, 105_190, 0, 0)))
     if p is None:
         assert gb.stats["mode"] == "modular"
         assert gb.stats["primes"] == list(islice(_prime_stream(), 3))
@@ -833,7 +841,8 @@ F4_PRIMES = [11, 32003, 2**31 - 1, 2**40 + 15]  # 2^31 - 1: largest int64 prime
 @given(data=st.data())
 def test_f4_matches_naive_buchberger(order, p, data):
     """F4 is correct for any non-empty selection of pairs, so rounds of at
-    most one or two pairs give the reduced basis too."""
+    most one or two pairs give the reduced basis too; every round builds
+    a matrix here (``_STEP_PAIRS`` 0)."""
     F = GF(p)
     terms = st.dictionaries(_EXPS, st.integers(1, p - 1), min_size=1, max_size=3)
     system = data.draw(st.lists(terms, min_size=1, max_size=3))
@@ -841,14 +850,87 @@ def test_f4_matches_naive_buchberger(order, p, data):
     cap = data.draw(st.sampled_from([1, 2, groebner._ROUND_PAIRS]), label="round cap")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_ROUND_PAIRS", cap)
+        mp.setattr(groebner, "_STEP_PAIRS", 0)
         gb = buchberger(system, order, F)
     assert gb.polys == naive_buchberger(system, order)
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_f4_steps_match_naive_buchberger(order, data):
+    """Rounds taken as S-pair steps give the reduced basis too: none
+    (``_STEP_PAIRS`` 0), the small ones (3, or the default), or all
+    (``_ROUND_PAIRS``, a plain S-pair loop)."""
+    F = GF(32003)
+    terms = st.dictionaries(_EXPS, st.integers(1, 32002), min_size=1, max_size=3)
+    system = data.draw(st.lists(terms, min_size=1, max_size=4))
+    system = [Polynomial(XYZ, t, F, order) for t in system]
+    caps = [0, 3, groebner._STEP_PAIRS, groebner._ROUND_PAIRS]
+    cap = data.draw(st.sampled_from(caps), label="step cap")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_STEP_PAIRS", cap)
+        gb = buchberger(system, order, F)
+    assert gb.polys == naive_buchberger(system, order)
+    if cap == groebner._ROUND_PAIRS:
+        assert gb.stats["matrices"] == 0 and gb.stats["steps"] == gb.stats["spairs"]
+
+
+def test_step_rounds_charge_live_pairs_only(monkeypatch):
+    """An element that a step adds can make later pairs of its own round
+    redundant: Gebauer-Moeller drops them, and they are neither reduced
+    nor charged (charging them too would read 11 S-pairs here)."""
+    charged, dropped = [], set()
+
+    def spair_spy(gb, big, i, j, *args, spair=groebner._spair):
+        charged.append((i, j))
+        return spair(gb, big, i, j, *args)
+
+    def gm_spy(pairs, *args, gm_update=groebner._gm_update):
+        before = set(pairs)
+        added = gm_update(pairs, *args)
+        dropped.update(before - set(pairs))
+        return added
+
+    monkeypatch.setattr(groebner, "_spair", spair_spy)
+    monkeypatch.setattr(groebner, "_gm_update", gm_spy)
+    F = GF(32003)
+    system = [P(t, XYZ, F) for t in ("x - y*z", "x*y - 1", "z^2 - x*z")]
+    gb = buchberger(system, field=F)
+    assert gb.polys == naive_buchberger(system, GREVLEX)
+    assert gb.stats["spairs"] == gb.stats["steps"] == len(charged) == 9
+    assert dropped and dropped.isdisjoint(charged)
+
+
+def test_every_pair_is_a_step_or_a_matrix_row(monkeypatch):
+    """Each charged S-pair is either reduced as a step or is one of its
+    round's matrix pairs: spairs = steps + the sum of the round sizes. The
+    small-bases systems over GF(32003) take both paths (for E_k, which
+    takes no steps, see ``test_f4_rounds_take_at_most_the_cap``)."""
+    rounds = []
+
+    def spy(batch, *args, f4_matrix=groebner._f4_matrix):
+        rounds.append(len(batch))
+        return f4_matrix(batch, *args)
+
+    monkeypatch.setattr(groebner, "_f4_matrix", spy)
+    F = GF(32003)
+    steps = matrices = 0
+    for polys in small_bases_systems():
+        rounds.clear()
+        stats = buchberger(specialize(F, polys), field=F).stats
+        assert stats["spairs"] == stats["steps"] + sum(rounds)
+        assert stats["matrices"] == len(rounds)
+        assert all(size > groebner._STEP_PAIRS for size in rounds)
+        steps += stats["steps"]
+        matrices += stats["matrices"]
+    assert steps > 0 and matrices > 0
+
+
 def test_f4_rounds_take_at_most_the_cap(monkeypatch, ek):
     """No F4 round of E_k takes more pairs than ``_ROUND_PAIRS``, some
-    round takes exactly that many, and the border certificate still stops
-    the run with pairs left."""
+    round takes exactly that many, none is small enough for S-pair steps,
+    and the border certificate still stops the run with pairs left."""
     rounds = []
 
     def spy(batch, *args, f4_matrix=groebner._f4_matrix):
@@ -859,6 +941,7 @@ def test_f4_rounds_take_at_most_the_cap(monkeypatch, ek):
     F = GF(11)
     gb = buchberger(specialize(F, ek.polys), field=F)
     assert max(rounds) == groebner._ROUND_PAIRS
+    assert min(rounds) > groebner._STEP_PAIRS and gb.stats["steps"] == 0
     assert len(rounds) == gb.stats["matrices"] and sum(rounds) == gb.stats["spairs"]
     assert gb.stats["pairs_left"] > 0
 
@@ -1008,10 +1091,11 @@ _FORCED += [(GREVLEX, "ek", 11), (GREVLEX, "ek", 2**40 + 15)]
     "order, system, p", _FORCED, ids=[f"{o}-{s}-GF{p}" for o, s, p in _FORCED]
 )
 def test_forced_border_certificate_keeps_every_basis(monkeypatch, ek, order, system, p):
-    """With ``_SPARSE_CELLS`` at 0 the certificate is tried after every
-    round that adds elements and leaves pairs; at infinity every matrix
-    goes to the dict kernel and no run stops early. Both give the same
-    basis, and a stopped run keeps the staircase and multiplication
+    """With ``_SPARSE_CELLS`` and ``_STEP_PAIRS`` at 0 every round builds
+    a matrix and the certificate is tried after every round that adds
+    elements and leaves pairs; with ``_SPARSE_CELLS`` at infinity every
+    matrix goes to the dict kernel and no run stops early. Both give the
+    same basis, and a stopped run keeps the staircase and multiplication
     matrices of the full run's basis. RepS3's prism system on 1, t is the
     case a certificate without the dropped-seed check gets wrong."""
     polys = ek.polys if system == "ek" else small_bases_systems()[int(system[5:])]
@@ -1021,6 +1105,7 @@ def test_forced_border_certificate_keeps_every_basis(monkeypatch, ek, order, sys
     full = buchberger(polys, order, F)
     assert full.stats["pairs_left"] == 0 and full.quotient is None
     monkeypatch.setattr(groebner, "_SPARSE_CELLS", 0)
+    monkeypatch.setattr(groebner, "_STEP_PAIRS", 0)
     forced = buchberger(polys, order, F)
     assert forced.polys == full.polys
     if system in ("small6", "ek"):

@@ -126,6 +126,16 @@ def test_extra_link_errors(f210):
         extra_link(f210, "5_1", "5_2")  # 5_2 not in the support of 5_1
 
 
+@pytest.mark.parametrize(
+    "subsets", [{}, {"sprime_k": ("1", "5_1"), "sprime_l": ("1", "5_1")}],
+    ids=["default", "explicit"],
+)
+def test_two_parallel_rejects_equal_labels(f210, subsets):
+    """k == l is refused before any subset or system is built."""
+    with pytest.raises(LocalizationError, match="^the two subsystem labels must differ$"):
+        two_parallel(f210, "5_1", "5_1", field=GF(11), **subsets)
+
+
 def test_default_sprime_pair(f210):
     sk, sl = default_sprime_pair(f210, "5_1", "5_3")
     assert tuple(f210.labels[i] for i in sk) == SPRIME_K
@@ -399,7 +409,7 @@ F210_CYCLE = {"1": "1", "5_1": "5_3", "5_2": "5_1", "5_3": "5_2", "6_1": "6_1", 
               "7_2": "7_2"}
 GF11_ENGINE_STATS = {
     "k": {"spairs": 251, "term_ops": 57_314, "matrices": 8, "max_matrix_cells": 17_865,
-          "pairs_left": 88},
+          "pairs_left": 88, "steps": 0},
     "l": {"from": "k", "labels": F210_CYCLE},
     "link": {"dim": 196, "rank": 192, "border": 182, "fglm_candidates": 27},
 }
@@ -473,10 +483,11 @@ def test_orbit_basis_needs_the_exact_system(f210, ek, el, monkeypatch):
 
 def test_two_parallel_without_automorphism_computes_gb_l(f210):
     """No automorphism takes 5_1's subset {1, 5_1, 5_3} onto {1, 5_3}, so
-    gb_l is computed; its staircase is infinite, so gb_final runs."""
+    gb_l is computed, by two S-pair steps and no matrix; its staircase is
+    infinite, so gb_final runs."""
     rep = two_parallel(f210, "5_1", "5_3", field=GF(11), sprime_l=("1", "5_3"))
-    assert rep.stats["l"] == {"spairs": 2, "term_ops": 190, "matrices": 2,
-                              "max_matrix_cells": 150, "pairs_left": 0}
+    assert rep.stats["l"] == {"spairs": 2, "term_ops": 131, "matrices": 0,
+                              "max_matrix_cells": 0, "pairs_left": 0, "steps": 2}
     assert "gb_final" in rep.timings and "final" in rep.stats
     assert rep.corank == 84
 
