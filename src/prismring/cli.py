@@ -299,7 +299,14 @@ def cmd_localize(args):
         )
     except LocalizationError as exc:
         raise CliError(str(exc))
-    alias = system.alias_table(*args.alias_prefixes.split(","))
+    prefixes = args.alias_prefixes.split(",")
+    ok = len(prefixes) == 2 and all(prefixes) and prefixes[0] != prefixes[1]
+    alias = system.alias_table(*prefixes) if ok else {}
+    if not ok or len(set(alias.values())) < len(alias):  # x,x1: x10 twice
+        raise CliError(
+            f"--alias-prefixes {args.alias_prefixes!r}: give two distinct non-empty "
+            "prefixes whose aliases do not collide, such as u,v"
+        )
     comments = [
         f"ring {ring.name}, subsystem {system.tag}",
         f"support {' '.join(system.support)}",

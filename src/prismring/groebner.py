@@ -1,17 +1,21 @@
 """Groebner engine: reduced Groebner bases over QQ and GF(p).
 
-Every GF(p) run (``buchberger`` over GF(p), and each prime of the modular
-QQ pipeline) is F4 (Faugere, JPAA 139, 1999): each round takes the live
-pairs whose lcm has the lowest degree, smallest lcm first and at most
-``_ROUND_PAIRS`` of them. A round of at most ``_STEP_PAIRS`` pairs takes
-them one at a time, as Buchberger's S-pair loop does (``_spair``, the step
-of the direct ZZ run below): each S-polynomial is top-reduced by the basis
-so far and made monic, and joins the basis before the next pair, which
-Gebauer-Moeller may then prune. A larger round reduces its pairs together
-in one Macaulay matrix. The rows are both shifted elements of each pair;
-symbolic preprocessing gives every monomial of the matrix that some
-leading monomial divides a pivot row, its first divisor in list order
-shifted onto it. The pair rows are cleared in every pivot column, and the
+One driver, ``_f4``, computes every basis. Over GF(p) (``buchberger``
+over GF(p), and each prime of the modular QQ pipeline) it is F4 (Faugere,
+JPAA 139, 1999): each round takes the live pairs whose lcm has the lowest
+degree, smallest lcm first and at most ``_ROUND_PAIRS`` of them. Over ZZ
+(pmod 0, the direct attempt at a QQ basis below) there is no matrix
+kernel: each round is the one pair of smallest lcm in the active order
+(normal selection, ties by pair index). A round of at most
+``_STEP_PAIRS`` pairs, and so every ZZ round, takes them one at a time,
+as Buchberger's S-pair loop does (``_spair``): each S-polynomial is
+top-reduced by the basis so far, made monic over GF(p) and primitive over
+ZZ, and joins the basis before the next pair, which Gebauer-Moeller may
+then prune. A larger round reduces its pairs together in one Macaulay
+matrix. The rows are both shifted elements of each pair; symbolic
+preprocessing gives every monomial of the matrix that some leading
+monomial divides a pivot row, its first divisor in list order shifted
+onto it. The pair rows are cleared in every pivot column, and the
 reduced row echelon form of what is left gives the new basis elements,
 each with a new leading monomial. A reduced echelon form is unique, so the
 two kernels give the same rows: matrices of at most ``_SPARSE_CELLS``
@@ -36,14 +40,12 @@ of its quotient and the vector of 1, in any basis of the quotient: the
 link step of ``localizer.two_parallel`` hands it the matrices of the
 linked quotient.
 
-The direct fraction-free ZZ run (the first QQ attempt) takes one S-pair
-at a time: normal selection (smallest lcm in the active order, ties by
-pair index). It, F4's small rounds and the QQ certificate's closure check
-(a loop over the pairs Gebauer-Moeller keeps) share one S-pair step,
-``_spair``. The ZZ run and F4 use Gebauer-Moeller elimination, which
-implements Buchberger's product and chain criteria. New pairs are formed
-with the live basis only: an element leaves it once a newer leading
-monomial divides its own, though it stays a reducer. Each pair's lcm is
+The S-pair steps of ``_f4`` and the QQ certificate's closure check (a
+loop over the pairs Gebauer-Moeller keeps) share one S-pair step,
+``_spair``. ``_f4`` uses Gebauer-Moeller elimination, which implements
+Buchberger's product and chain criteria. New pairs are formed with the
+live basis only: an element leaves it once a newer leading monomial
+divides its own, though it stays a reducer. Each pair's lcm is
 computed once, when the pair is created: the update takes each live
 element's lcm with the new one once, without the grevlex degree digit,
 and packs that digit only for the pairs it adds (see ``_gm_update``).
@@ -81,25 +83,26 @@ and ``buchberger`` builds each monic Fraction of a QQ basis once, which
 its ``Polynomial`` keeps.
 
 Over QQ the generators are packed once, with denominators cleared, and a
-direct fraction-free ZZ run (``_core``) is attempted first. It divides
-each nonzero remainder by its content, makes its leading coefficient
-positive, and gives up once a coefficient passes ``_SWELL_BITS`` bits or
-the attempt passes its caps; its work is charged to the caller's budget
-either way. Systems whose intermediates swell (the final reduced basis is
-typically tiny even when intermediates explode) switch, on the same
-packed generators, to a modular pipeline that takes one prime at a time
-from a deterministic stream of 30-bit primes (see ``_modular_qq``). Each
-reduced basis mod p is filed under its leading-term shape. Once the prime
-just run joins the majority shape and that shape has at least 3 primes,
-its coefficients are combined by CRT and lifted by rational
-reconstruction, and the candidate is certified exactly, fraction-free on
-its integer multiples: every input generator must reduce to zero modulo
-the candidate, and the candidate must be closed under S-polynomial
-reduction. The first candidate certified is the result. Those checks
-prove the candidate is the reduced basis of an ideal containing the input
-ideal; agreement of the leading-term shape across at least 3 independent
-primes pins it to the input ideal itself, the assurance model of Arnold
-(JSC 35, 2003) and of standard modular Groebner engines.
+direct fraction-free ZZ run (``_core``, which runs ``_f4`` over ZZ) is
+attempted first. It divides each nonzero remainder by its content, makes
+its leading coefficient positive, and gives up once a coefficient passes
+``_SWELL_BITS`` bits or the attempt passes its caps; its work is charged
+to the caller's budget either way. Systems whose intermediates swell
+(the final reduced basis is typically tiny even when intermediates
+explode) switch, on the same packed generators, to a modular pipeline
+that takes one prime at a time from a deterministic stream of 30-bit
+primes (see ``_modular_qq``). Each reduced basis mod p is filed under
+its leading-term shape. Once the prime just run joins the majority shape
+and that shape has at least 3 primes, its coefficients are combined by
+CRT and lifted by rational reconstruction, and the candidate is
+certified exactly, fraction-free on its integer multiples: every input
+generator must reduce to zero modulo the candidate, and the candidate
+must be closed under S-polynomial reduction. The first candidate
+certified is the result. Those checks prove the candidate is the reduced
+basis of an ideal containing the input ideal; agreement of the
+leading-term shape across at least 3 independent primes pins it to the
+input ideal itself, the assurance model of Arnold (JSC 35, 2003) and of
+standard modular Groebner engines.
 """
 
 from __future__ import annotations
@@ -463,8 +466,8 @@ def _spoly(f, g, big, budget, ctx, pmod=0):
 def _spair(gb, big, i, j, budget, pmod=0):
     """Charge the pair (i, j) of ``gb`` (lcm ``big``) as an S-pair, and
     return its S-polynomial top-reduced by the elements of ``gb``: the one
-    S-pair step of the direct ZZ run, of the QQ certificate's closure check
-    and of F4's small rounds."""
+    S-pair step of ``_f4``'s small rounds (every round over ZZ) and of the
+    QQ certificate's closure check."""
     budget.charge_pair()
     elts, ctx = gb.elts, gb.ctx
     s = _spoly(elts[i], elts[j], big, budget, ctx, pmod)
@@ -574,14 +577,15 @@ class _Basis:
     leading monomial no newer one divides, the ones new pairs are formed
     with (see ``_gm_update``). Live pairs sit in ``pairs`` ({(i, j): lcm},
     pruned by Gebauer-Moeller) and in ``heap`` as (rank, lcm, i, j), where
-    rank is the lcm's degree in graded runs (an F4 round takes pairs of
-    the lowest degree only) and 0 otherwise; pruned entries are skipped
-    when they come up.
+    rank is the lcm's degree in graded runs (``_f4`` over GF(p), whose
+    round takes pairs of the lowest degree only) and 0 otherwise (``_f4``
+    over ZZ, which takes the smallest lcm in the active order, and
+    ``_certify_qq``); pruned entries are skipped when they come up.
     """
 
     __slots__ = ("ctx", "graded", "elts", "lms", "live", "pairs", "heap")
 
-    def __init__(self, ctx, graded):
+    def __init__(self, ctx, graded=False):
         self.ctx = ctx
         self.graded = graded
         self.elts = []
@@ -657,30 +661,15 @@ def _primitive(r):
 
 
 def _core(seeds, ctx, budget):
-    """The direct fraction-free ZZ attempt at a QQ basis: Buchberger on the
-    primitive integer ``seeds``, one S-pair at a time, the smallest lcm
-    first. Every nonzero remainder and every element of the interreduced
-    basis goes through ``_primitive``. Returns the reduced basis as
-    primitive ZZ dicts, or None on :class:`_Swell` or past the attempt's
+    """The direct fraction-free ZZ attempt at a QQ basis: ``_f4`` over ZZ
+    (pmod 0) on the primitive integer ``seeds``. Returns the reduced basis
+    as primitive ZZ dicts, or None on :class:`_Swell` or past the attempt's
     caps (the caller's, clipped to 20,000 S-pairs and 2 * 10^6 term ops).
     Its work is added to ``budget`` either way.
     """
     attempt = _Budget(min(budget.pair_limit, 20_000), min(budget.op_limit, 2_000_000))
-    gb = _Basis(ctx, graded=False)
     try:
-        if gb.seed(seeds):
-            return gb.unit()
-        while gb.heap:
-            _, big, i, j = heappop(gb.heap)
-            if gb.pairs.pop((i, j), None) is None:
-                continue
-            r = _spair(gb, big, i, j, attempt)
-            if not r:
-                continue
-            if ctx.deg(max(r)) == 0:
-                return gb.unit()
-            gb.add(_primitive(r))
-        return [_primitive(d) for d in gb.reduced(gb.minimal(), attempt)]
+        return _f4(seeds, ctx, attempt, 0)[0]
     except (_Swell, GroebnerResourceError):
         return None
     finally:
@@ -752,27 +741,34 @@ _STEP_PAIRS = 4
 
 
 def _f4(seeds, ctx, budget, pmod):
-    """Reduced basis of monic seeds over GF(pmod) by F4, as packed dicts.
+    """Reduced basis of monic seeds over GF(pmod) by F4, or of primitive
+    seeds over ZZ (pmod 0) by Buchberger's S-pair loop, as packed dicts.
 
-    Returns ``(basis, quotient)``. Each round pops the live pairs whose
-    lcm has the lowest degree, smallest lcm first, but at most
-    ``_ROUND_PAIRS`` of them. A round of at most ``_STEP_PAIRS`` pairs
-    takes them one at a time (``_spair``): a pair is charged and counted
-    in ``budget.steps`` only if it is still live when its turn comes, and
-    a nonzero remainder joins the basis at once, monic, so Gebauer-Moeller
+    Returns ``(basis, quotient)``. Over GF(p) each round pops the live
+    pairs whose lcm has the lowest degree, smallest lcm first, but at most
+    ``_ROUND_PAIRS`` of them. Over ZZ, which has no matrix kernel, each
+    round pops one pair, the smallest lcm in the active order: under lex,
+    lowest degree first moved 10 of the 249 seed-1 small-bases systems from
+    the direct run to the modular path. A round of at most ``_STEP_PAIRS``
+    pairs, so every ZZ round, takes them one at a time (``_spair``): a
+    pair is charged and counted in ``budget.steps`` only if it is still
+    live when its turn comes, and a nonzero remainder joins the basis at
+    once, monic over GF(p) and ``_primitive`` over ZZ, so Gebauer-Moeller
     may prune the round's later pairs. A larger round reduces its pairs
     together in one Macaulay matrix (``_f4_matrix``): every row of the
     reduced echelon form that is left has a new leading monomial and joins
     the basis. Pairs past the cap stay in the heap for a later round, where
-    Gebauer-Moeller may prune them with this round's new elements.
+    Gebauer-Moeller may prune them with this round's new elements. The
+    reduced basis of a ZZ run is made primitive, element by element.
 
-    A zero-dimensional run may stop before its pairs run out. After a round
-    whose matrix went to the numpy kernel ((pivot rows + pair rows) x
-    columns above ``_SPARSE_CELLS``), that added elements and that leaves
+    A zero-dimensional GF(p) run may stop before its pairs run out. After
+    a round whose matrix went to the numpy kernel ((pivot rows + pair rows)
+    x columns above ``_SPARSE_CELLS``), that added elements and that leaves
     pairs, ``_border_certificate`` is tried once every variable has a pure
-    power among the leading monomials (a set kept as elements join). It
-    takes the first element of each minimal leading monomial, as it is
-    (no interreduction), and walks once up from their staircase
+    power among the leading monomials (a set brought up to date with the
+    elements added since, right before the test). It takes the first
+    element of each minimal leading monomial, as it is (no
+    interreduction), and walks once up from their staircase
     (``_border_walk``): every border monomial, every monomial of those
     elements' tails and of the seeds that minimalization dropped gets its
     vector on the staircase mod p, and the border vectors fill the
@@ -789,15 +785,16 @@ def _f4(seeds, ctx, budget, pmod):
     round's matrix cells. A run that empties its heap returns ``quotient``
     None.
     """
-    gb = _Basis(ctx, graded=True)
+    gb = _Basis(ctx, graded=bool(pmod))
     if gb.seed(seeds):
         return gb.unit(), None
     memo = ({}, {})  # divisor memo of the symbolic preprocessing (see _scan)
     heap, pairs = gb.heap, gb.pairs
-    pure = {ctx.pure_var(m) for m in gb.lms}  # variables with a pure power leading
+    cap = _ROUND_PAIRS if pmod else 1
+    pure, known = set(), 0  # variables with a pure power among gb.lms[:known]
     while heap:
         batch, rank = [], None
-        while heap and len(batch) < _ROUND_PAIRS and (not batch or heap[0][0] == rank):
+        while heap and len(batch) < cap and (not batch or heap[0][0] == rank):
             rank, big, i, j = heappop(heap)
             if (i, j) in pairs:
                 batch.append((big, i, j))
@@ -812,8 +809,7 @@ def _f4(seeds, ctx, budget, pmod):
                 if r:
                     if ctx.deg(max(r)) == 0:
                         return gb.unit(), None
-                    gb.add(_monic(r, pmod))
-                    pure.add(ctx.pure_var(gb.lms[-1]))
+                    gb.add(_monic(r, pmod) if pmod else _primitive(r))
             continue
         for big, i, j in batch:
             del pairs[i, j]
@@ -823,13 +819,16 @@ def _f4(seeds, ctx, budget, pmod):
             if ctx.deg(max(d)) == 0:
                 return gb.unit(), None
             gb.add(d)
-            pure.add(ctx.pure_var(gb.lms[-1]))
-        if new and pairs and cells > _SPARSE_CELLS and pure.issuperset(range(ctx.n)):
-            done = _border_certificate(gb, len(seeds), pmod, cells)
-            if done is not None:
-                budget.left += len(pairs)
-                return done
-    return gb.reduced(gb.minimal(), budget, pmod), None
+        if new and pairs and cells > _SPARSE_CELLS:
+            pure.update(map(ctx.pure_var, gb.lms[known:]))
+            known = len(gb.lms)
+            if pure.issuperset(range(ctx.n)):
+                done = _border_certificate(gb, len(seeds), pmod, cells)
+                if done is not None:
+                    budget.left += len(pairs)
+                    return done
+    out = gb.reduced(gb.minimal(), budget, pmod)
+    return (out if pmod else [_primitive(d) for d in out]), None
 
 
 def _border_certificate(gb, nseeds, pmod, cells):
@@ -1458,7 +1457,7 @@ def _certify_qq(candidate, gens_int, ctx, budget):
     elts = [_make_elt(d, ctx) for d in cand_int]
     if any(_reduce(dict(d), elts, budget, ctx) for d in gens_int):
         return False
-    gb = _Basis(ctx, graded=False)
+    gb = _Basis(ctx)
     if gb.seed(cand_int):
         return True
     return not any(_spair(gb, big, i, j, budget) for (i, j), big in gb.pairs.items())

@@ -49,7 +49,8 @@ class LocalizationInput:
 
     ``support`` is the set of a with N[k][k][a] = 1 (all self-dual, k
     among them); ``chosen`` is the user-selected subset on which every
-    triple is multiplicity-free, or None when not yet chosen.
+    triple is multiplicity-free, and whose every b has N[b][b][i] <= 1 for
+    i in the support, or None when not yet chosen.
     """
 
     ring: FusionRing
@@ -90,6 +91,13 @@ class LocalizationInput:
             raise LocalizationError(
                 "chosen subset is not multiplicity-free: "
                 f"N({ring.labels[b]},{ring.labels[c]};{ring.labels[a]}) > 1"
+            )
+        offender = _squares_free(ring, idx, self.support)
+        if offender is not None:
+            i, b = offender
+            raise LocalizationError(
+                "chosen subset is not multiplicity-free on the support: "
+                f"N({ring.labels[b]},{ring.labels[b]};{ring.labels[i]}) = {ring.N[b][b][i]}"
             )
         return LocalizationInput(ring, self.k, self.support, idx)
 
@@ -134,10 +142,24 @@ def _triples_free(ring, subset) -> tuple | None:
     return None
 
 
+def _squares_free(ring, subset, support) -> tuple | None:
+    """First (i, b) with b in ``subset``, i in ``support`` and N[b][b][i] > 1,
+    or None: the square-expansion family reads x(i,b,b) for every such pair."""
+    for b in subset:
+        for i in support:
+            if ring.N[b][b][i] > 1:
+                return (i, b)
+    return None
+
+
 def maximal_sprime_candidates(ring: FusionRing, k) -> tuple:
-    """All maximal valid chosen subsets (as label tuples), unit included."""
+    """All maximal chosen subsets that ``with_chosen`` accepts (as label
+    tuples), unit included."""
     loc = localization_sets(ring, k)
-    pool = [a for a in loc.support if a != ring.unit_index]
+    pool = [
+        a for a in loc.support
+        if a != ring.unit_index and _squares_free(ring, (a,), loc.support) is None
+    ]
     valid = []
     for bits in range(1 << len(pool)):
         subset = (ring.unit_index,) + tuple(

@@ -483,6 +483,9 @@ def read_system(text: str):
             continue
         if line.startswith("vars:"):
             vars = tuple(line[len("vars:"):].split())
+            if len(set(vars)) < len(vars):
+                repeated = sorted({v for v in vars if vars.count(v) > 1})
+                raise ValueError(f"repeated variable name(s) on vars: {', '.join(repeated)}")
             continue
         if line.startswith("field:"):
             field = parse_field(line[len("field:"):])

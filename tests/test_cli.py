@@ -141,20 +141,66 @@ def test_tpe_localization_family(capsys):
 
 
 @pytest.mark.parametrize(
-    "k, works", [("5_1", "1,5_1,5_3"), ("5_2", "1,5_1,5_2"), ("5_3", "1,5_2,5_3")]
+    "k, sprime", [("5_1", "1,5_1,5_3"), ("5_2", "1,5_1,5_2"), ("5_3", "1,5_2,5_3")]
 )
-def test_tpe_localization_default_needs_sprime(capsys, k, works):
-    """Both maximal chosen subsets of k contain 7_1 or 7_2, and their prism
-    configurations reach a face of multiplicity 2: the usage error says so
-    and names a subset that works."""
-    code, out, err = invoke(capsys, "tpe", "F210", "--family", "localization", "--k", k)
+def test_localization_default_is_the_one_candidate(capsys, k, sprime):
+    """Every maximal multiplicity-free subset of k holds 7_1 or 7_2, and
+    N(7_1,7_1;7_2) = N(7_2,7_2;7_1) = 2 with both in the support, so the
+    one candidate is the subset without them: ``localize`` and ``tpe
+    --family localization`` take it by default."""
+    for cmd in (["localize", "F210", "--k", k], ["tpe", "F210", "--family", "localization", "--k", k]):
+        code, out, err = invoke(capsys, *cmd)
+        assert code == 0, err
+        _, explicit, _ = invoke(capsys, *cmd, "--sprime", sprime)
+        assert out == explicit and read_system(out)[0]
+
+
+def test_tpe_localization_default_suggests_sprime(capsys, monkeypatch):
+    """When the prism configurations of every maximal subset reach a face of
+    multiplicity 2, the usage error says so and names the largest smaller
+    subset that works. No catalog ring reaches this, so 6_1 in the subset
+    is made to fail."""
+    from prismring import cli
+    from prismring.tpegen import MultiplicityError
+
+    def prisms(ring, k, sprime, l, sprime_l, real=cli._localization_prisms):
+        if "6_1" in sprime:
+            raise MultiplicityError("face ('6_1', '6_1', '6_1') has multiplicity 2")
+        return real(ring, k, sprime, l, sprime_l)
+
+    monkeypatch.setattr(cli, "_localization_prisms", prisms)
+    code, out, err = invoke(capsys, "tpe", "F210", "--family", "localization", "--k", "6_1")
     assert code == 1 and not out
-    assert "has multiplicity 2" in err
-    assert err.rstrip().endswith(f"pass --sprime, for example --sprime {works}")
+    assert "1,5_1,5_2,5_3,6_1: face ('6_1', '6_1', '6_1') has multiplicity 2" in err
+    assert err.rstrip().endswith("pass --sprime, for example --sprime 1,5_1,5_2,5_3")
     code, out, _ = invoke(
-        capsys, "tpe", "F210", "--family", "localization", "--k", k, "--sprime", works
+        capsys, "tpe", "F210", "--family", "localization", "--k", "6_1",
+        "--sprime", "1,5_1,5_2,5_3",
     )
     assert code == 0 and read_system(out)[0]
+
+
+@pytest.mark.parametrize("prefixes", ["u,v,w", "u", "x,x", ",v", "x,x1"])
+def test_localize_alias_prefixes_must_be_two_distinct(capsys, prefixes):
+    """Three prefixes, one, a repeated or an empty one are usage errors, and
+    so are prefixes whose aliases collide (x10 from x and x1 for E_6_1's 11
+    x variables)."""
+    code, out, err = invoke(
+        capsys, "localize", "F210", "--k", "6_1", "--alias-prefixes", prefixes
+    )
+    assert code == 1 and not out
+    assert "--alias-prefixes" in err
+    code, out, _ = invoke(capsys, "localize", "F210", "--k", "6_1", "--alias-prefixes", "a,b")
+    assert code == 0 and "a0=x_6_1[" in out and "b0=y_6_1[" in out
+
+
+def test_groebner_rejects_repeated_variable(capsys, tmp_path):
+    """A repeated name on the vars: line would be a second, free variable."""
+    sysfile = tmp_path / "dup.sys"
+    sysfile.write_text("vars: x x\nfield: Q\nx\n")
+    code, out, err = invoke(capsys, "groebner", str(sysfile), "--quotient-dim")
+    assert code == 1 and not out
+    assert "bad system file" in err and "repeated" in err
 
 
 def test_tpe_localization_default_is_first_maximal_subset(capsys):

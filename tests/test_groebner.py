@@ -417,6 +417,33 @@ def test_lex_engine_work_on_corpus():
     assert gf == [dict(zip(F4_STATS, (s, t, 0, 0, 0, s))) for s, t in work]
 
 
+def test_direct_zz_run_takes_normal_selection(monkeypatch):
+    """The direct ZZ run is ``_f4`` over ZZ: a round is one pair, the one of
+    smallest lcm in the active order, taken as an S-pair step. It builds no
+    matrix and tries no border certificate. This lex system finishes direct
+    as {1}; with degree-first selection, as in the GF(p) runs, the ZZ run
+    gave up and the modular path found {1} on 3 primes alone (105 S-pairs)."""
+    def refuse(*args):
+        raise AssertionError("a direct ZZ run reached the GF(p) matrix code")
+
+    monkeypatch.setattr(groebner, "_f4_matrix", refuse)
+    monkeypatch.setattr(groebner, "_border_certificate", refuse)
+    X = tuple(f"x{i}" for i in range(5))
+    system = [
+        P(t, X, order=LEX)
+        for t in (
+            "-4*x1^2 + 9*x0*x4 - 8*x3*x4 + 8*x1",
+            "-7*x3^2 + 8*x1*x4 - x1 - 6",
+            "-7*x1*x3 - 7*x1*x4 - x0 - 5*x4",
+            "-2*x0^2 + 4*x1*x4 + 6*x0 + 5*x1",
+            "2*x1*x3 + 6*x1 - 4*x3 + 4",
+        )
+    ]
+    gb = buchberger(system, order=LEX)
+    assert gb.is_trivial
+    assert gb.stats == {"mode": "direct", "spairs": 39, "term_ops": 6387}
+
+
 def test_f4_charges_what_the_kernels_allocate(monkeypatch, ek):
     """Each F4 matrix is charged, before a kernel runs, its pair rows x
     columns (the dense kernel's residue array) plus its pivot rows' terms.
@@ -773,7 +800,7 @@ _ZZ_COEFFS = st.integers(-9, 9).filter(bool)
 @given(data=st.data())
 def test_reduce_matches_plain_scan(pmod, order, full, data):
     """``_reduce`` gives the plain scan's remainders and term-op charges
-    over a basis that grows by appending, as in ``_core``'s S-pair loop.
+    over a basis that grows by appending, as in the S-pair steps of ``_f4``.
     The same dicts are reduced again after each append, so a later element
     can become a monomial's divisor. Over ZZ the elements are not monic, so
     the steps scale (fraction-free)."""

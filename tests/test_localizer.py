@@ -72,14 +72,23 @@ def test_sprime_validation(f210):
     with pytest.raises(LocalizationError):
         # 7_1,7_1 -> 6_1 has multiplicity 2 inside the support of 6_1
         loc.with_chosen(("1", "6_1", "7_1"))
+    # every triple of {1, 5_1, 7_1} is multiplicity-free, but the
+    # square-expansion family reads x(7_2,7_1,7_1) and N(7_1,7_1;7_2) = 2
+    with pytest.raises(LocalizationError, match=r"N\(7_1,7_1;7_2\) = 2"):
+        localization_sets(f210, "5_1").with_chosen(("1", "5_1", "7_1"))
 
 
 def test_maximal_sprime_candidates(f210):
     cands = maximal_sprime_candidates(f210, "5_1")
-    assert all("1" in c for c in cands)
-    assert any(set(SPRIME_K) <= set(c) for c in cands)
-    seen = {frozenset(c) for c in cands}
-    assert len(seen) == len(cands)
+    assert cands == (SPRIME_K,)
+    assert maximal_sprime_candidates(f210, "6_1") == (("1", "5_1", "5_2", "5_3", "6_1"),)
+    for k in f210.labels:
+        try:
+            loc = localization_sets(f210, k)
+        except LocalizationError:
+            continue
+        for cand in maximal_sprime_candidates(f210, k):
+            loc.with_chosen(cand)
 
 
 def test_ek_shape(ek):
