@@ -5,8 +5,10 @@ import re
 
 import pytest
 
+from prismring import cli
 from prismring.cli import run
 from prismring.poly import read_system
+from prismring.tpegen import MultiplicityError
 
 
 def invoke(capsys, *argv):
@@ -148,7 +150,10 @@ def test_localization_default_is_the_one_candidate(capsys, k, sprime):
     N(7_1,7_1;7_2) = N(7_2,7_2;7_1) = 2 with both in the support, so the
     one candidate is the subset without them: ``localize`` and ``tpe
     --family localization`` take it by default."""
-    for cmd in (["localize", "F210", "--k", k], ["tpe", "F210", "--family", "localization", "--k", k]):
+    for cmd in (
+        ["localize", "F210", "--k", k],
+        ["tpe", "F210", "--family", "localization", "--k", k],
+    ):
         code, out, err = invoke(capsys, *cmd)
         assert code == 0, err
         _, explicit, _ = invoke(capsys, *cmd, "--sprime", sprime)
@@ -160,9 +165,6 @@ def test_tpe_localization_default_suggests_sprime(capsys, monkeypatch):
     multiplicity 2, the usage error says so and names the largest smaller
     subset that works. No catalog ring reaches this, so 6_1 in the subset
     is made to fail."""
-    from prismring import cli
-    from prismring.tpegen import MultiplicityError
-
     def prisms(ring, k, sprime, l, sprime_l, real=cli._localization_prisms):
         if "6_1" in sprime:
             raise MultiplicityError("face ('6_1', '6_1', '6_1') has multiplicity 2")
@@ -183,8 +185,8 @@ def test_tpe_localization_default_suggests_sprime(capsys, monkeypatch):
 @pytest.mark.parametrize("prefixes", ["u,v,w", "u", "x,x", ",v", "x,x1"])
 def test_localize_alias_prefixes_must_be_two_distinct(capsys, prefixes):
     """Three prefixes, one, a repeated or an empty one are usage errors, and
-    so are prefixes whose aliases collide (x10 from x and x1 for E_6_1's 11
-    x variables)."""
+    so are prefixes whose aliases collide (x10 from x and from x1, for the
+    12 x variables of E_6_1)."""
     code, out, err = invoke(
         capsys, "localize", "F210", "--k", "6_1", "--alias-prefixes", prefixes
     )
