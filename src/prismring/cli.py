@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from itertools import combinations
 
 from . import __version__
 from .catalog import CATALOG_NAMES, catalog
@@ -26,7 +25,8 @@ from .chartab import (
     lifting_verdict,
 )
 from .fields import GF, NonInvertibleError, QQ
-from .groebner import GroebnerResourceError, buchberger
+from .groebner import (DEFAULT_PAIR_BUDGET, DEFAULT_TERM_BUDGET, GroebnerResourceError,
+                       buchberger)
 from .localizer import (
     EXCLUDED,
     LocalizationError,
@@ -45,14 +45,7 @@ from .rings import (
     verify_axioms,
 )
 from .spectra import criterion_search
-from .tpegen import (
-    MultiplicityError,
-    TpeError,
-    localization_idmap,
-    merge_equations,
-    tpe_equation,
-    tpe_system,
-)
+from .tpegen import TpeError, localization_system, tpe_system
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,6 +100,16 @@ def _emit(args, command, payload, digest_src, t0, seed=None, text=None):
 
 def _split_labels(text):
     return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _chosen_subset(ring, k, text):
+    """The ``--sprime`` labels, or by default the first maximal chosen subset of k."""
+    if text:
+        return _split_labels(text)
+    cands = maximal_sprime_candidates(ring, k)
+    if not cands:
+        raise CliError("no valid chosen subset exists")
+    return cands[0]
 
 
 # ------------------------------------------------------------ subcommands
@@ -182,8 +185,6 @@ def cmd_chartab(args):
     ring, raw = _load_ring(args.ring)
     try:
         table = character_table(ring, tol=args.tol)
-    except NotCommutativeError as exc:
-        raise CliError(str(exc))
     except DegenerateCombinationError as exc:
         raise CliError(str(exc), EXIT_RESOURCE)
     payload = {
@@ -284,21 +285,9 @@ def _write_system_file(args, text, count):
 
 def cmd_localize(args):
     ring, _ = _load_ring(args.ring)
-    try:
-        if args.sprime:
-            sprime = _split_labels(args.sprime)
-        else:
-            cands = maximal_sprime_candidates(ring, args.k)
-            if not cands:
-                raise CliError("no valid chosen subset exists")
-            sprime = cands[0]
-        system = (
-            generate_full(ring, args.k, sprime)
-            if args.full
-            else generate_Ek(ring, args.k, sprime)
-        )
-    except LocalizationError as exc:
-        raise CliError(str(exc))
+    sprime = _chosen_subset(ring, args.k, args.sprime)
+    generate = generate_full if args.full else generate_Ek
+    system = generate(ring, args.k, sprime)
     prefixes = args.alias_prefixes.split(",")
     ok = len(prefixes) == 2 and all(prefixes) and prefixes[0] != prefixes[1]
     alias = system.alias_table(*prefixes) if ok else {}
@@ -330,8 +319,6 @@ def cmd_two_parallel(args):
             sprime_k=_split_labels(args.sprime_k) if args.sprime_k else None,
             sprime_l=_split_labels(args.sprime_l) if args.sprime_l else None,
         )
-    except LocalizationError as exc:
-        raise CliError(str(exc))
     except NonInvertibleError as exc:
         raise CliError(f"field specialization failed: {exc}")
     payload = {
@@ -364,74 +351,25 @@ def cmd_two_parallel(args):
     return EXIT_OK
 
 
-def _localization_prisms(ring, k, sprime, l, sprime_l):
-    """The prism system of ``tpe --family localization`` on the chosen subset sprime."""
-    idmap = localization_idmap(ring, k, sprime, l, sprime_l)
-    configs = []
-    for a in sprime:
-        for b in sprime:
-            for c in sprime:
-                configs.append((a, b, c, k, k, k, k, k, k))
-                configs.append((k, k, a, b, k, k, c, k, k))
-    if l:
-        configs.append((k, k, l, k, l, l, k, l, l))
-    return merge_equations(tpe_equation(ring, cfg, idmap=idmap) for cfg in configs)
-
-
-def _default_localization_prisms(ring, k, l, sprime_l):
-    """``_localization_prisms`` on the first maximal chosen subset that works.
-
-    A chosen subset is multiplicity-free, but its prism configurations sum
-    over spectrum elements and can still reach a face of multiplicity 2 or
-    more. When that happens for every maximal subset, the usage error names
-    the largest smaller subset that works, for ``--sprime``.
-    """
-    cands = maximal_sprime_candidates(ring, k)
-    failures = []
-    for sprime in cands:
-        try:
-            return _localization_prisms(ring, k, sprime, l, sprime_l)
-        except MultiplicityError as exc:
-            failures.append(f"{','.join(sprime)}: {exc}")
-    unit = ring.labels[ring.unit_index]
-    for size in range(max(map(len, cands)) - 2, -1, -1):
-        for cand in cands:
-            for rest in combinations([a for a in cand if a != unit], size):
-                try:
-                    _localization_prisms(ring, k, (unit, *rest), l, sprime_l)
-                except TpeError:
-                    continue
-                raise CliError(
-                    f"no maximal chosen subset of {k} gives multiplicity-free "
-                    f"prism configurations ({'; '.join(failures)}); pass "
-                    f"--sprime, for example --sprime {','.join((unit, *rest))}"
-                )
-    raise CliError(
-        f"no chosen subset of {k} gives multiplicity-free prism configurations "
-        f"({'; '.join(failures)})"
-    )
-
-
 def cmd_tpe(args):
     ring, _ = _load_ring(args.ring)
-    try:
-        if args.family == "localization":
-            if not args.k:
-                raise CliError("--family localization needs --k")
-            sprime_l = _split_labels(args.sprime_l) if args.sprime_l else None
-            if args.sprime:
-                sprime = _split_labels(args.sprime)
-                system = _localization_prisms(ring, args.k, sprime, args.l, sprime_l)
-            else:
-                system = _default_localization_prisms(ring, args.k, args.l, sprime_l)
-            legend = [f"identification: localization subsystem {args.k}"]
-        else:
-            if not args.labels:
-                raise CliError("--labels or --family localization is required")
-            system = tpe_system(ring, _split_labels(args.labels))
-            legend = ["identification: least-orbit tetra tuples (symmetric gauge)"]
-    except TpeError as exc:
-        raise CliError(str(exc))
+    family = {"--family": args.family, "--k": args.k, "--l": args.l,
+              "--sprime": args.sprime, "--sprime-l": args.sprime_l}
+    given = [flag for flag, value in family.items() if value]
+    if args.labels and given:
+        raise CliError(f"--labels conflicts with {', '.join(given)}")
+    if args.family == "localization":
+        if not args.k:
+            raise CliError("--family localization needs --k")
+        sprime = _chosen_subset(ring, args.k, args.sprime)
+        sprime_l = _split_labels(args.sprime_l) if args.sprime_l else None
+        system = localization_system(ring, args.k, sprime, args.l, sprime_l)
+        legend = [f"identification: localization subsystem {args.k}"]
+    else:
+        if not args.labels:
+            raise CliError("--labels or --family localization is required")
+        system = tpe_system(ring, _split_labels(args.labels))
+        legend = ["identification: least-orbit tetra tuples (symmetric gauge)"]
     comments = [f"ring {ring.name}"] + legend
     text = write_system(system.polys, system.variables, QQ, comments=comments)
     return _write_system_file(args, text, len(system.polys))
@@ -449,12 +387,8 @@ def cmd_groebner(args):
     except ValueError as exc:
         raise CliError(f"bad system file: {exc}")
     polys = [p.with_order(args.order) for p in polys]
-    kwargs = {}
-    if args.pair_budget is not None:
-        kwargs["pair_budget"] = args.pair_budget
-    if args.term_budget is not None:
-        kwargs["term_budget"] = args.term_budget
-    gb = buchberger(polys, order=args.order, field=field, **kwargs)
+    gb = buchberger(polys, order=args.order, field=field,
+                    pair_budget=args.pair_budget, term_budget=args.term_budget)
     payload = {
         "order": args.order,
         "size": len(gb),
@@ -557,8 +491,8 @@ def build_parser():
     p.add_argument("system")
     p.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
     p.add_argument("--quotient-dim", action="store_true")
-    p.add_argument("--pair-budget", type=_positive_int, default=None)
-    p.add_argument("--term-budget", type=_positive_int, default=None)
+    p.add_argument("--pair-budget", type=_positive_int, default=DEFAULT_PAIR_BUDGET)
+    p.add_argument("--term-budget", type=_positive_int, default=DEFAULT_TERM_BUDGET)
     p.set_defaults(func=cmd_groebner)
 
     return ap

@@ -105,12 +105,16 @@ class LocalizationInput:
 def localization_sets(ring: FusionRing, k) -> LocalizationInput:
     """Compute the support set for k and validate the localization hypotheses.
 
-    Errors: k not self-dual; some N[k][k][a] exceeding 1; a support
-    element that is not self-dual; k itself outside the support.
+    Errors: k the unit; k not self-dual; some N[k][k][a] exceeding 1; a
+    support element that is not self-dual; k itself outside the support.
     """
     k = ring.resolve(k)
     star = ring.star
     labels = ring.labels
+    if k == ring.unit_index:
+        raise LocalizationError(
+            f"{labels[k]!r} is the unit label, which has no localization system"
+        )
     if star[k] != k:
         raise LocalizationError(f"{labels[k]!r} is not self-dual")
     row = ring.N[k][k]

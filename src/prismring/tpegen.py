@@ -510,3 +510,24 @@ def localization_idmap(ring: FusionRing, k, sprime, l=None, sprime_l=None):
             raise TpeError("second subsystem needs its chosen subset")
         idmap.add_subsystem(l, sprime_l)
     return idmap
+
+
+def localization_system(ring: FusionRing, k, sprime, l=None, sprime_l=None) -> TpeSystem:
+    """The localization subsystem of k as prism equations on the chosen subset sprime.
+
+    Every triple (a, b, c) of sprime gives the configurations
+    (a, b, c, k, k, k, k, k, k) and (k, k, a, b, k, k, c, k, k); a second
+    subsystem l (with its chosen subset sprime_l) adds the linking
+    configuration (k, k, l, k, l, l, k, l, l). Tetra scalars are named by
+    :func:`localization_idmap` and the equations merged by
+    :func:`merge_equations`.
+    """
+    idmap = localization_idmap(ring, k, sprime, l, sprime_l)
+    fp = fpdim_data(ring)
+    configs = []
+    for a, b, c in itertools.product(sprime, repeat=3):
+        configs.append((a, b, c, k, k, k, k, k, k))
+        configs.append((k, k, a, b, k, k, c, k, k))
+    if l is not None:
+        configs.append((k, k, l, k, l, l, k, l, l))
+    return merge_equations(tpe_equation(ring, cfg, idmap=idmap, fp=fp) for cfg in configs)

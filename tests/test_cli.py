@@ -6,9 +6,11 @@ import re
 import pytest
 
 from prismring import cli
+from prismring.catalog import CATALOG_NAMES, catalog
 from prismring.cli import run
-from prismring.poly import read_system
-from prismring.tpegen import MultiplicityError
+from prismring.fields import QQ
+from prismring.poly import read_system, write_system
+from prismring.tpegen import MultiplicityError, localization_system
 
 
 def invoke(capsys, *argv):
@@ -160,26 +162,79 @@ def test_localization_default_is_the_one_candidate(capsys, k, sprime):
         assert out == explicit and read_system(out)[0]
 
 
-def test_tpe_localization_default_suggests_sprime(capsys, monkeypatch):
-    """When the prism configurations of every maximal subset reach a face of
-    multiplicity 2, the usage error says so and names the largest smaller
-    subset that works. No catalog ring reaches this, so 6_1 in the subset
-    is made to fail."""
-    def prisms(ring, k, sprime, l, sprime_l, real=cli._localization_prisms):
-        if "6_1" in sprime:
+def test_tpe_localization_default_multiplicity_error(capsys, monkeypatch):
+    """The default chosen subset is the first maximal one; when its prism
+    configurations reach a face of multiplicity 2, the command exits 1 with
+    the face named and tries no other subset. No catalog ring reaches this,
+    so the default subset of 6_1 is made to fail."""
+    def system(ring, k, sprime, l=None, sprime_l=None, real=cli.localization_system):
+        if sprime == ("1", "5_1", "5_2", "5_3", "6_1"):
             raise MultiplicityError("face ('6_1', '6_1', '6_1') has multiplicity 2")
         return real(ring, k, sprime, l, sprime_l)
 
-    monkeypatch.setattr(cli, "_localization_prisms", prisms)
+    monkeypatch.setattr(cli, "localization_system", system)
     code, out, err = invoke(capsys, "tpe", "F210", "--family", "localization", "--k", "6_1")
     assert code == 1 and not out
-    assert "1,5_1,5_2,5_3,6_1: face ('6_1', '6_1', '6_1') has multiplicity 2" in err
-    assert err.rstrip().endswith("pass --sprime, for example --sprime 1,5_1,5_2,5_3")
+    assert err == "error: face ('6_1', '6_1', '6_1') has multiplicity 2\n"
     code, out, _ = invoke(
         capsys, "tpe", "F210", "--family", "localization", "--k", "6_1",
         "--sprime", "1,5_1,5_2,5_3",
     )
     assert code == 0 and read_system(out)[0]
+
+
+def test_tpe_localization_link(capsys):
+    """The linking configuration of 5_3 into E_5_1 adds one equation."""
+    argv = ["tpe", "F210", "--family", "localization", "--k", "5_1", "--l", "5_3"]
+    code, out, err = invoke(capsys, *argv, "--sprime-l", "1,5_2,5_3")
+    assert code == 0, err
+    assert out.count("\n") == 20
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "1181419803658ceb"
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and not out
+    assert "second subsystem needs its chosen subset" in err
+
+
+def test_localization_system_is_the_cli_default(capsys, f210):
+    system = localization_system(f210, "5_1", ("1", "5_1", "5_3"))
+    code, out, _ = invoke(capsys, "tpe", "F210", "--family", "localization", "--k", "5_1")
+    assert code == 0
+    legend = ["ring F210", "identification: localization subsystem 5_1"]
+    assert out == write_system(system.polys, system.variables, QQ, comments=legend)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_unit_label_has_no_localization_system(capsys, name):
+    ring = catalog(name)
+    unit = ring.labels[ring.unit_index]
+    cmds = [
+        ["localize", name, "--k", unit],
+        ["tpe", name, "--family", "localization", "--k", unit],
+    ]
+    if name == "F210":
+        cmds.append(["two-parallel", name, "--k", unit, "--l", "5_1"])
+    for cmd in cmds:
+        code, out, err = invoke(capsys, *cmd)
+        assert code == 1 and not out
+        assert err == f"error: {unit!r} is the unit label, which has no localization system\n"
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--family", "localization", "--k", "5_1"], "--family, --k"),
+        (["--k", "5_3"], "--k"),
+        (["--l", "5_3"], "--l"),
+        (["--sprime", "1,5_1"], "--sprime"),
+        (["--sprime-l", "1,5_2,5_3"], "--sprime-l"),
+    ],
+)
+def test_tpe_labels_conflict_with_localization_flags(capsys, flags, named):
+    """--labels selects the symmetric-gauge system; a localization flag
+    beside it is a usage error, not dropped."""
+    code, out, err = invoke(capsys, "tpe", "F210", "--labels", "1,5_1", *flags)
+    assert code == 1 and not out
+    assert err == f"error: --labels conflicts with {named}\n"
 
 
 @pytest.mark.parametrize("prefixes", ["u,v,w", "u", "x,x", ",v", "x,x1"])

@@ -91,6 +91,12 @@ def test_maximal_sprime_candidates(f210):
             loc.with_chosen(cand)
 
 
+def test_unit_label_has_no_localization_system(f210):
+    for call in (localization_sets, maximal_sprime_candidates):
+        with pytest.raises(LocalizationError, match="'1' is the unit label"):
+            call(f210, "1")
+
+
 def test_ek_shape(ek):
     assert len(ek.variables) == 10
     assert len(ek.polys) == 12

@@ -2,9 +2,14 @@ import itertools
 
 import pytest
 
-from prismring.catalog import catalog
+from prismring.catalog import CATALOG_NAMES, catalog
 from prismring.groebner import buchberger, ideal_is_trivial
-from prismring.localizer import extra_link, generate_full
+from prismring.localizer import (
+    LocalizationError,
+    extra_link,
+    generate_full,
+    maximal_sprime_candidates,
+)
 from prismring.poly import parse_polynomial
 from prismring.tpegen import (
     EDGE_PERMS,
@@ -16,6 +21,7 @@ from prismring.tpegen import (
     TpeError,
     _rotate,
     localization_idmap,
+    localization_system,
     orbit,
     tetra_canonical,
     tpe_equation,
@@ -205,3 +211,20 @@ def test_fibonacci_system_dedupes_and_solves(fib):
 def test_oversized_system_is_a_typed_error(f210):
     with pytest.raises(TpeError, match="87 variables; at most 64"):
         tpe_system(f210, ("1", "5_1", "5_2", "5_3"))
+
+
+def test_every_maximal_candidate_gives_a_prism_system():
+    """The localization family takes the first maximal chosen subset, with
+    no fallback: on the catalog, every candidate's prism configurations
+    stay multiplicity-free, and the six of them give nonempty systems."""
+    built = []
+    for name in CATALOG_NAMES:
+        ring = catalog(name)
+        for k in ring.labels:
+            try:
+                cands = maximal_sprime_candidates(ring, k)
+            except LocalizationError:
+                continue
+            built += [(name, k) for c in cands if localization_system(ring, k, c).polys]
+    assert built == [("Fib", "tau"), ("RepS3", "t"), ("F210", "5_1"), ("F210", "5_2"),
+                     ("F210", "5_3"), ("F210", "6_1")]
