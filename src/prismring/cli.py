@@ -103,13 +103,11 @@ def _split_labels(text):
 
 
 def _chosen_subset(ring, k, text):
-    """The ``--sprime`` labels, or by default the first maximal chosen subset of k."""
+    """The ``--sprime`` labels, or by default the first maximal chosen subset
+    of k. There always is one: the unit alone is a valid chosen subset."""
     if text:
         return _split_labels(text)
-    cands = maximal_sprime_candidates(ring, k)
-    if not cands:
-        raise CliError("no valid chosen subset exists")
-    return cands[0]
+    return maximal_sprime_candidates(ring, k)[0]
 
 
 # ------------------------------------------------------------ subcommands

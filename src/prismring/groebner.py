@@ -1173,22 +1173,25 @@ def _dense_echelon(rows, piv, cols, pmod):
     2^31, object above, see ``_residue_dtype``), stored transposed: one
     contiguous row per column. Each pivot row, in column order, clears its
     column in every pair row by one broadcast update of the rows of its
-    tail: the element's tail (its terms but the leading one, which is 1)
-    is cached once per matrix, and the destination rows are one index
-    array, gathered by ``take`` and written back once. The pivot's own
-    column is left as it is, since nothing reads it again: later pivots
-    are smaller, and only the non-pivot columns go on. An update lowers an
-    entry by at most (p - 1)^2 and each pivot updates it at most once, so
-    entries are reduced mod p on the way only where int64 could overflow;
-    a pivot's column is reduced before it is used. What is left lives in
-    the non-pivot columns and goes through ``_rref_mod_p``.
+    tail (its terms but the leading one, which is 1). The destination rows
+    and coefficients of every pivot row's tail are collected once per
+    matrix, as two flat arrays with per-pivot offsets; each pivot takes
+    its slice, gathers its rows by ``take`` and writes them back once. The
+    pivot's own column is left as it is, since nothing reads it again:
+    later pivots are smaller, and only the non-pivot columns go on. An
+    update lowers an entry by at most (p - 1)^2 and each pivot updates it
+    at most once, so entries are reduced mod p on the way only where int64
+    could overflow; a pivot's column is reduced before it is used. What is
+    left lives in the non-pivot columns and goes through ``_rref_mod_p``.
 
-    Reducing only where int64 could overflow and caching tails both still
-    pay: the 14 dense calls of a GF(11) ``two_parallel(F210, 5_1, 5_3)``
-    pass and the 61 of a seed-1 small-bases cycle took 39.3 and 83.1 ms,
-    against 54.3 and 90.5 ms reducing every update and 43.3 and 95.3 ms
-    with no tail cache (process-time medians of 30 interleaved rounds;
-    2-vCPU VM, Python 3.11, numpy 2.4).
+    Reducing only where int64 could overflow still pays: the 14 dense
+    calls of a GF(11) ``two_parallel(F210, 5_1, 5_3)`` pass and the 61 of
+    a seed-1 small-bases cycle took 39.3 and 83.1 ms, against 54.3 and
+    90.5 ms reducing every update (process-time medians of 30 interleaved
+    rounds; 2-vCPU VM, Python 3.11, numpy 2.4). The flat index arrays
+    replace one ``np.array`` per pivot and a per-matrix cache of each
+    element's tail: with the same RREF, the 7 dense calls of that pass
+    took 14.6 against 15.2 ms (faster in 28 of 30 interleaved rounds).
     """
     dtype = _residue_dtype(pmod)
     cols = sorted(cols, reverse=True)
@@ -1201,25 +1204,31 @@ def _dense_echelon(rows, piv, cols, pmod):
         vs += row.values()
     at[ks, rs] = vs
     wrap = dtype is np.int64 and len(piv) * (pmod - 1) ** 2 >= 1 << 63
-    tails = {}  # reducing element -> (its tail's monomials, coefficients as a column)
-    for m in sorted(piv, reverse=True):
-        col = at[idx[m]] % pmod
+    pivots = sorted(piv, reverse=True)
+    # pivot i's tail at dst, coef[ends[i - 1]:ends[i]]; terms are sorted
+    # descending, the leading one first
+    dst, coef, ends = [], [], []
+    for m in pivots:
         red = piv[m]
-        tail = tails.get(red)
-        if tail is None:  # terms are sorted descending, the leading one first
-            rest = red.terms[1:]
-            v = np.array([c for _, c in rest], dtype).reshape(len(rest), 1)
-            tail = tails[red] = ([e for e, _ in rest], v)
-        exps, v = tail
         shift = m - red.lm
-        dst = np.array([idx[e + shift] for e in exps], np.intp)
-        new = at.take(dst, axis=0) - v * col
-        at[dst] = new % pmod if wrap else new
+        rest = red.terms[1:]
+        dst += [idx[e + shift] for e, _ in rest]
+        coef += [c for _, c in rest]
+        ends.append(len(dst))
+    dst = np.array(dst, np.intp)
+    coef = np.array(coef, dtype).reshape(-1, 1)
+    lo = 0
+    for m, hi in zip(pivots, ends):
+        col = at[idx[m]] % pmod
+        d = dst[lo:hi]
+        new = at.take(d, axis=0) - coef[lo:hi] * col
+        at[d] = new % pmod if wrap else new
+        lo = hi
     free = [k for k, m in enumerate(cols) if m not in piv]
     ech, _ = _rref_mod_p(np.ascontiguousarray(at[free].T) % pmod, pmod)
     names = [cols[k] for k in free]
     out = [
-        {names[k]: v[k] for k in np.flatnonzero(row).tolist()}
+        {names[k]: v[k] for k in row.nonzero()[0].tolist()}
         for row, v in zip(ech, ech.tolist())
     ]
     out.reverse()
@@ -1256,7 +1265,7 @@ def _mulmod(a, b, p):
 
 
 # Measured on the GF(11) two_parallel(F210, 5_1, 5_3) pass and not taken up
-# (all but the last four with uncapped rounds):
+# (the first four with uncapped rounds):
 # - float64 BLAS products: after threaded GEMMs the OpenBLAS workers keep
 #   spinning, so a pure-Python stretch ran at process CPU / wall = 1.99;
 # - blocked or level-scheduled pivot elimination in ``_dense_echelon``: the
@@ -1285,7 +1294,17 @@ def _mulmod(a, b, p):
 #   benchmark resolves, for a second copy of the bound; the kernel's pivot
 #   loop is bound by per-call overhead;
 # - one ``_rref_mod_p`` of the pivot rows stacked on the pair rows, in
-#   place of the pivot loop: 52.5 against 26.6 ms on those inputs (0 of 20).
+#   place of the pivot loop: 52.5 against 26.6 ms on those inputs (0 of 20);
+# - handing symbolic preprocessing's shifted monomials to the dense kernel,
+#   so it looks up no pivot tail's columns again: passes 3.5 % slower,
+#   faster in 1 of 8 interleaved pairs;
+# - forward-only elimination of the link matrix, with back-substitution on
+#   its free columns only: 0.5 ms less per link step, for a second
+#   elimination routine;
+# - eliminating the variables that occur linearly before F4: gb_k 8 %
+#   faster, but every E_k counter changes;
+# - permuting the variable order: gb_k from 15 % faster to 35 % slower,
+#   with no rule that can be read from the input.
 
 
 def _rref_mod_p(a, p):
@@ -1306,6 +1325,15 @@ def _rref_mod_p(a, p):
     p = 13, the F4 matrices of F210 at p = 11); otherwise in int64, every
     32 pivots at 2^29 - 3 and every 2 at 2^31 - 1. Object arrays (p >= 2^31)
     are reduced only at the end.
+
+    A column with no nonzero entry at or below the rank r holds no pivot.
+    One ``any`` over the trailing block ``a[r:, c + 1:]`` mod p then finds
+    the next column that has one, so a run of such columns is skipped in
+    one call, and the loop ends when there is none. Against one column at a time, the 7 F4 RREFs of a GF(11)
+    ``two_parallel(F210, 5_1, 5_3)`` pass took 2.2 against 2.6 ms, its link
+    RREF 4.6 against 4.8 ms and the 63 RREFs of a seed-1 small-bases cycle
+    3.4 against 6.7 ms (process-time medians of 30 interleaved rounds;
+    2-vCPU VM, Python 3.11, numpy 2.4).
     """
     n, m = a.shape
     every = 0
@@ -1314,13 +1342,16 @@ def _rref_mod_p(a, p):
             a = a.astype(np.int16)
         every = ((1 << 8 * a.dtype.itemsize - 1) - p) // (p - 1) ** 2
     piv = []
-    for c in range(m):
+    c = 0
+    while c < m and len(piv) < n:
         r = len(piv)
-        if r == n:
-            break
         f = a[:, c] % p
-        nz = np.flatnonzero(f[r:])
-        if not nz.size:
+        nz = f[r:].nonzero()[0]
+        if not nz.size:  # skip this column and the empty ones after it
+            nxt = (a[r:, c + 1 :] % p).any(axis=0).nonzero()[0]
+            if not nxt.size:
+                break
+            c += 1 + int(nxt[0])
             continue
         i = r + nz[0]
         if i != r:
@@ -1333,6 +1364,7 @@ def _rref_mod_p(a, p):
         piv.append(c)
         if every and len(piv) % every == 0:
             a[:, c + 1 :] %= p
+        c += 1
     ech = a[: len(piv)]
     ech %= p
     return ech, piv

@@ -503,7 +503,13 @@ def tpe_system(ring: FusionRing, labels) -> TpeSystem:
 
 
 def localization_idmap(ring: FusionRing, k, sprime, l=None, sprime_l=None):
-    """Identification map naming tetra scalars by localization variables."""
+    """Identification map naming tetra scalars by localization variables.
+
+    A second subsystem l needs its chosen subset sprime_l, and sprime_l
+    needs l: either one alone raises ``TpeError``.
+    """
+    if l is None and sprime_l is not None:
+        raise TpeError("a chosen subset for a second subsystem needs its label")
     idmap = LocalizationIdmap(ring).add_subsystem(k, sprime)
     if l is not None:
         if sprime_l is None:

@@ -184,7 +184,8 @@ def test_tpe_localization_default_multiplicity_error(capsys, monkeypatch):
 
 
 def test_tpe_localization_link(capsys):
-    """The linking configuration of 5_3 into E_5_1 adds one equation."""
+    """The linking configuration of 5_3 into E_5_1 adds one equation. Each
+    of --l and --sprime-l needs the other."""
     argv = ["tpe", "F210", "--family", "localization", "--k", "5_1", "--l", "5_3"]
     code, out, err = invoke(capsys, *argv, "--sprime-l", "1,5_2,5_3")
     assert code == 0, err
@@ -193,6 +194,10 @@ def test_tpe_localization_link(capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 1 and not out
     assert "second subsystem needs its chosen subset" in err
+    # --sprime-l without --l is an error, not a dropped selector
+    code, out, err = invoke(capsys, *argv[:-2], "--sprime-l", "1,5_2,5_3")
+    assert code == 1 and not out
+    assert err == "error: a chosen subset for a second subsystem needs its label\n"
 
 
 def test_localization_system_is_the_cli_default(capsys, f210):

@@ -1181,6 +1181,10 @@ def test_dense_and_sparse_kernels_agree(order, p, data):
     basis = [_make_elt(_monic(packed(1, 3), p), ctx)
              for _ in range(data.draw(st.integers(0, 3)))]
     rows = [packed(1, 6) for _ in range(data.draw(st.integers(1, 6)))]
+    _assert_kernels_agree(ctx, basis, rows, p)
+
+
+def _assert_kernels_agree(ctx, basis, rows, p):
     piv, cols = _matrix(ctx, basis, rows)
     dense = _dense_echelon([dict(r) for r in rows], piv, cols, p)
     sparse = _sparse_echelon([dict(r) for r in rows], piv, cols, p)
@@ -1189,6 +1193,34 @@ def test_dense_and_sparse_kernels_agree(order, p, data):
         assert r[max(r)] == 1 and not set(r) & set(piv)
     lms = [max(r) for r in sparse]
     assert lms == sorted(set(lms))
+    return piv
+
+
+@pytest.mark.parametrize("p", [2, 11, 32003, 2**31 - 1, 2**40 + 15])
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_dense_and_sparse_kernels_agree_one_reducer_many_shifts(order, p):
+    """x + 3y + 5z + 7 is the pivot row of x, x*y, x*z, x^2*y and x*z^2:
+    five shifts of one element whose tails share columns (x*y is in the
+    tail at shift x*y / x = y), so the dense kernel's flat index arrays
+    hold that element's tail five times, at five offsets. Every coefficient
+    is odd, so none vanishes at p = 2."""
+    ctx = _PackCtx(3, order)
+
+    def packed(terms):
+        return {ctx.pack(e): c % p for e, c in terms.items() if c % p}
+
+    f = _make_elt(packed({(1, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 5, (0, 0, 0): 7}), ctx)
+    g = _make_elt(packed({(0, 2, 0): 1, (0, 0, 1): p - 5}), ctx)
+    rows = [
+        packed({(2, 1, 0): 3, (1, 1, 0): 1, (1, 0, 2): 5, (0, 0, 1): 5}),
+        packed({(2, 1, 0): 1, (0, 2, 0): 9, (0, 0, 0): 1}),
+        packed({(1, 0, 2): 1, (1, 0, 0): 1, (0, 1, 1): 7}),
+        packed({(1, 0, 1): 3, (0, 2, 1): 1, (0, 1, 0): 7}),
+    ]
+    piv = _assert_kernels_agree(ctx, [f, g], rows, p)
+    shifts = {m for m, red in piv.items() if red is f}
+    want = {(1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 1, 0), (1, 0, 2)}
+    assert {ctx.unpack(m) for m in shifts} >= want
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**40 + 15])
@@ -1303,6 +1335,51 @@ def test_rref_matches_single_pivot(p, data):
     got, got_piv = _rref_mod_p(a.copy(), p)
     assert got_piv == want_piv
     assert got.shape == want.shape and (got == want).all()
+
+
+def _with_empty_runs(p, n, m, pivots, rng):
+    """An n x m residue matrix whose pivot columns are ``pivots``: pivot
+    column k has a nonzero entry in row k and random ones above it, and
+    every other column after the first pivot is a random combination of the
+    pivot columns before it (zero at or below the rank reached there), or
+    zero. The rows are shuffled, so the pivot search swaps rows."""
+    a = [[0] * m for _ in range(n)]
+    for j in range(m):
+        before = [c for c in pivots if c < j]
+        if j in pivots:
+            k = pivots.index(j)
+            for i in range(k):
+                a[i][j] = rng.randrange(p)
+            a[k][j] = rng.randrange(1, p)
+        elif before and rng.random() < 0.5:
+            w = [rng.randrange(p) for _ in before]
+            for i in range(n):
+                a[i][j] = sum(x * a[i][c] for x, c in zip(w, before)) % p
+    rng.shuffle(a)
+    return np.array(a, dtype=_residue_dtype(p)).reshape(n, m)
+
+
+@pytest.mark.parametrize("p", [2, 11, 32003, 2**31 - 1, 2**40 + 15])
+@pytest.mark.parametrize(
+    "n, m, pivots",
+    [
+        (6, 24, [3, 4, 9, 10, 15]),  # leading, interior and trailing runs; rank < rows
+        (5, 24, [0, 7, 8, 13, 20]),  # full row rank at column 20, 3 columns after it
+        (4, 30, [29]),  # 29 empty columns before the only pivot
+        (7, 19, []),  # all zero
+    ],
+    ids=["runs", "full-row-rank", "last-column", "zero"],
+)
+def test_rref_skips_runs_of_empty_columns(p, n, m, pivots):
+    """Columns with no nonzero entry at or below the rank are skipped a
+    run at a time; the result equals the column-at-a-time reference."""
+    rng = random.Random(f"{p} {n} {m}")
+    for _ in range(3):
+        a = _with_empty_runs(p, n, m, pivots, rng)
+        want, want_piv = _single_pivot_rref(a, p)
+        got, got_piv = _rref_mod_p(a.copy(), p)
+        assert got_piv == want_piv == pivots
+        assert got.shape == want.shape and (got == want).all()
 
 
 @pytest.mark.parametrize("size, dtype", [(327, np.int16), (328, np.int64)])

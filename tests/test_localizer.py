@@ -254,7 +254,12 @@ def test_link_is_unit_on_tiny_algebras(field, k_vars, k_texts, link, unit):
 def test_link_is_unit_agrees_with_combined_buchberger():
     """Reference: the linked basis equals Buchberger's on the union of both
     bases and the link, and the corank is its quotient dimension. GF(7)
-    makes coranks 0, 1, 2 and 4 all occur."""
+    makes coranks 0, 1, 2 and 4 all occur. The second links have a term of
+    degree 2 on each side and terms in the variables of one side only,
+    which checks the layout of L^T built in one product, also over
+    GF(2^40 + 15), whose residues are Python ints; with no constant term
+    they vanish at the origin, a common zero of both systems when c[1] =
+    c[3] = 0, so both fields give links that are not units."""
     F = GF(7)
     rng = random.Random(7)
     seen = set()
@@ -270,6 +275,21 @@ def test_link_is_unit_agrees_with_combined_buchberger():
         assert corank == final.quotient_dimension()
         seen.add(corank)
     assert seen == {0, 1, 2, 4}
+    for p in (7, 2**40 + 15):
+        F = GF(p)
+        seen = set()
+        for _ in range(12):
+            c = [rng.randrange(3) for _ in range(4)] + [rng.randrange(1, 7) for _ in range(6)]
+            gb_k = _gb(F, [f"a^2 - {c[0]}*b - {c[1]}", f"b^2 - {c[2]}*a"], ("a", "b"))
+            gb_l = _gb(F, [f"x^2 - {c[4]}*y", f"y^2 - {c[5]}*x - {c[3]}"], ("x", "y"))
+            text = f"a^2*x - {c[6]}*b*y^2 + {c[7]}*a*b + {c[8]}*y + {c[9]}*b*x"
+            (link,) = specialize(F, [parse_polynomial(text, allv)])
+            corank, basis, _ = _link_quotient(gb_k, gb_l, link)
+            final = _union_basis(gb_k, gb_l, link)
+            assert [str(g) for g in basis] == [str(g) for g in final.polys]
+            assert corank == final.quotient_dimension()
+            seen.add(corank)
+        assert 0 in seen and len(seen) > 1, seen
 
 
 def test_mulmod_does_not_overflow_int64():
