@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rings import FusionRing, FpData, fpdim_data
+from .rings import FusionRing, fpdim_data
 
 CHARTAB_SEED = 57721566
 DEFAULT_TOL = 1e-9
@@ -147,20 +147,17 @@ def _prime_factors(n: int):
     return out
 
 
-def lifting_verdict(
-    ring: FusionRing,
-    table: CharacterTable,
-    char0_excluded: bool,
-    fp: FpData | None = None,
-) -> LiftingVerdict:
+def lifting_verdict(ring: FusionRing, table: CharacterTable,
+                    char0_excluded: bool) -> LiftingVerdict:
     """Positive-characteristic exclusion test for pivotal categorifications.
 
-    Requires an integral ring. The verdict is the exclusion iff every
+    Requires an integral ring; its dimensions come from the memoized
+    ``fpdim_data``. The verdict is the exclusion iff every
     non-Perron character column vanishes somewhere, every prime factor of
     the global FP dimension divides some simple dimension, and the caller
     asserts the characteristic-zero exclusion.
     """
-    fp = fp or fpdim_data(ring)
+    fp = fpdim_data(ring)
     if not fp.integral:
         raise ValueError("lifting test needs an integral fusion ring")
     col_ok = column_zero_property(table)

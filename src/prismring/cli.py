@@ -194,9 +194,8 @@ def cmd_chartab(args):
         "column_zero_property": column_zero_property(table),
     }
     if args.lifting:
-        fp = fpdim_data(ring)
-        if fp.integral:
-            v = lifting_verdict(ring, table, char0_excluded=args.char0_excluded, fp=fp)
+        if fpdim_data(ring).integral:
+            v = lifting_verdict(ring, table, char0_excluded=args.char0_excluded)
             payload["lifting"] = {
                 "column_zero_ok": v.column_zero_ok,
                 "prime_cover_ok": v.prime_cover_ok,

@@ -36,7 +36,7 @@ from .groebner import (
     specialize,
 )
 from .poly import GREVLEX, Polynomial
-from .rings import FpData, FusionRing, fpdim_data
+from .rings import FusionRing, fpdim_data
 
 
 class LocalizationError(ValueError):
@@ -207,22 +207,37 @@ def _var_name(ring, tag: str, key: tuple) -> str:
     return x_var_name(tag, labels) if len(key) == 3 else y_var_name(tag, *labels)
 
 
+def _integral_dims(ring: FusionRing) -> tuple:
+    """The ring's FP dimensions, which localization needs to be integers."""
+    fp = fpdim_data(ring)
+    if not fp.integral:
+        raise LocalizationError(
+            "localization needs exact integer dimensions; ring is not integral. "
+            "The prism family (prism tpe --family localization) keeps symbolic "
+            "dimensions d_<label>"
+        )
+    return fp.dims
+
+
 class _Namer:
-    """Atom builder for one subsystem: constants and variable monomials.
+    """Atom builder for one subsystem: constants, variable monomials and
+    the two equation families.
 
     Atoms are (coefficient, {var: power}) pairs or None for a forced zero.
     The unit and elimination rules apply the forced side constraints:
     y with a unit argument is 1/d_k; x with a unit argument is diagonal
     1/(d_b d_k); x whose triple has zero fusion coefficient vanishes; x
-    with the distinguished label doubled collapses to a y square.
+    with the distinguished label doubled collapses to a y square. ``x`` is
+    the one place that decides which multisets keep an x variable.
     """
 
-    def __init__(self, ring: FusionRing, fp: FpData, k: int):
-        self.ring = ring
-        self.fp = fp
-        self.k = k
-        self.tag = ring.labels[k]
-        self.dk = fp.dims[k]
+    def __init__(self, loc: LocalizationInput):
+        self.loc = loc
+        self.ring = loc.ring
+        self.k = loc.k
+        self.tag = loc.k_label
+        self.dims = _integral_dims(loc.ring)
+        self.dk = self.dims[loc.k]
 
     def y(self, i: int, b: int):
         if i == self.ring.unit_index or b == self.ring.unit_index:
@@ -240,7 +255,7 @@ class _Namer:
             if len(rest) == 1:
                 rest = [rest[0], unit]
             if rest[0] == rest[1]:
-                return (Fraction(1, self.fp.dims[rest[0]] * self.dk), {})
+                return (Fraction(1, self.dims[rest[0]] * self.dk), {})
             return None
         a, b, c = ms
         if self.ring.N[b][c][a] == 0:
@@ -249,8 +264,24 @@ class _Namer:
             other = next((t for t in ms if t != self.k), self.k)
             coeff, mono = self.y(other, self.k)
             return (coeff * coeff, {name: 2 * p for name, p in mono.items()})
-        labels = tuple(self.ring.labels[t] for t in ms)
-        return (Fraction(1), {x_var_name(self.tag, labels): 1})
+        return (Fraction(1), {_var_name(self.ring, self.tag, ms): 1})
+
+    def keeps_x(self, ms) -> bool:
+        """Whether ``x`` maps the sorted multiset ms to its own variable."""
+        return self.x(ms) == (1, {_var_name(self.ring, self.tag, ms): 1})
+
+    def triple_product(self, a, b, c):
+        """sum_i d_i y(i,a) y(i,b) y(i,c) = x(a,b,c), as (atom, weight)
+        pairs of its left side minus its right side."""
+        y, dims = self.y, self.dims
+        lhs = [(_mul_atoms(y(i, a), y(i, b), y(i, c)), dims[i]) for i in self.loc.support]
+        return lhs + [(self.x((a, b, c)), -1)]
+
+    def product_expansion(self, a, b, c):
+        """sum_i d_i y(i,a) x(i,b,c) = y(a,b) y(a,c), as ``triple_product``."""
+        y, dims = self.y, self.dims
+        lhs = [(_mul_atoms(y(i, a), self.x((i, b, c))), dims[i]) for i in self.loc.support]
+        return lhs + [(_mul_atoms(y(a, b), y(a, c)), -1)]
 
 
 def _mul_atoms(*atoms):
@@ -301,15 +332,25 @@ class _PolyBuilder:
 
 @dataclass(frozen=True)
 class LocalSystem:
-    """A generated localization system with per-equation provenance."""
+    """A generated localization system, its validated input ``loc`` and
+    per-equation provenance."""
 
-    ring_name: str
-    tag: str
-    support: tuple  # labels
-    chosen: tuple  # labels
+    loc: LocalizationInput
     variables: tuple
     polys: tuple
     provenance: tuple  # (family, arg labels...) per polynomial
+
+    @property
+    def tag(self) -> str:
+        return self.loc.k_label
+
+    @property
+    def support(self) -> tuple:
+        return self.loc.support_labels
+
+    @property
+    def chosen(self) -> tuple:
+        return self.loc.chosen_labels
 
     def alias_table(self, x_prefix: str = "u", y_prefix: str = "v") -> dict:
         """Short aliases in enumeration order: x variables then y variables."""
@@ -325,45 +366,45 @@ class LocalSystem:
         return table
 
 
-def _require_integral(ring, fp: FpData | None = None) -> FpData:
-    fp = fp or fpdim_data(ring)
-    if not fp.integral:
-        raise LocalizationError(
-            "localization needs exact integer dimensions; ring is not integral"
-        )
-    return fp
+def _subsystem(ring, k, sprime) -> _Namer:
+    """Atom builder of the validated (k, chosen) subsystem."""
+    _integral_dims(ring)  # before the labels: a non-integral ring has no system
+    return _Namer(localization_sets(ring, k).with_chosen(sprime))
 
 
-def _subsystem(ring, k, sprime, fp=None):
-    """Validated input, dimensions and atom builder of the (k, chosen) subsystem."""
-    fp = _require_integral(ring, fp)
-    loc = localization_sets(ring, k).with_chosen(sprime)
-    return loc, fp, _Namer(ring, fp, loc.k)
+def _keys(namer: _Namer, pairs) -> list:
+    """Index keys of a system's variables, in its order: the sorted
+    multisets (i, b, c), i in the support and (b, c) in ``pairs``, that
+    keep an x variable, then the y pairs without a unit argument, sorted
+    by (b, a)."""
+    loc, unit = namer.loc, namer.ring.unit_index
+    triples = {tuple(sorted((i, b, c))) for i in loc.support for b, c in pairs}
+    y_keys = {tuple(sorted((i, b))) for i in loc.support for b in loc.chosen if unit not in (i, b)}
+    return sorted(filter(namer.keeps_x, triples)) + sorted(y_keys, key=lambda ab: (ab[1], ab[0]))
 
 
-def _y_keys(loc) -> list:
-    """Index pairs of the y variables without a unit argument, sorted by (b, a)."""
-    unit = loc.ring.unit_index
-    return sorted(
-        {tuple(sorted((i, b))) for i in loc.support for b in loc.chosen if i != unit and b != unit},
-        key=lambda ab: (ab[1], ab[0]),
-    )
+def _subsystem_keys(namer: _Namer) -> list:
+    """``_keys`` of the reduced subsystem, the b = c slice."""
+    return _keys(namer, [(b, b) for b in namer.loc.chosen])
 
 
-def _y_variables(loc) -> tuple:
-    """Names of the y variables without a unit argument, sorted by (b, a)."""
-    return tuple(_var_name(loc.ring, loc.k_label, ab) for ab in _y_keys(loc))
+def _local_system(namer: _Namer, keys, instances, dedupe=False) -> LocalSystem:
+    """The LocalSystem of ``instances`` over the variables of ``keys``.
 
-
-def _local_system(loc, variables, equations, dedupe=False) -> LocalSystem:
-    """The LocalSystem of ``equations``, (family, index args, builder) triples.
-
-    Zero polynomials are dropped; with ``dedupe`` set, so is every
-    polynomial equal to an earlier one up to scaling.
+    An instance is (family, index args, form, (a, b, c), scale): the
+    equation ``form`` (``namer.triple_product`` or
+    ``namer.product_expansion``) at (a, b, c), times ``scale``. Zero
+    polynomials are dropped; with ``dedupe`` set, so is every polynomial
+    equal to an earlier one up to scaling.
     """
+    loc = namer.loc
     labels = loc.ring.labels
+    variables = tuple(_var_name(loc.ring, loc.k_label, key) for key in keys)
     polys, provenance, seen = [], [], set()
-    for family, args, builder in equations:
+    for family, args, form, abc, scale in instances:
+        builder = _PolyBuilder(variables)
+        for atom, weight in form(*abc):
+            builder.add(atom, Fraction(weight * scale))
         poly = builder.build()
         if poly.is_zero():
             continue
@@ -374,161 +415,71 @@ def _local_system(loc, variables, equations, dedupe=False) -> LocalSystem:
             seen.add(key)
         polys.append(poly)
         provenance.append((family,) + tuple(labels[t] for t in args))
-    return LocalSystem(
-        ring_name=loc.ring.name,
-        tag=loc.k_label,
-        support=loc.support_labels,
-        chosen=loc.chosen_labels,
-        variables=variables,
-        polys=tuple(polys),
-        provenance=tuple(provenance),
-    )
+    return LocalSystem(loc, variables, tuple(polys), tuple(provenance))
 
 
-def _subsystem_keys(loc) -> list:
-    """Index multisets of the reduced subsystem's variables, in its order:
-    the sorted triples of the x variables, then the y pairs."""
-    ring, k, unit = loc.ring, loc.k, loc.ring.unit_index
-    # x(k,b) with b != k stays a genuine variable; only x(a,k) collapses to
-    # a y square, and b = k is excluded
-    x_keys = {
-        tuple(sorted((i, b, b)))
-        for b in loc.chosen
-        if b not in (unit, k)
-        for i in loc.support
-        if i != unit and ring.N[b][b][i] == 1
-    }
-    return sorted(x_keys) + _y_keys(loc)
+def generate_Ek(ring: FusionRing, k, sprime) -> LocalSystem:
+    """Reduced localization subsystem for (k, chosen subset): the b = c
+    slice of ``generate_full``'s system.
 
-
-def _subsystem_variables(loc) -> tuple:
-    """Canonical variable list for the reduced subsystem."""
-    return tuple(_var_name(loc.ring, loc.k_label, key) for key in _subsystem_keys(loc))
-
-
-def generate_Ek(ring: FusionRing, k, sprime, fp: FpData | None = None) -> LocalSystem:
-    """Reduced localization subsystem for (k, chosen subset).
-
-    Emits the orthogonality family for ordered pairs (a >= b, a not the
-    unit), the triple-product family over non-unit pairs, and the
-    square-expansion family for b outside {unit, k}, after substituting
-    every constant, zero, and symmetry constraint. Variables are exactly
-    the surviving y and x scalars. ``fp`` is the ring's ``fpdim_data``,
-    computed when not given.
+    Three families, each an instance of the full system's equations with
+    every constant, zero and symmetry constraint substituted:
+    orthogonality(a, b) for a not the unit and b <= a, the triple product
+    at (a, b, 1) times d_b d_k, which reads d_b sum_i d_i y(i,a) y(i,b) =
+    delta(a,b); triple-product(a, b) for non-unit a and b, the triple
+    product at (a, b, b); and square-expansion(a, b) for b outside
+    {unit, k}, the product expansion at (a, b, b). Variables are exactly
+    the surviving y and x scalars.
     """
-    loc, fp, namer = _subsystem(ring, k, sprime, fp)
-    k, support, chosen = loc.k, loc.support, loc.chosen
+    namer = _subsystem(ring, k, sprime)
+    k, chosen, dims = namer.k, namer.loc.chosen, namer.dims
     unit = ring.unit_index
-    dims = fp.dims
-    variables = _subsystem_variables(loc)
-    equations = []
-
-    # orthogonality: d_b sum_i d_i y(i,a) y(i,b) = delta(a,b)
-    for a in chosen:
-        if a == unit:
-            continue
-        for b in chosen:
-            if b > a:
-                continue
-            builder = _PolyBuilder(variables)
-            for i in support:
-                atom = _mul_atoms(namer.y(i, a), namer.y(i, b))
-                builder.add(atom, Fraction(dims[i] * dims[b]))
-            if a == b:
-                builder.add((Fraction(-1), {}))
-            equations.append(("orthogonality", (a, b), builder))
-
-    # triple product: sum_i d_i y(i,a) y(i,b)^2 = x(a,b)
-    for a in chosen:
-        if a == unit:
-            continue
-        for b in chosen:
-            if b == unit:
-                continue
-            builder = _PolyBuilder(variables)
-            for i in support:
-                yb = namer.y(i, b)
-                atom = _mul_atoms(namer.y(i, a), yb, yb)
-                builder.add(atom, Fraction(dims[i]))
-            lhs = namer.x((a, b, b))
-            if lhs is not None:
-                builder.add((-lhs[0], lhs[1]))
-            equations.append(("triple-product", (a, b), builder))
-
-    # square expansion: sum_i d_i y(i,a) x(i,b) = y(a,b)^2
-    for b in chosen:
-        if b in (unit, k):
-            continue
-        for a in chosen:
-            builder = _PolyBuilder(variables)
-            for i in support:
-                atom = _mul_atoms(namer.y(i, a), namer.x((i, b, b)))
-                builder.add(atom, Fraction(dims[i]))
-            yab = namer.y(a, b)
-            builder.add(_mul_atoms(yab, yab, (Fraction(-1), {})))
-            equations.append(("square-expansion", (a, b), builder))
-
-    return _local_system(loc, variables, equations)
+    tp, pe = namer.triple_product, namer.product_expansion
+    instances = [
+        ("orthogonality", (a, b), tp, (a, b, unit), dims[b] * namer.dk)
+        for a in chosen if a != unit for b in chosen if b <= a
+    ]
+    instances += [
+        ("triple-product", (a, b), tp, (a, b, b), 1)
+        for a in chosen if a != unit for b in chosen if b != unit
+    ]
+    instances += [
+        ("square-expansion", (a, b), pe, (a, b, b), 1)
+        for b in chosen if b not in (unit, k) for a in chosen
+    ]
+    return _local_system(namer, _subsystem_keys(namer), instances)
 
 
 def generate_full(ring: FusionRing, k, sprime) -> LocalSystem:
     """Full three-argument localization system over the chosen subset.
 
-    All (a,b,c) instances of the triple-product and product-expansion
-    families with the side constraints substituted; tautologies are
-    dropped and duplicate equations deduplicated. Restricting to b = c
-    recovers the reduced subsystem's ideal.
+    Every (a, b, c) instance of the two families, the triple product
+    sum_i d_i y(i,a) y(i,b) y(i,c) = x(a,b,c) and the product expansion
+    sum_i d_i y(i,a) x(i,b,c) = y(a,b) y(a,c), with the side constraints
+    substituted; tautologies are dropped and duplicate equations
+    deduplicated. ``generate_Ek`` builds the reduced subsystem from the
+    b = c instances.
     """
-    loc, fp, namer = _subsystem(ring, k, sprime)
-    support, chosen = loc.support, loc.chosen
-    dims = fp.dims
-
-    x_keys = set()
-    for b in chosen:
-        for c in chosen:
-            for a in chosen:
-                x_keys.add(tuple(sorted((a, b, c))))
-            for i in support:
-                x_keys.add(tuple(sorted((i, b, c))))
-    surviving = []
-    for ms in sorted(x_keys):
-        atom = namer.x(ms)
-        if atom is not None and atom[1] and next(iter(atom[1])).startswith("x_"):
-            surviving.append(next(iter(atom[1])))
-    variables = tuple(dict.fromkeys(surviving)) + _y_variables(loc)
-    equations = []
-
-    for a in chosen:
-        for b in chosen:
-            for c in chosen:
-                builder = _PolyBuilder(variables)
-                for i in support:
-                    atom = _mul_atoms(namer.y(i, a), namer.y(i, b), namer.y(i, c))
-                    builder.add(atom, Fraction(dims[i]))
-                lhs = namer.x((a, b, c))
-                if lhs is not None:
-                    builder.add((-lhs[0], lhs[1]))
-                equations.append(("triple-product", (a, b, c), builder))
-
-                builder = _PolyBuilder(variables)
-                for i in support:
-                    atom = _mul_atoms(namer.y(i, a), namer.x((i, b, c)))
-                    builder.add(atom, Fraction(dims[i]))
-                builder.add(_mul_atoms(namer.y(a, b), namer.y(a, c), (Fraction(-1), {})))
-                equations.append(("product-expansion", (a, b, c), builder))
-
-    return _local_system(loc, variables, equations, dedupe=True)
+    namer = _subsystem(ring, k, sprime)
+    chosen = namer.loc.chosen
+    pairs = [(b, c) for b in chosen for c in chosen]
+    forms = (("triple-product", namer.triple_product),
+             ("product-expansion", namer.product_expansion))
+    instances = [
+        (family, (a, b, c), form, (a, b, c), 1)
+        for a in chosen for b, c in pairs for family, form in forms
+    ]
+    return _local_system(namer, _keys(namer, pairs), instances, dedupe=True)
 
 
-def extra_link(ring: FusionRing, k, l, fp: FpData | None = None) -> Polynomial:
+def extra_link(ring: FusionRing, k, l) -> Polynomial:
     """The equation linking subsystems k and l over their joint variables.
 
     x_k(l,l) equals the weighted sum over the support intersection of
     y_l(i,l) x_k(i,l); constants substituted. The polynomial lives over
-    the concatenated variable lists of the two reduced subsystems. ``fp``
-    as in ``generate_Ek``.
+    the concatenated variable lists of the two reduced subsystems.
     """
-    fp = _require_integral(ring, fp)
+    dims = _integral_dims(ring)
     k, l = ring.resolve(k), ring.resolve(l)
     if k == l:
         raise LocalizationError("the two subsystem labels must differ")
@@ -538,31 +489,13 @@ def extra_link(ring: FusionRing, k, l, fp: FpData | None = None) -> Polynomial:
         raise LocalizationError(
             f"{ring.labels[l]!r} is not in the support of {ring.labels[k]!r}"
         )
-    namer_k = _Namer(ring, fp, k)
-    namer_l = _Namer(ring, fp, l)
-    sk = set(loc_k.support)
-    sl = set(loc_l.support)
-    both = sorted(sk & sl)
-    dims = fp.dims
-
-    atoms = []
-    for i in both:
-        atom = _mul_atoms(namer_l.y(i, l), namer_k.x((i, l, l)))
-        if atom is not None:
-            atoms.append((Fraction(dims[i]) * atom[0], atom[1]))
-    lhs = namer_k.x((l, l, l))
-
-    used = set()
-    for _, mono in atoms:
-        used |= set(mono)
-    if lhs is not None:
-        used |= set(lhs[1])
-    variables = tuple(sorted(used))
-    builder = _PolyBuilder(variables)
-    for coeff, mono in atoms:
-        builder.add((coeff, mono))
-    if lhs is not None:
-        builder.add((-lhs[0], lhs[1]))
+    namer_k, namer_l = _Namer(loc_k), _Namer(loc_l)
+    both = sorted(set(loc_k.support) & set(loc_l.support))
+    atoms = [(_mul_atoms(namer_l.y(i, l), namer_k.x((i, l, l))), dims[i]) for i in both]
+    atoms = [(atom, w) for atom, w in atoms + [(namer_k.x((l, l, l)), -1)] if atom is not None]
+    builder = _PolyBuilder(sorted({name for (_, mono), _ in atoms for name in mono}))
+    for atom, weight in atoms:
+        builder.add(atom, Fraction(weight))
     return builder.build()
 
 
@@ -594,11 +527,10 @@ class TwoParallelReport:
     corank: int | None = None  # dim of the linked quotient; None when infinite
 
 
-def default_sprime_pair(ring: FusionRing, k, l, fp: FpData | None = None):
+def default_sprime_pair(ring: FusionRing, k, l):
     """Default subsets: {1,k,l} for k; {1,l,m} with m the smallest-
-    dimension valid third element of l's support. ``fp`` as in
-    ``generate_Ek``."""
-    fp = _require_integral(ring, fp)
+    dimension valid third element of l's support."""
+    dims = _integral_dims(ring)
     loc_k = localization_sets(ring, k)
     loc_l = localization_sets(ring, l)
     k, l, unit = loc_k.k, loc_l.k, ring.unit_index
@@ -612,7 +544,7 @@ def default_sprime_pair(ring: FusionRing, k, l, fp: FpData | None = None):
     if not candidates:
         sl = loc_l.with_chosen((unit, l))
     else:
-        m = min(candidates, key=lambda t: (fp.dims[t], t))
+        m = min(candidates, key=lambda t: (dims[t], t))
         sl = loc_l.with_chosen((unit, l, m))
     return sk.chosen, sl.chosen
 
@@ -663,9 +595,10 @@ def _automorphisms(ring: FusionRing, images=None):
     yield from place(0)
 
 
-def _subsystem_map(ring: FusionRing, loc_k, loc_l):
+def _subsystem_map(loc_k: LocalizationInput, loc_l: LocalizationInput):
     """The first automorphism (see ``_automorphisms``) that takes k to l
     and k's chosen subset onto l's, or None."""
+    ring = loc_k.ring
     n = len(ring.labels)
     inside = sorted(loc_l.chosen)
     outside = [t for t in range(n) if t not in loc_l.chosen]
@@ -674,7 +607,7 @@ def _subsystem_map(ring: FusionRing, loc_k, loc_l):
     return next(_automorphisms(ring, images), None)
 
 
-def _orbit_basis(ring: FusionRing, gb_k: GroebnerBasis, sys_k: LocalSystem, sys_l: LocalSystem):
+def _orbit_basis(gb_k: GroebnerBasis, sys_k: LocalSystem, sys_l: LocalSystem):
     """gb_k renamed into a basis of E_l, or None when no automorphism
     carries E_k onto E_l.
 
@@ -687,13 +620,12 @@ def _orbit_basis(ring: FusionRing, gb_k: GroebnerBasis, sys_k: LocalSystem, sys_
     ``quotient`` are gb_k's; its ``stats`` are ``{"from": "k", "labels":
     s as a label map}``.
     """
-    loc_k = localization_sets(ring, sys_k.tag).with_chosen(sys_k.chosen)
-    loc_l = localization_sets(ring, sys_l.tag).with_chosen(sys_l.chosen)
-    s = _subsystem_map(ring, loc_k, loc_l)
+    ring = sys_k.loc.ring
+    s = _subsystem_map(sys_k.loc, sys_l.loc)
     if s is None:
         return None
     names = {}
-    for key in _subsystem_keys(loc_k):
+    for key in _subsystem_keys(_Namer(sys_k.loc)):
         image = tuple(sorted(s[t] for t in key))
         names[_var_name(ring, sys_k.tag, key)] = _var_name(ring, sys_l.tag, image)
     if sorted(names.values()) != sorted(sys_l.variables):
@@ -858,16 +790,16 @@ def two_parallel(
     verdict of that run rests on the modular basis computation and is
     reported uncertified. Each stage is timed under its name, and a
     resource error raised in it is prefixed with that name: ``generate``,
-    ``gb_k``, ``gb_l``, ``link`` or ``gb_final``. The ring's
-    ``fpdim_data`` is computed once and handed to each generator.
+    ``gb_k``, ``gb_l``, ``link`` or ``gb_final``. ``fpdim_data`` is
+    memoized, so the subset choice, both subsystems and the link share one
+    computation of the ring's dimensions.
     """
     timings = {}
     k, l = ring.resolve(k), ring.resolve(l)
     if k == l:
         raise LocalizationError("the two subsystem labels must differ")
-    fp = fpdim_data(ring)
     if sprime_k is None or sprime_l is None:
-        dk, dl = default_sprime_pair(ring, k, l, fp=fp)
+        dk, dl = default_sprime_pair(ring, k, l)
         sprime_k = sprime_k or dk
         sprime_l = sprime_l or dl
 
@@ -877,14 +809,14 @@ def two_parallel(
         raise LocalizationError("the linking label must belong to its own chosen subset")
 
     with _stage("generate", timings):
-        sys_k = generate_Ek(ring, k, sprime_k, fp=fp)
-        sys_l = generate_Ek(ring, l, sprime_l, fp=fp)
-        link = extra_link(ring, k, l, fp=fp)
+        sys_k = generate_Ek(ring, k, sprime_k)
+        sys_l = generate_Ek(ring, l, sprime_l)
+        link = extra_link(ring, k, l)
 
     with _stage("gb_k", timings):
         gb_k = buchberger(specialize(field, sys_k.polys), field=field)
     with _stage("gb_l", timings):
-        gb_l = _orbit_basis(ring, gb_k, sys_k, sys_l)
+        gb_l = _orbit_basis(gb_k, sys_k, sys_l)
         if gb_l is None:
             gb_l = buchberger(specialize(field, sys_l.polys), field=field)
 

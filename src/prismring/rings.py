@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -304,13 +305,16 @@ _POWER_STEPS = 100_000
 _POWER_TOL = 1e-12
 
 
+@lru_cache(maxsize=16)
 def fpdim_data(ring: FusionRing) -> FpData:
     """Frobenius-Perron dimension vector, normalized with unit dimension 1.
 
     Power iteration on the (strictly positive) sum of all fusion matrices
     with the all-ones start vector; when the result rounds to integers that
     satisfy the eigen equations exactly over the integers, exact values are
-    returned and the integral flag is set.
+    returned and the integral flag is set. Memoized per ring (the last 16),
+    so the localization and prism generators, the lifting test and the CLI
+    each ask for it instead of passing it along.
     """
     arr = ring.nparray()
     total = arr.sum(axis=0).astype(float)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .fields import QQ
 from .localizer import localization_sets, x_var_name, y_var_name
 from .poly import GREVLEX, MAX_VARS, Polynomial
-from .rings import FusionRing, FpData, fpdim_data
+from .rings import FusionRing, fpdim_data
 
 # tetrahedron: vertices 0..3, edges by vertex pair; faces are vertex stars
 EDGE_VERTS = ((0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3))
@@ -255,14 +255,15 @@ class TpeEquation:
     tautology: bool
 
 
-def _assemble(ring, fp, raw_terms, symbolic):
+def _assemble(ring, raw_terms):
     """Combine raw terms (sign, dim half-exponents, tokens) into polynomials.
 
     Integral rings evaluate dimension powers exactly, keeping square-root
-    remainders as square-free radicands; symbolic rings keep dimension
+    remainders as square-free radicands; other rings keep dimension
     symbols d_<label> with the analogous parity split. Triple-scalar
     halves must pair up within each term.
     """
+    fp = fpdim_data(ring)
     unit = ring.unit_index
     groups = {}
     for sign, hexp, tokens in raw_terms:
@@ -286,7 +287,7 @@ def _assemble(ring, fp, raw_terms, symbolic):
                 mono[name] = mono.get(name, 0) + cnt // 2
 
         coeff = Fraction(sign)
-        if symbolic:
+        if not fp.integral:
             radical = []
             for lab, h in sorted(hexp.items()):
                 if lab == unit:
@@ -364,26 +365,21 @@ def _config_admissible(ring, idx, strict=True):
     return True
 
 
-def tpe_equation(
-    ring: FusionRing,
-    config,
-    idmap=None,
-    fp: FpData | None = None,
-) -> TpeEquation:
+def tpe_equation(ring: FusionRing, config, idmap=None) -> TpeEquation:
     """Generate the prism equation of one nine-label configuration.
 
     The left side is the product of the two outer tetra scalars (present
     only when the pairing coefficient of (X2,X3;X1) is 1); the right side
     sums over the common spectrum of the three rail pairs with dimension
     coefficients. Integral rings get exact numeric dimensions; otherwise
-    dimension symbols d_<label> enter the polynomial.
+    dimension symbols d_<label> enter the polynomial. The dimensions come
+    from ``fpdim_data``, which is memoized per ring, so a system of many
+    configurations computes them once.
     """
     idx = tuple(map(ring.resolve, config))
     if len(idx) != 9:
         raise TpeError("a prism configuration needs nine labels")
     _config_admissible(ring, idx, strict=True)
-    fp = fp or fpdim_data(ring)
-    symbolic = not fp.integral
     idmap = idmap or SymmetricIdmap(ring)
 
     raw = []
@@ -430,7 +426,7 @@ def tpe_equation(
             tokens.extend(tk)
         raw.append((-1, hexp, tokens))
 
-    polys = _assemble(ring, fp, raw, symbolic)
+    polys = _assemble(ring, raw)
     labels = tuple(ring.labels[i] for i in idx)
     return TpeEquation(config=labels, polys=tuple(polys), tautology=not polys)
 
@@ -484,19 +480,17 @@ def tpe_system(ring: FusionRing, labels) -> TpeSystem:
 
     Configurations are canonicalized under the simultaneous rotation of
     the three prism layers and merged by :func:`merge_equations`. Tetra
-    scalars are named by ``SymmetricIdmap``, and the ring's ``fpdim_data``
-    is computed once for every equation.
+    scalars are named by ``SymmetricIdmap``.
     """
     idx_pool = sorted(map(ring.resolve, labels))
     _check_self_dual(ring, idx_pool)
-    fp = fpdim_data(ring)
     idmap = SymmetricIdmap(ring)
     canon = dict.fromkeys(  # canonical configurations, in first-seen order
         min(cfg, _rotate(cfg), _rotate(_rotate(cfg)))
         for cfg in itertools.product(idx_pool, repeat=9)
     )
     return merge_equations(
-        tpe_equation(ring, cfg, idmap=idmap, fp=fp)
+        tpe_equation(ring, cfg, idmap=idmap)
         for cfg in canon
         if _config_admissible(ring, cfg, strict=False)
     )
@@ -529,11 +523,10 @@ def localization_system(ring: FusionRing, k, sprime, l=None, sprime_l=None) -> T
     :func:`merge_equations`.
     """
     idmap = localization_idmap(ring, k, sprime, l, sprime_l)
-    fp = fpdim_data(ring)
     configs = []
     for a, b, c in itertools.product(sprime, repeat=3):
         configs.append((a, b, c, k, k, k, k, k, k))
         configs.append((k, k, a, b, k, k, c, k, k))
     if l is not None:
         configs.append((k, k, l, k, l, l, k, l, l))
-    return merge_equations(tpe_equation(ring, cfg, idmap=idmap, fp=fp) for cfg in configs)
+    return merge_equations(tpe_equation(ring, cfg, idmap=idmap) for cfg in configs)

@@ -11,7 +11,6 @@ from prismring.chartab import (
     column_zero_property,
     lifting_verdict,
 )
-from prismring.rings import fpdim_data
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -94,4 +93,4 @@ def test_lifting_prime_cover_fails_for_z2():
 def test_lifting_requires_integral(fib):
     table = character_table(fib)
     with pytest.raises(ValueError):
-        lifting_verdict(fib, table, char0_excluded=True, fp=fpdim_data(fib))
+        lifting_verdict(fib, table, char0_excluded=True)

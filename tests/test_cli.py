@@ -276,6 +276,38 @@ def test_tpe_localization_default_is_first_maximal_subset(capsys):
     assert out == explicit
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--k", "5_1"], "af82c422c1974762"),
+        (["--k", "5_3", "--sprime", "1,5_2,5_3"], "d288db80b391d192"),
+        (["--k", "5_1", "--full"], "aa7d74e8869d4123"),
+        (["--k", "6_1"], "1c73dddde90b8d55"),
+        (["--k", "6_1", "--full"], "539d31aade72c93f"),
+    ],
+)
+def test_localize_output_is_pinned(capsys, argv, digest):
+    """The localization systems of F210 as written, byte for byte: the
+    legend, aliases and provenance, the variables and every polynomial."""
+    code, out, err = invoke(capsys, "localize", "F210", *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_non_integral_ring_points_to_the_prism_family(capsys):
+    """``localize`` needs integer dimensions and exits 1 on Fib, naming the
+    prism family, which keeps the dimensions as symbols and exits 0."""
+    code, out, err = invoke(capsys, "localize", "Fib", "--k", "tau")
+    assert code == 1 and not out
+    assert err.startswith(
+        "error: localization needs exact integer dimensions; ring is not integral"
+    )
+    assert "(prism tpe --family localization) keeps symbolic dimensions d_<label>" in err
+    code, out, err = invoke(capsys, "tpe", "Fib", "--family", "localization", "--k", "tau")
+    assert code == 0, err
+    assert "d_tau" in read_system(out)[1]
+
+
 def test_two_parallel_prime_field(capsys):
     code, out, _ = invoke(
         capsys, "--json", "two-parallel", "F210", "--k", "5_1", "--l", "5_3",

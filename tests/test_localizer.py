@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prismring import groebner, localizer
-from prismring.catalog import catalog
+from prismring.catalog import CATALOG_NAMES, catalog
 from prismring.fields import GF, QQ, NonInvertibleError
 from prismring.groebner import (
     GroebnerResourceError,
@@ -34,7 +34,7 @@ from prismring.localizer import (
 from prismring.poly import Polynomial, parse_polynomial
 from prismring.rings import fpdim_data
 
-from conftest import E1_TEXT, E1_VARS, E2_TEXT, E2_VARS, LINK_TEXT
+from conftest import E1_TEXT, E1_VARS, E2_TEXT, E2_VARS, LINK_TEXT, random_valid_rings
 
 SPRIME_K = ("1", "5_1", "5_3")
 SPRIME_L = ("1", "5_2", "5_3")
@@ -180,6 +180,49 @@ def test_full_system_contains_reduced_instances(f210, ek, gb_ek):
     # and every restricted instance lies in the reduced ideal
     for p in restricted:
         assert gb_ek.normal_form(p.rename(ek.variables)).is_zero()
+
+
+def _localization_inputs():
+    """Every validated (ring, k, chosen subset) of the integral catalog rings
+    and ``random_valid_rings(count=20)``: each k that ``localization_sets``
+    accepts, with each subset that ``with_chosen`` accepts."""
+    rings = [catalog(name) for name in CATALOG_NAMES] + random_valid_rings(count=20)
+    inputs = []
+    for ring in rings:
+        if not fpdim_data(ring).integral:
+            continue
+        for k in range(ring.rank):
+            try:
+                loc = localization_sets(ring, k)
+            except LocalizationError:
+                continue
+            rest = [a for a in loc.support if a != ring.unit_index]
+            for size in range(len(rest) + 1):
+                for subset in itertools.combinations(rest, size):
+                    try:
+                        inputs.append(loc.with_chosen((ring.unit_index,) + subset))
+                    except LocalizationError:
+                        pass
+    return inputs
+
+
+def test_every_reduced_system_is_a_slice_of_the_full_system():
+    """On every input, each monic E_k polynomial is a monic polynomial of
+    the full system: E_k is its b = c slice, with orthogonality the
+    triple product at c = 1."""
+    inputs = _localization_inputs()
+    assert len(inputs) == 40
+    for loc in inputs:
+        ek = generate_Ek(loc.ring, loc.k, loc.chosen)
+        full = generate_full(loc.ring, loc.k, loc.chosen)
+        assert set(ek.variables) <= set(full.variables)
+        full_monic = {
+            frozenset(p.rename(ek.variables).monic().terms.items())
+            for p in full.polys
+            if p.used_variables() <= set(ek.variables)
+        }
+        ek_monic = {frozenset(p.monic().terms.items()) for p in ek.polys}
+        assert ek_monic <= full_monic, (loc.ring.name, loc.k_label, loc.chosen_labels)
 
 
 def test_full_system_unit_instances_reduce_to_orthogonality(f210, ek):
@@ -363,24 +406,18 @@ def test_two_parallel_either_side_of_the_int16_link_bound(f210, p, verdict, cora
 
 
 @pytest.mark.parametrize("sprimes", [(None, None), (SPRIME_K, SPRIME_L)], ids=["default", "given"])
-def test_two_parallel_computes_fpdim_data_once(f210, monkeypatch, sprimes):
+def test_two_parallel_computes_fpdim_data_once(f210, sprimes):
     """The subset choice, both subsystems and the link share one
-    ``fpdim_data`` of the ring, and a given one yields the same system."""
-    calls = []
-
-    def spy(ring):
-        calls.append(ring.name)
-        return fpdim_data(ring)
-
-    monkeypatch.setattr(localizer, "fpdim_data", spy)
+    ``fpdim_data`` of the ring: with the cache cleared, the pass misses it
+    once, and generating a system again misses it no more."""
+    fpdim_data.cache_clear()
     rep = two_parallel(f210, "5_1", "5_3", field=GF(32003), sprime_k=sprimes[0],
                        sprime_l=sprimes[1])
     assert rep.verdict == EXCLUDED
-    assert calls == [f210.name]
-    fp = fpdim_data(f210)
-    assert generate_Ek(f210, "5_1", SPRIME_K, fp=fp).polys == rep.k_system.polys
-    assert extra_link(f210, "5_1", "5_3", fp=fp) == rep.link
-    assert calls == [f210.name]
+    assert fpdim_data.cache_info().misses == 1
+    assert generate_Ek(f210, "5_1", SPRIME_K).polys == rep.k_system.polys
+    assert extra_link(f210, "5_1", "5_3") == rep.link
+    assert fpdim_data.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("stage",["gb_k", "gb_l", "gb_final"])
@@ -418,7 +455,7 @@ def test_link_step_walks_one_border_per_distinct_basis(f210, ek, el, gb_ek, monk
     the link step walks one border, not two; over GF(11) both bases hand
     over the border certificate's matrices and it walks none."""
     gb_k = gb_ek if field.is_rational else buchberger(specialize(field, ek.polys), field=field)
-    gb_l = localizer._orbit_basis(f210, gb_k, ek, el)
+    gb_l = localizer._orbit_basis(gb_k, ek, el)
     allv = localizer._combined_ring_vars(ek, el)
     (link,) = specialize(field, [extra_link(f210, "5_1", "5_3").rename(allv)])
     calls = []
@@ -502,7 +539,7 @@ def test_orbit_basis_needs_the_exact_system(f210, ek, el, monkeypatch):
     system that differs by one polynomial, or a label map that does not
     take E_k's variables onto E_l's, gets no renamed basis."""
     gb_k = buchberger(specialize(GF(11), ek.polys), field=GF(11))
-    gb = localizer._orbit_basis(f210, gb_k, ek, el)
+    gb = localizer._orbit_basis(gb_k, ek, el)
     assert gb.stats == {"from": "k", "labels": F210_CYCLE}
     assert sorted(gb.vars) == sorted(el.variables) and gb.vars != el.variables
     assert [g.terms for g in gb] == [g.terms for g in gb_k]
@@ -510,10 +547,10 @@ def test_orbit_basis_needs_the_exact_system(f210, ek, el, monkeypatch):
     gb.self_check()
     want = set(specialize(GF(11), el.polys))
     assert {g.rename(el.variables) for g in gb.generators} == want
-    assert localizer._orbit_basis(f210, gb_k, ek, replace(el, polys=el.polys[1:])) is None
+    assert localizer._orbit_basis(gb_k, ek, replace(el, polys=el.polys[1:])) is None
     # the 3-cycle and 6_1 <-> 7_1, which is not an automorphism of F210
     monkeypatch.setattr(localizer, "_subsystem_map", lambda *args: (0, 3, 1, 2, 5, 4, 6))
-    assert localizer._orbit_basis(f210, gb_k, ek, el) is None
+    assert localizer._orbit_basis(gb_k, ek, el) is None
 
 
 def test_two_parallel_without_automorphism_computes_gb_l(f210):
