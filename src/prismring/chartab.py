@@ -1,22 +1,23 @@
 """Character tables of commutative fusion rings and lifting predicates.
 
-Tables are numerical (double precision) with a residual certificate: the
-downstream predicates only need zero/nonzero decisions and exact prime
-divisibility of integer dimensions, so certified floats suffice and keep
-the implementation free of algebraic-number machinery.
+Tables are numerical (double precision) with a residual certificate, for
+display and for the Perron column. The lifting predicates are exact: the
+column-zero property is an integer rank test over the rationals on the
+fusion matrices, and the prime cover reads the integer dimensions, so no
+algebraic-number machinery is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .rings import FusionRing, fpdim_data
+from .rings import FusionRing, factorize, fpdim_data
 
 CHARTAB_SEED = 57721566
 DEFAULT_TOL = 1e-9
-DEFAULT_ZERO_TOL = 1e-6
 _MAX_RESEEDS = 12
 
 
@@ -34,12 +35,14 @@ class CharacterTable:
 
     Column 0 is the Perron column (the FP-dimension character); remaining
     columns are sorted by their rounded entries for determinism. residual
-    bounds max_i |M_i u_j - values[i][j] u_j| over all columns.
+    bounds max_i |M_i u_j - values[i][j] u_j| over all columns. ring is the
+    ring whose fusion matrices M_i the table diagonalizes.
     """
 
     values: tuple  # rank x rank complex numbers, row-major
     residual: float
     seed: int
+    ring: FusionRing
 
     @property
     def rank(self) -> int:
@@ -103,21 +106,57 @@ def character_table(ring: FusionRing, tol: float = DEFAULT_TOL) -> CharacterTabl
         values = tuple(
             tuple(complex(vec_list[j][i]) for j in ordered) for i in range(r)
         )
-        return CharacterTable(values=values, residual=residual, seed=seed)
+        return CharacterTable(values=values, residual=residual, seed=seed, ring=ring)
     raise DegenerateCombinationError(
         f"residual stayed above tol={tol} after {_MAX_RESEEDS} reseeds"
         + (f" (best {last_residual:.3e})" if last_residual is not None else "")
     )
 
 
+def _rref(rows, width):
+    """Reduced row echelon form over Q: the nonzero rows and their pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    done, pivots = [], []
+    for c in range(width):
+        k = next((k for k, row in enumerate(rows) if row[c]), None)
+        if k is None:
+            continue
+        piv = rows.pop(k)
+        piv = [x / piv[c] for x in piv]
+        rows, done = (
+            [[a - row[c] * b for a, b in zip(row, piv)] for row in part]
+            for part in (rows, done)
+        )
+        done.append(piv)
+        pivots.append(c)
+    return done, pivots
+
+
+def _kernel(rows, width):
+    """A basis of {u : rows @ u = 0} over Q, one vector per free column."""
+    done, pivots = _rref(rows, width)
+    basis = []
+    for f in range(width):
+        if f not in pivots:
+            u = [Fraction(int(j == f)) for j in range(width)]
+            for row, c in zip(done, pivots):
+                u[c] = -row[f]
+            basis.append(u)
+    return basis
+
+
 def column_zero_property(table: CharacterTable) -> bool:
-    """True iff every non-Perron column has an entry of modulus below
-    ``DEFAULT_ZERO_TOL``."""
-    r = table.rank
-    for j in range(1, r):
-        if not any(abs(table.values[i][j]) < DEFAULT_ZERO_TOL for i in range(r)):
-            return False
-    return True
+    """True iff every non-Perron character vanishes at some basis element.
+
+    Exact: the column u_j of the table lies in ker M_i exactly when it
+    vanishes at i, and the columns are a common eigenbasis, so
+    sum_i ker M_i is spanned by the columns that vanish somewhere. The
+    Perron column never vanishes, so the property is
+    dim_Q sum_i ker M_i = rank - 1, decided by elimination over Q.
+    """
+    ring, r = table.ring, table.rank
+    kernels = [u for i in range(r) for u in _kernel(ring.N[i], r)]
+    return len(_rref(kernels, r)[0]) == r - 1
 
 
 NO_POSITIVE_CHAR_PIVOTAL = "no-positive-char-pivotal-categorification"
@@ -131,20 +170,6 @@ class LiftingVerdict:
     prime_witnesses: tuple  # ((prime, witness label), ...)
     char0_excluded: bool
     conclusion: str
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def lifting_verdict(ring: FusionRing, table: CharacterTable,
@@ -163,7 +188,7 @@ def lifting_verdict(ring: FusionRing, table: CharacterTable,
     col_ok = column_zero_property(table)
     witnesses = []
     cover_ok = True
-    for p in _prime_factors(int(fp.global_fpdim)):
+    for p in factorize(fp.global_fpdim):
         hit = next(
             (ring.labels[i] for i in range(ring.rank) if fp.dims[i] % p == 0), None
         )

@@ -22,12 +22,24 @@ class RingFormatError(ValueError):
 
 @dataclass(frozen=True)
 class FusionRing:
-    """Immutable fusion ring data; safe to share across threads."""
+    """Immutable fusion ring data; safe to share across threads.
+
+    The hash is taken once, from N alone: the per-ring caches
+    (``fpdim_data``, ``spectra._tables``) look a ring up on every call, and
+    a tuple re-hashes its items each time. Equal rings have equal N, and an
+    int tuple hashes alike in every process.
+    """
 
     name: str
     labels: tuple
     N: tuple  # rank x rank x rank nested tuples of non-negative ints
     star: tuple  # duality permutation, star[0] == 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.N))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -293,6 +305,20 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
             )
         )
     return report
+
+
+def factorize(n: int) -> dict:
+    """Prime factorization {p: e} of a positive integer, primes ascending."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 class PowerIterationError(RuntimeError):

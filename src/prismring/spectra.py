@@ -3,7 +3,11 @@
 Implements the zero-spectrum and one-spectrum tests: exhaustive, pruned
 searches for index tuples (i1..i9, plus i0 for the one-spectrum case) that
 force a pentagon instance of the form "product of nonzero scalars equals
-zero". All checks are exact integer arithmetic on the fusion coefficients.
+zero". Both criteria share one check: the six premises, then the rule of
+their row in ``_CRITERIA`` (the spectrum rule, the required pair
+coefficient N(i2,i1;i3) and the F-symbol groups that must be
+one-dimensional). All checks are exact integer arithmetic on the fusion
+coefficients.
 """
 
 from __future__ import annotations
@@ -135,110 +139,95 @@ def _premise_values(ring, ix):
     return out
 
 
-def _or_group(ring, triples):
-    """Return the first 1-based route whose sum equals 1, else None."""
-    for route, (a, b, c, d) in enumerate(triples, start=1):
-        if _dot(ring, a, b, c, d) == 1:
-            return route
-    return None
+@dataclass(frozen=True)
+class _Criterion:
+    """What one criterion asks of a nonet beyond the six premises.
+
+    ``pair`` is the required N(i2,i1;i3). ``single`` is the spectrum rule:
+    False for an empty spectrum, True for exactly {i0} with multiplicity 1
+    on the three rails. ``groups`` are the F-symbol groups that must be
+    one-dimensional, each ``(name, reason word, routes)``: a group holds
+    when one of its routes "a b c d" has sum_m N(a,b;m) N(c,d;m) = 1, and
+    the entry ``iJ*`` is the dual of iJ. A witness records, per group, the
+    first route (1-based) that held.
+    """
+
+    pair: int
+    single: bool
+    groups: tuple
 
 
-def zero_witness_check(ring: FusionRing, nonet) -> CheckResult:
-    """Verify the zero-spectrum conditions on a nonet of indices or labels."""
+_CRITERIA = {
+    ZERO: _Criterion(pair=1, single=False, groups=(
+        ("lhs-fsymbol-1", "first", ("i5 i4 i3 i1*", "i2 i4* i3 i6*", "i5* i2 i6 i1*")),
+        ("lhs-fsymbol-2", "second", ("i2 i7 i3 i9*", "i8 i7* i3 i1*", "i2* i8 i1 i9*")),
+    )),
+    ONE: _Criterion(pair=0, single=True, groups=(
+        ("rhs-fsymbol-1", "rhs-fsymbol-1",
+         ("i5 i4 i8 i7*", "i2 i4* i8 i0*", "i5* i2 i0 i7*")),
+        ("rhs-fsymbol-2", "rhs-fsymbol-2",
+         ("i5 i0 i3 i9*", "i8 i0* i3 i6*", "i5* i8 i6 i9*")),
+        ("rhs-fsymbol-3", "rhs-fsymbol-3",
+         ("i4 i7 i6 i9*", "i0 i7* i6 i1*", "i4* i0 i1 i9*")),
+    )),
+}
+
+
+def _witness_check(ring: FusionRing, kind, nonet, i0=None) -> CheckResult:
+    """Check a nonet (and i0 for the one-spectrum kind) against a criterion."""
+    crit = _CRITERIA[kind]
     ix = _resolve_nonet(ring, nonet)
-    star = ring.star
+    if crit.single:
+        ix["i0"] = i0 = ring.resolve(i0)
     prem = _premise_values(ring, ix)
     for name, v in prem:
         if v == 0:
             return CheckResult(False, f"premise {name} = 0")
+    N, star = ring.N, ring.star
     i1, i2, i3, i4, i5, i6, i7, i8, i9 = (ix[f"i{j}"] for j in range(1, 10))
     spec = pe_spectrum(ring, i4, i5, i6, i7, i8, i9)
-    if len(spec):
-        return CheckResult(False, f"spectrum not empty: {list(spec.labels)}")
-    if ring.N[i2][i1][i3] != 1:
-        return CheckResult(
-            False, f"pair coefficient N(i2,i1;i3) = {ring.N[i2][i1][i3]} != 1"
-        )
-    r1 = _or_group(ring, [
-        (i5, i4, i3, star[i1]),
-        (i2, star[i4], i3, star[i6]),
-        (star[i5], i2, i6, star[i1]),
-    ])
-    if r1 is None:
-        return CheckResult(False, "first one-dimensionality condition fails")
-    r2 = _or_group(ring, [
-        (i2, i7, i3, star[i9]),
-        (i8, star[i7], i3, star[i1]),
-        (star[i2], i8, i1, star[i9]),
-    ])
-    if r2 is None:
-        return CheckResult(False, "second one-dimensionality condition fails")
-    witness = CriterionWitness(
-        kind=ZERO,
-        nonet=tuple(ring.labels[ix[f"i{j}"]] for j in range(1, 10)),
-        spectrum_label=None,
-        premises=tuple(prem),
-        routes=(("lhs-fsymbol-1", r1), ("lhs-fsymbol-2", r2)),
-    )
-    return CheckResult(True, "", witness)
-
-
-def one_witness_check(ring: FusionRing, nonet, i0) -> CheckResult:
-    """Verify the one-spectrum conditions on (nonet, i0)."""
-    ix = _resolve_nonet(ring, nonet)
-    i0 = ring.resolve(i0)
-    star = ring.star
-    prem = _premise_values(ring, ix)
-    for name, v in prem:
-        if v == 0:
-            return CheckResult(False, f"premise {name} = 0")
-    i1, i2, i3, i4, i5, i6, i7, i8, i9 = (ix[f"i{j}"] for j in range(1, 10))
-    spec = pe_spectrum(ring, i4, i5, i6, i7, i8, i9)
-    if spec.indices != (i0,):
+    if not crit.single:
+        if spec.indices:
+            return CheckResult(False, f"spectrum not empty: {list(spec.labels)}")
+    elif spec.indices != (i0,):
         return CheckResult(
             False, f"spectrum is {list(spec.labels)}, not exactly the given element"
         )
-    if not (
-        ring.N[i4][i7][i0] == 1
-        and ring.N[star[i5]][i8][i0] == 1
-        and ring.N[i6][star[i9]][i0] == 1
-    ):
+    elif (N[i4][i7][i0], N[star[i5]][i8][i0], N[i6][star[i9]][i0]) != (1, 1, 1):
         return CheckResult(False, "spectrum multiplicities are not all 1")
-    if ring.N[i2][i1][i3] != 0:
+    if N[i2][i1][i3] != crit.pair:
         return CheckResult(
-            False, f"pair coefficient N(i2,i1;i3) = {ring.N[i2][i1][i3]} != 0"
+            False, f"pair coefficient N(i2,i1;i3) = {N[i2][i1][i3]} != {crit.pair}"
         )
-    groups = [
-        ("rhs-fsymbol-1", [
-            (i5, i4, i8, star[i7]),
-            (i2, star[i4], i8, star[i0]),
-            (star[i5], i2, i0, star[i7]),
-        ]),
-        ("rhs-fsymbol-2", [
-            (i5, i0, i3, star[i9]),
-            (i8, star[i0], i3, star[i6]),
-            (star[i5], i8, i6, star[i9]),
-        ]),
-        ("rhs-fsymbol-3", [
-            (i4, i7, i6, star[i9]),
-            (i0, star[i7], i6, star[i1]),
-            (star[i4], i0, i1, star[i9]),
-        ]),
-    ]
+    ix.update({f"{name}*": star[i] for name, i in ix.items()})
     routes = []
-    for gname, triples in groups:
-        route = _or_group(ring, triples)
+    for gname, word, group in crit.groups:
+        route = next(
+            (n for n, entries in enumerate(group, start=1)
+             if _dot(ring, *(ix[e] for e in entries.split())) == 1),
+            None,
+        )
         if route is None:
-            return CheckResult(False, f"{gname} one-dimensionality condition fails")
+            return CheckResult(False, f"{word} one-dimensionality condition fails")
         routes.append((gname, route))
     witness = CriterionWitness(
-        kind=ONE,
+        kind=kind,
         nonet=tuple(ring.labels[ix[f"i{j}"]] for j in range(1, 10)),
-        spectrum_label=ring.labels[i0],
+        spectrum_label=ring.labels[i0] if crit.single else None,
         premises=tuple(prem),
         routes=tuple(routes),
     )
     return CheckResult(True, "", witness)
+
+
+def zero_witness_check(ring: FusionRing, nonet) -> CheckResult:
+    """Verify the zero-spectrum conditions on a nonet of indices or labels."""
+    return _witness_check(ring, ZERO, nonet)
+
+
+def one_witness_check(ring: FusionRing, nonet, i0) -> CheckResult:
+    """Verify the one-spectrum conditions on (nonet, i0)."""
+    return _witness_check(ring, ONE, nonet, i0)
 
 
 def _resolve_nonet(ring, nonet):
@@ -261,13 +250,10 @@ def _witnesses(ring, kind):
     N = ring.N
     star = ring.star
     row_mask = tab.row_mask
-    want_zero = kind == ZERO
+    crit = _CRITERIA[kind]
+    pair, single = crit.pair, crit.single  # locals: read in the innermost loops
     for i1, i2, i3 in itertools.product(range(r), repeat=3):
-        pair = N[i2][i1][i3]
-        if want_zero:
-            if pair != 1:
-                continue
-        elif pair != 0:
+        if N[i2][i1][i3] != pair:
             continue
         for i4 in range(r):
             sup_i5 = tab.first_support[i4][i2]  # N[i5][i4][i2] > 0
@@ -288,26 +274,26 @@ def _witnesses(ring, kind):
                         mask1 = row_mask[i4][i7]
                         for i8 in tab.row_support[i2][i7]:  # N[i2][i7][i8]>0
                             mask12 = mask1 & row_mask[star[i5]][i8]
-                            if not want_zero and not mask12:
+                            if single and not mask12:
                                 continue
                             sup_i9b = tab.second_support[i8][i3]
                             for i9 in sup_i9a:
                                 if i9 not in sup_i9b:
                                     continue
                                 spec_mask = mask12 & row_mask[i6][star[i9]]
-                                if want_zero:
+                                if not single:
                                     if spec_mask:
                                         continue
                                     res = zero_witness_check(
                                         ring, (i1, i2, i3, i4, i5, i6, i7, i8, i9)
                                     )
-                                else:
-                                    if spec_mask == 0 or spec_mask & (spec_mask - 1):
-                                        continue
+                                elif spec_mask and not spec_mask & (spec_mask - 1):
                                     i0 = spec_mask.bit_length() - 1
                                     res = one_witness_check(
                                         ring, (i1, i2, i3, i4, i5, i6, i7, i8, i9), i0
                                     )
+                                else:
+                                    continue
                                 if res.passed:
                                     yield res.witness
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .fields import QQ
 from .localizer import localization_sets, x_var_name, y_var_name
 from .poly import GREVLEX, MAX_VARS, Polynomial
-from .rings import FusionRing, fpdim_data
+from .rings import FusionRing, factorize, fpdim_data
 
 # tetrahedron: vertices 0..3, edges by vertex pair; faces are vertex stars
 EDGE_VERTS = ((0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3))
@@ -224,23 +224,6 @@ def _term_for_tetra(ring, idx, idmap):
     return ({}, [idmap.atom(canon)])
 
 
-def _squarefree_split(n: int):
-    """n = s * m^2 with s squarefree; returns (s, m)."""
-    s, m, d = 1, 1, 2
-    while d * d <= n:
-        cnt = 0
-        while n % d == 0:
-            n //= d
-            cnt += 1
-        if cnt:
-            m *= d ** (cnt // 2)
-            if cnt % 2:
-                s *= d
-        d += 1 if d == 2 else 2
-    s *= n
-    return s, m
-
-
 @dataclass(frozen=True)
 class TpeEquation:
     """One generated prism equation.
@@ -304,9 +287,10 @@ def _assemble(ring, raw_terms):
                 coeff *= Fraction(d) ** ((h - (h % 2)) // 2)
                 if h % 2:
                     radicand *= d
-            s, m = _squarefree_split(radicand)
-            coeff *= m
-            key = s
+            key = 1  # radicand = key * m^2, key squarefree; m joins coeff
+            for p, e in factorize(radicand).items():
+                coeff *= p ** (e // 2)
+                key *= p ** (e % 2)
         groups.setdefault(key, []).append((coeff, mono))
 
     polys = []

@@ -12,6 +12,8 @@ from prismring.chartab import (
     lifting_verdict,
 )
 
+from conftest import random_valid_rings
+
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
@@ -77,7 +79,7 @@ def test_lifting_f210(f210):
     v = lifting_verdict(f210, table, char0_excluded=True)
     assert v.column_zero_ok and v.prime_cover_ok
     assert v.conclusion == NO_POSITIVE_CHAR_PIVOTAL
-    assert dict(v.prime_witnesses).keys() == {2, 3, 5, 7}
+    assert v.prime_witnesses == ((2, "6_1"), (3, "6_1"), (5, "5_1"), (7, "7_1"))
     v0 = lifting_verdict(f210, table, char0_excluded=False)
     assert v0.conclusion == INCONCLUSIVE
 
@@ -94,3 +96,20 @@ def test_lifting_requires_integral(fib):
     table = character_table(fib)
     with pytest.raises(ValueError):
         lifting_verdict(fib, table, char0_excluded=True)
+
+
+def test_column_zero_property_agrees_with_the_float_rule():
+    """The exact rank test against |chi| < 1e-6 on the table's floats."""
+    rings = [catalog(n) for n in ("trivial", "Z2", "Fib", "Ising", "RepS3", "F210", "F660")]
+    rings += [ring for ring in random_valid_rings(count=20) if ring.is_commutative()]
+    assert len(rings) == 27
+    seen = set()
+    for ring in rings:
+        table = character_table(ring)
+        r = ring.rank
+        by_float = all(
+            any(abs(table.values[i][j]) < 1e-6 for i in range(r)) for j in range(1, r)
+        )
+        assert column_zero_property(table) == by_float, ring.name
+        seen.add(by_float)
+    assert seen == {True, False}

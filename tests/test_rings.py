@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from prismring.rings import (
     FusionRing,
     RingFormatError,
     build_ring,
+    factorize,
     fpdim_data,
     parse_ring,
     serialize_ring,
@@ -219,3 +221,39 @@ def test_out_of_range_index_is_key_error(f210, call, bad):
 def test_resolve_rejects_a_non_integer(f210):
     with pytest.raises(TypeError):
         f210.resolve(1.0)  # not truncated to 1
+
+
+def test_factorize_matches_brute_force():
+    assert factorize(1) == {}
+    for n in range(2, 10_000):
+        brute = {}
+        m = n
+        for p in range(2, n + 1):
+            while m % p == 0:
+                brute[p] = brute.get(p, 0) + 1
+                m //= p
+            if m == 1:
+                break
+        got = factorize(n)
+        assert got == brute and list(got) == sorted(got), n
+
+
+def test_equal_rings_built_separately_hash_equal(f210):
+    nested = [[list(row) for row in block] for block in f210.N]
+    twin = build_ring(f210.name, list(f210.labels), nested)
+    assert twin is not f210 and twin == f210 and hash(twin) == hash(f210)
+    assert hash(f210) == hash(f210.N)
+    other = build_ring("other", list(f210.labels), nested)
+    assert other != f210 and hash(other) == hash(f210)
+    # the cached hash is neither a field nor part of the repr
+    assert "_hash" not in repr(f210)
+    assert [f.name for f in dataclasses.fields(f210)] == ["name", "labels", "N", "star"]
+
+
+def test_fpdim_data_cache_hits_a_separately_built_ring(f210):
+    fpdim_data.cache_clear()
+    first = fpdim_data(f210)
+    twin = build_ring(f210.name, list(f210.labels), [[list(r) for r in b] for b in f210.N])
+    assert fpdim_data(twin) is first
+    info = fpdim_data.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

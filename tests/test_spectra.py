@@ -1,8 +1,14 @@
+import hashlib
 import itertools
+import json
 import random
+import re
+
+import pytest
 
 from prismring import spectra
 from prismring.catalog import catalog
+from prismring.rings import build_ring
 from prismring.spectra import (
     _tables,
     criterion_search,
@@ -179,3 +185,98 @@ def test_tables_cache_is_bounded():
         criterion_search(ring, "zero")
         assert _tables.cache_info().currsize <= _tables.cache_info().maxsize
     assert _tables.cache_info().currsize == _tables.cache_info().maxsize
+
+
+def _digest(rows):
+    blob = json.dumps(rows, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# (ring, kind): (witnesses, sha256[:16] of their as_dict() list)
+WITNESS_DIGESTS = {
+    ("F660", "zero"): (24, "8e85e9951ac41e1e"),
+    ("F660", "one"): (24, "18a13d5cad75ae4f"),
+    ("F210", "zero"): (0, None),
+    ("F210", "one"): (0, None),
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(WITNESS_DIGESTS))
+def test_all_witness_lists_are_pinned(name, kind):
+    found = criterion_search(catalog(name), kind, all_witnesses=True)
+    count, digest = WITNESS_DIGESTS[name, kind]
+    assert len(found) == count
+    if found:
+        assert _digest([w.as_dict() for w in found]) == digest
+
+
+def _criteria_corpus():
+    """(ring, nonet, i0, passed, reason, witness) over seeded random nonets.
+
+    Every nonet gets the zero check and, for each element i0 of its
+    spectrum, the one check. Half the nonets are drawn so that five of
+    the six premises hold. Three rank-4 tensors that break the fusion
+    axioms (the checks read only the coefficients) reach the failures
+    that no catalog ring reaches: the second left-hand and the third
+    right-hand one-dimensionality condition.
+    """
+    rng = random.Random(34)
+    rings = [catalog(n) for n in ("trivial", "Fib", "Ising", "RepS3", "F660")]
+    for t in range(3):
+        N = [[[int(j == i) if k == 0 else rng.choice((0, 0, 1, 1, 2)) for k in range(4)]
+              for j in range(4)] for i in range(4)]
+        rings.append(build_ring(f"T{t}", "abcd", N))
+    rows = []
+    for ring in rings:
+        r, N = ring.rank, ring.N
+
+        def pick(a, b):
+            sup = [k for k in range(r) if N[a][b][k]]
+            return rng.choice(sup) if sup else rng.randrange(r)
+
+        for n in range(600):
+            if n % 2:
+                nonet = tuple(rng.randrange(r) for _ in range(9))
+            else:
+                i7, i9, i4, i5 = (rng.randrange(r) for _ in range(4))
+                i1 = pick(i7, i9)
+                i6 = pick(i4, i1)
+                i2 = pick(i5, i4)
+                i3 = pick(i5, i6)
+                i8 = pick(i2, i7)
+                nonet = (i1, i2, i3, i4, i5, i6, i7, i8, i9)
+            checks = [(None, zero_witness_check(ring, nonet))]
+            for i0 in pe_spectrum(ring, *nonet[3:]).indices:
+                checks.append((i0, one_witness_check(ring, nonet, i0)))
+            for i0, res in checks:
+                witness = res.witness.as_dict() if res.witness else None
+                rows.append([ring.name, list(nonet), i0, res.passed, res.reason, witness])
+    return rows
+
+
+# every failure reason the two checks give, as a pattern over its text
+CHECK_REASONS = (
+    r"premise N\(i\d,i\d;i\d\) = 0",
+    r"spectrum not empty: \[.+\]",
+    r"pair coefficient N\(i2,i1;i3\) = \d+ != 1",
+    r"first one-dimensionality condition fails",
+    r"second one-dimensionality condition fails",
+    r"spectrum is \[.+\], not exactly the given element",
+    r"spectrum multiplicities are not all 1",
+    r"pair coefficient N\(i2,i1;i3\) = \d+ != 0",
+    r"rhs-fsymbol-1 one-dimensionality condition fails",
+    r"rhs-fsymbol-2 one-dimensionality condition fails",
+    r"rhs-fsymbol-3 one-dimensionality condition fails",
+)
+
+
+def test_check_results_on_a_seeded_corpus_are_pinned():
+    rows = _criteria_corpus()
+    reasons = {row[4] for row in rows if not row[3]}
+    for pattern in CHECK_REASONS:
+        assert any(re.fullmatch(pattern, x) for x in reasons), pattern
+    assert all(any(re.fullmatch(p, x) for p in CHECK_REASONS) for x in reasons)
+    assert {(row[2] is None, row[3]) for row in rows} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+    assert (len(rows), _digest(rows)) == (9845, "e193b4beb348b899")
